@@ -139,9 +139,8 @@ class Enumerator {
   /// Thread safety: enumerate()/materialize()/countElements() read only the
   /// enumerator's compile-time state (nests, compiled program, shape rows,
   /// `coalesce`, `tier`) and keep all evaluation scratch on the stack, so
-  /// concurrent calls on one Enumerator from multiple threads are safe — the
-  /// runtime's parallel resolution engine materializes every (partition,
-  /// enumerator) pair of a launch concurrently.  The Specialized tier's
+  /// concurrent calls on one Enumerator from multiple threads are safe.  The
+  /// Specialized tier's
   /// program cache is shared across copies and internally synchronized.  Do
   /// not flip `coalesce`/`tier` while calls are in flight.
   void enumerate(const PartitionTuple& partition, const ir::LaunchConfig& cfg,

@@ -19,7 +19,11 @@ Runtime& gpartCurrentRuntime() {
 
 gpartError gpartMalloc(void** devPtr, std::size_t size) {
   if (!devPtr) return gpartErrorInvalidValue;
-  *devPtr = gpartCurrentRuntime().malloc(static_cast<i64>(size));
+  try {
+    *devPtr = gpartCurrentRuntime().malloc(static_cast<i64>(size));
+  } catch (const Error&) {
+    return gpartErrorInvalidValue;  // a size that is not whole elements
+  }
   return gpartSuccess;
 }
 

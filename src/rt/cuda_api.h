@@ -42,6 +42,8 @@ class ScopedGpartRuntime {
 Runtime& gpartCurrentRuntime();
 
 // -- cudaMalloc / cudaFree ----------------------------------------------------
+/// gpartErrorInvalidValue for a null `devPtr` or a `size` Runtime::malloc
+/// rejects (not a multiple of the 8-byte element size).
 gpartError gpartMalloc(void** devPtr, std::size_t size);
 gpartError gpartFree(void* devPtr);
 

@@ -26,7 +26,7 @@
 // prefetched replicas as sharers, and the reactive resolution still runs at
 // the consumer (skipping exactly the segments whose sharer bit proves the
 // prefetch landed).  Any divergence — a launch off the recorded cycle, a
-// host write, a mispredicted owner — degrades to the paper's reactive path,
+// host write, an owner other than the planned source — degrades to the paper's reactive path,
 // so functional results are byte-identical with planning on or off.
 
 #include <array>

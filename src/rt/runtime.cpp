@@ -1,14 +1,11 @@
 #include "rt/runtime.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
+#include <chrono>
 #include <cstring>
 #include <limits>
-#include <thread>
+#include <optional>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "pset/fm_internal.h"
 #include "rt/checkpoint.h"
@@ -16,8 +13,6 @@
 #include "rt/transfer_plan.h"
 #include "support/env.h"
 #include "support/error.h"
-#include "support/pipeline.h"
-#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace polypart::rt {
@@ -110,11 +105,8 @@ void addStatsDiff(RuntimeStats& into, const RuntimeStats& before,
   into.inspectorCacheInvalidations +=
       after.inspectorCacheInvalidations - before.inspectorCacheInvalidations;
   into.inspectedElements += after.inspectedElements - before.inspectedElements;
-  into.resolutionTasks += after.resolutionTasks - before.resolutionTasks;
   into.resolutionWallSeconds +=
       after.resolutionWallSeconds - before.resolutionWallSeconds;
-  into.parallelWallSeconds +=
-      after.parallelWallSeconds - before.parallelWallSeconds;
   into.fmMemoHits += after.fmMemoHits - before.fmMemoHits;
   into.fmMemoMisses += after.fmMemoMisses - before.fmMemoMisses;
   into.fmMemoEvictions += after.fmMemoEvictions - before.fmMemoEvictions;
@@ -129,59 +121,38 @@ void addStatsDiff(RuntimeStats& into, const RuntimeStats& before,
 class Runtime::ResolutionTimer {
  public:
   explicit ResolutionTimer(Runtime& rt)
-      : rt_(rt), prev_(activeWindow()), t0_(std::chrono::steady_clock::now()) {
-    // Windows may overlap across threads (a submitter pre-materializing
-    // launch N+1 while the engine thread resolves launch N), but must not
-    // nest on one thread for the same runtime — that would count the same
-    // real time twice.  The marker is thread-local, so cross-thread overlap
-    // never trips it; the old per-runtime flag would have.
-    PP_ASSERT_MSG(prev_ != &rt_, "overlapping resolution wall-time windows");
-    activeWindow() = &rt_;
+      : rt_(rt), t0_(std::chrono::steady_clock::now()) {
+    PP_ASSERT_MSG(!rt_.resolutionWindowOpen_,
+                  "overlapping resolution wall-time windows");
+    rt_.resolutionWindowOpen_ = true;
   }
   ~ResolutionTimer() {
-    activeWindow() = prev_;
-    const double secs = wallSeconds(t0_);
-    std::lock_guard<std::mutex> lock(rt_.statsMutex_);
-    rt_.stats_.resolutionWallSeconds += secs;
+    rt_.resolutionWindowOpen_ = false;
+    rt_.stats_.resolutionWallSeconds += wallSeconds(t0_);
   }
 
   ResolutionTimer(const ResolutionTimer&) = delete;
   ResolutionTimer& operator=(const ResolutionTimer&) = delete;
 
-  /// True when the calling thread has an open window for `rt`.
-  static bool openOnThisThread(const Runtime& rt) {
-    return activeWindow() == &rt;
-  }
-
  private:
-  static const Runtime*& activeWindow() {
-    thread_local const Runtime* window = nullptr;
-    return window;
-  }
-
   Runtime& rt_;
-  const Runtime* prev_ = nullptr;
   std::chrono::steady_clock::time_point t0_;
-};
-
-/// Pipeline machinery: the bounded submission queue, the epoch clock, the
-/// engine thread, and the failure latch (first commit-side exception; held
-/// until a wait()/drain() rethrows it).
-struct Runtime::Pipeline {
-  explicit Pipeline(int depth)
-      : queue(static_cast<std::size_t>(depth)) {}
-
-  support::BoundedQueue<PendingLaunch> queue;
-  support::EpochClock epochs;
-  std::thread engine;
-  std::mutex errorMutex;
-  std::exception_ptr error;
-  std::atomic<bool> failed{false};
 };
 
 Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
                  const ir::Module& kernels)
     : config_(config), model_(std::move(model)) {
+  // Resolution has one serial engine; the two knobs stay declared only so
+  // existing configs compile, and any other value is a configuration error.
+  if (config_.resolutionThreads != 0)
+    throw Error("RuntimeConfig::resolutionThreads must be 0 (got " +
+                std::to_string(config_.resolutionThreads) +
+                "); resolution always runs serially");
+  if (config_.pipelineDepth != 0)
+    throw Error("RuntimeConfig::pipelineDepth must be 0 (got " +
+                std::to_string(config_.pipelineDepth) +
+                "); launches always run synchronously");
+  PP_ASSERT_MSG(config_.numTenants >= 1, "numTenants must be >= 1");
   // FM-memoization telemetry baseline: taken before any enumerator is built
   // so this runtime's construction-time projections count toward its sample.
   const pset::FmMemoCounters fmBase = pset::fmMemoCounters();
@@ -192,7 +163,7 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
   machine_ = std::make_unique<sim::Machine>(config_.machine, config_.mode);
   if (config_.dataflowPlanning && config_.enableDependencyResolution &&
       config_.enableTransfers) {
-    planners_.resize(static_cast<std::size_t>(std::max(1, config_.numTenants)));
+    planners_.resize(static_cast<std::size_t>(config_.numTenants));
     for (auto& p : planners_)
       p = std::make_unique<DataflowPlanner>(
           config_.numGpus, kElemBytes,
@@ -200,22 +171,15 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
             return partitionFor(m, g, gpu);
           });
   }
-  if (config_.resolutionThreads > 0)
-    pool_ = std::make_unique<support::ThreadPool>(config_.resolutionThreads);
   machine_->setTracer(config_.tracer);
-  if (pool_) pool_->setTracer(config_.tracer);
+  tenantStats_.resize(static_cast<std::size_t>(config_.numTenants));
 
   // Per-kernel partitioning (Section 7) and enumerator generation
-  // (Section 6) are independent across kernels; with a pool they build
-  // concurrently into pre-sized slots and the name map is populated
-  // afterwards in model order.
-  const i64 numKernels = static_cast<i64>(model_.kernels.size());
-  std::vector<KernelEntry> entries(static_cast<std::size_t>(numKernels));
-  auto buildEntry = [&](i64 i) {
-    const KernelModel& km = model_.kernels[static_cast<std::size_t>(i)];
+  // (Section 6).
+  for (const KernelModel& km : model_.kernels) {
     ir::KernelPtr k = kernels.find(km.kernel);
     PP_ASSERT_MSG(k != nullptr, "model references a kernel missing from the module");
-    KernelEntry& ke = entries[static_cast<std::size_t>(i)];
+    KernelEntry ke;
     ke.model = &km;
     ke.partitioned = ir::partitionKernel(*k);
     ke.partitioning = Partitioning::even(config_.numGpus);
@@ -244,39 +208,11 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
                     e.argIndex()) != ke.mayReadArgs.end())
         ke.enumIsMayRead[ei] = 1;
     }
-  };
-  if (pool_) {
-    pool_->parallelFor(numKernels, buildEntry);
-  } else {
-    for (i64 i = 0; i < numKernels; ++i) buildEntry(i);
-  }
-  for (std::size_t i = 0; i < entries.size(); ++i)
-    kernels_.emplace(model_.kernels[i].kernel, std::move(entries[i]));
-
-  // Tenancy + pipelined engine.
-  PP_ASSERT_MSG(config_.numTenants >= 1, "numTenants must be >= 1");
-  PP_ASSERT_MSG(config_.pipelineDepth >= 0, "pipelineDepth must be >= 0");
-  PP_ASSERT_MSG(config_.maxInFlightPerTenant >= 0,
-                "maxInFlightPerTenant must be >= 0");
-  tenants_.resize(static_cast<std::size_t>(config_.numTenants));
-  if (config_.tracer != nullptr &&
-      (config_.numTenants > 1 || config_.pipelineDepth > 0))
-    for (int t = 0; t < config_.numTenants; ++t)
-      config_.tracer->nameTenantTrack(t, "tenant " + std::to_string(t));
-  if (config_.pipelineDepth > 0) {
-    pipeline_ = std::make_unique<Pipeline>(config_.pipelineDepth);
-    pipeline_->engine = std::thread([this] { pipelineLoop(); });
+    kernels_.emplace(km.kernel, std::move(ke));
   }
 }
 
-Runtime::~Runtime() {
-  if (pipeline_ != nullptr) {
-    // Stop accepting work and let the engine drain what was submitted; a
-    // pending failure is dropped here (destruction is not a place to throw).
-    pipeline_->queue.close();
-    if (pipeline_->engine.joinable()) pipeline_->engine.join();
-  }
-}
+Runtime::~Runtime() = default;
 
 const Runtime::KernelEntry& Runtime::entry(const std::string& name) const {
   auto it = kernels_.find(name);
@@ -290,32 +226,12 @@ Runtime::KernelEntry& Runtime::entry(const std::string& name) {
   return it->second;
 }
 
-std::shared_ptr<const Runtime::LaunchPlan> Runtime::findPrebuilt(
-    const codegen::EnumerationKey& key) const {
-  if (activePending_ == nullptr) return nullptr;
-  for (const auto& [k, plan] : activePending_->prebuilt)
-    if (k == key) return plan;
-  return nullptr;
-}
-
 const Runtime::LaunchPlan* Runtime::resolvePlan(KernelEntry& ke,
                                                 const PartitionTuple& tuple,
                                                 const LaunchConfig& cfg,
                                                 std::span<const i64> scalars,
                                                 bool& wasHit) {
-  if (!config_.enableEnumerationCache) {
-    // Pipelined mode, cache off: replay the plan the submitting thread
-    // pre-materialized.  Its ranges/info are exactly what the live
-    // enumerate() below it would produce, and `wasHit` stays false, so
-    // stats and modeled costs match the un-pipelined path byte for byte.
-    if (activePending_ != nullptr && !activePending_->prebuilt.empty()) {
-      wasHit = false;
-      if (std::shared_ptr<const LaunchPlan> pre =
-              findPrebuilt(codegen::EnumerationKey::of(tuple, cfg, scalars)))
-        return pre.get();  // kept alive by the PendingLaunch until committed
-    }
-    return nullptr;
-  }
+  if (!config_.enableEnumerationCache) return nullptr;
   codegen::EnumerationKey key = codegen::EnumerationKey::of(tuple, cfg, scalars);
   auto it = ke.planCache.find(key);
   if (it != ke.planCache.end()) {
@@ -324,7 +240,7 @@ const Runtime::LaunchPlan* Runtime::resolvePlan(KernelEntry& ke,
     trace::instant(config_.tracer, "cache", "plan-hit");
     trace::counter(config_.tracer, "cache", "plan-cache-hits",
                    stats_.enumCacheHits);
-    return it->second.get();
+    return &it->second;
   }
   wasHit = false;
   ++stats_.enumCacheMisses;
@@ -340,20 +256,14 @@ const Runtime::LaunchPlan* Runtime::resolvePlan(KernelEntry& ke,
     trace::counter(config_.tracer, "cache", "plan-cache-evictions",
                    stats_.enumCacheEvictions);
   }
-  // A plan pre-materialized at submission satisfies the miss without
-  // enumerating here; a mispredict (or serial mode) falls back to building.
-  std::shared_ptr<const LaunchPlan> plan = findPrebuilt(key);
-  if (plan == nullptr) {
-    auto fresh = std::make_shared<LaunchPlan>();
-    fresh->reserve(ke.enumerators.size());
-    for (const Enumerator& e : ke.enumerators)
-      fresh->push_back(e.materialize(tuple, cfg, scalars));
-    plan = std::move(fresh);
-  }
+  LaunchPlan plan;
+  plan.reserve(ke.enumerators.size());
+  for (const Enumerator& e : ke.enumerators)
+    plan.push_back(e.materialize(tuple, cfg, scalars));
   auto [pos, inserted] = ke.planCache.emplace(std::move(key), std::move(plan));
   PP_ASSERT(inserted);
   ke.planCacheOrder.push_back(pos->first);
-  return pos->second.get();
+  return &pos->second;
 }
 
 const ir::Kernel& Runtime::partitionedKernel(const std::string& name) const {
@@ -364,7 +274,13 @@ VirtualBuffer* Runtime::malloc(i64 bytes, TenantId tenant) {
   PP_ASSERT(bytes >= 0);
   PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
                 "malloc for unknown tenant");
-  drain();  // machine allocations keep program order vs in-flight launches
+  // Host mirrors, tracker walks, and the H2D split all work in whole
+  // elements; a trailing partial element would fall outside them.
+  if (bytes % kElemBytes != 0)
+    throw Error("malloc of " + std::to_string(bytes) +
+                " bytes: virtual buffers hold " + std::to_string(kElemBytes) +
+                "-byte elements, so the size must be a multiple of " +
+                std::to_string(kElemBytes));
   std::vector<sim::DevBuffer> instances;
   instances.reserve(static_cast<std::size_t>(config_.numGpus));
   for (int d = 0; d < config_.numGpus; ++d)
@@ -384,7 +300,6 @@ VirtualBuffer* Runtime::malloc(i64 bytes, TenantId tenant) {
 
 void Runtime::free(VirtualBuffer* buf) {
   PP_ASSERT_MSG(buf != nullptr, "free of null virtual buffer");
-  drain();  // in-flight launches may still reference the buffer
   for (auto it = buffers_.begin(); it != buffers_.end(); ++it) {
     if (it->get() == buf) {
       // Recorded launch signatures hold buffer identities; dropping the
@@ -432,10 +347,6 @@ void Runtime::free(VirtualBuffer* buf) {
 
 void Runtime::memcpy(void* dst, const void* src, i64 bytes, MemcpyKind kind) {
   PP_ASSERT(bytes >= 0);
-  // Memcpy reads/writes tracker state and the machine; pipelined launches
-  // ahead of it must land first so every machine operation keeps program
-  // order (that order is what makes depth-0 and depth-N byte-identical).
-  drain();
   trace::Span span(config_.tracer, "runtime", "memcpy", {}, {{"bytes", bytes}});
   switch (kind) {
     case MemcpyKind::HostToHost:
@@ -526,7 +437,6 @@ void Runtime::memcpy(void* dst, const void* src, i64 bytes, MemcpyKind kind) {
 }
 
 void Runtime::deviceSynchronize() {
-  drain();
   machine_->synchronizeAll();
 }
 
@@ -578,10 +488,6 @@ std::unique_ptr<TransferPlan> Runtime::makeTransferPlan() const {
 void Runtime::issueTransferPlan(TransferPlan& plan) {
   trace::Span span(config_.tracer, "runtime", "schedule-transfers", {},
                    {{"decisions", static_cast<i64>(plan.recordCount())}});
-  // Pipelined commits attribute the plan's copies to the launch that issues
-  // it; the serial paper path stays untagged (classic trace output).
-  if (activePending_ != nullptr && activePending_->epoch >= 0)
-    plan.setIssueTag(activePending_->epoch, activePending_->tenant);
   const TransferPlanStats& ps = plan.issue(*machine_, config_.tracer);
   stats_.peerCopies += ps.issued;
   stats_.transfersMerged += ps.merged;
@@ -589,7 +495,7 @@ void Runtime::issueTransferPlan(TransferPlan& plan) {
   stats_.bytesSavedByDedup += ps.bytesSaved;
 }
 
-void Runtime::issuePrefetches(const PendingLaunch& pl, std::size_t step,
+void Runtime::issuePrefetches(const PreparedLaunch& pl, std::size_t step,
                               std::vector<double> kernelDone) {
   const std::vector<FlowEdge>& edges =
       planners_[static_cast<std::size_t>(pl.tenant)]->edgesFor(step);
@@ -605,14 +511,12 @@ void Runtime::issuePrefetches(const PendingLaunch& pl, std::size_t step,
   TransferPlan plan(opts);
   plan.markPrefetch();
   plan.setSrcFloors(std::move(kernelDone));
-  if (activePending_ != nullptr && activePending_->epoch >= 0)
-    plan.setIssueTag(activePending_->epoch, activePending_->tenant);
 
   // Clip every planned range against the live tracker: only sub-segments
-  // whose current owner is the predicted source — and that the destination
+  // whose current owner is the planned source — and that the destination
   // does not already share — are copied.  Any divergence from the plan
-  // (host writes, mispredicted owners) silently degrades to the reactive
-  // path, which is what keeps results byte-identical.
+  // (host writes, owners other than the planned one) silently degrades to
+  // the reactive path, which is what keeps results byte-identical.
   struct Replica {
     VirtualBuffer* buf;
     i64 begin, end;
@@ -675,13 +579,52 @@ void Runtime::sampleCacheCounters() {
       specMisses += c.misses;
       specEvictions += c.evictions;
     }
-  std::lock_guard<std::mutex> lock(statsMutex_);
   stats_.fmMemoHits = fm.hits - fmBaseHits_;
   stats_.fmMemoMisses = fm.misses - fmBaseMisses_;
   stats_.fmMemoEvictions = fm.evictions - fmBaseEvictions_;
   stats_.specProgramHits = specHits;
   stats_.specProgramMisses = specMisses;
   stats_.specProgramEvictions = specEvictions;
+}
+
+i64 Runtime::syncReadRange(VirtualBuffer* vb, int gpu, i64 begin, i64 end,
+                           TransferPlan* xferPlan) {
+  i64 segments = 0;
+  vb->tracker_.querySharers(
+      begin, end, [&](i64 b, i64 en, Owner owner, u64 sharers) {
+        ++segments;
+        if (owner == gpu || owner < 0) return;  // up to date / undefined
+        // Sharer bits are consulted when either feature maintains them:
+        // trackSharedCopies records reactive replicas, the dataflow planner
+        // records prefetched ones.
+        if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
+            gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
+          if (config_.trackSharedCopies)
+            ++stats_.sharedCopyHits;  // replica already valid here
+          else
+            ++stats_.prefetchHits;  // prefetch landed: skip the copy
+          return;
+        }
+        if (!config_.enableTransfers) return;
+        if (xferPlan != nullptr) {
+          // Scheduled mode: record the decision; the whole launch's plan is
+          // merged and issued after the query loops.
+          xferPlan->add(vb, gpu, static_cast<int>(owner), b, en);
+        } else {
+          machine_->copyPeer(vb->instances_[static_cast<std::size_t>(gpu)], b,
+                             vb->instances_[static_cast<std::size_t>(owner)], b,
+                             en - b);
+          ++stats_.peerCopies;
+          trace::instant(config_.tracer, "transfer", "peer-copy",
+                         {{"src", owner}, {"dst", gpu}, {"bytes", en - b}});
+        }
+        if (config_.trackSharedCopies) sharerScratch_.emplace_back(b, en);
+      });
+  // Record the new replicas outside the query traversal (addSharer mutates
+  // the tracker).
+  for (const auto& [b, en] : sharerScratch_) vb->tracker_.addSharer(b, en, gpu);
+  sharerScratch_.clear();
+  return segments;
 }
 
 void Runtime::synchronizeReads(KernelEntry& ke, const LaunchConfig& cfg,
@@ -694,9 +637,6 @@ void Runtime::synchronizeReads(KernelEntry& ke, const LaunchConfig& cfg,
   // inspectable may-read args are skipped: synchronizeMayAccessReads()
   // replaces them with the exact inspected footprints.
   const bool inspector = inspectorActiveFor(ke);
-  // Shared-copy bookkeeping scratch; call-local so the serial and parallel
-  // engines have the same per-task-ownership shape (no cross-call aliasing).
-  std::vector<std::pair<i64, i64>> sharerScratch;
   for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
     GridPartition gp = partitionFor(*ke.model, cfg.grid, gpu);
     if (gp.blockCount() == 0) continue;
@@ -713,44 +653,8 @@ void Runtime::synchronizeReads(KernelEntry& ke, const LaunchConfig& cfg,
       codegen::EnumInfo info;
       i64 segments = 0;
       auto resolveRange = [&](i64 elemB, i64 elemE) {
-        vb->tracker_.querySharers(
-            elemB * kElemBytes, elemE * kElemBytes,
-            [&](i64 b, i64 en, Owner owner, u64 sharers) {
-              ++segments;
-              if (owner == gpu || owner < 0) return;  // up to date / undefined
-              // Sharer bits are consulted when either feature maintains
-              // them: trackSharedCopies records reactive replicas, the
-              // dataflow planner records prefetched ones.
-              if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
-                  gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
-                if (config_.trackSharedCopies)
-                  ++stats_.sharedCopyHits;  // replica already valid here
-                else
-                  ++stats_.prefetchHits;  // prefetch landed: skip the copy
-                return;
-              }
-              if (config_.enableTransfers) {
-                if (xferPlan != nullptr) {
-                  // Scheduled mode: record the decision; the whole launch's
-                  // plan is merged and issued after the query loops.
-                  xferPlan->add(vb, gpu, static_cast<int>(owner), b, en);
-                } else {
-                  machine_->copyPeer(
-                      vb->instances_[static_cast<std::size_t>(gpu)], b,
-                      vb->instances_[static_cast<std::size_t>(owner)], b,
-                      en - b);
-                  ++stats_.peerCopies;
-                  trace::instant(config_.tracer, "transfer", "peer-copy",
-                                 {{"src", owner}, {"dst", gpu}, {"bytes", en - b}});
-                }
-                if (config_.trackSharedCopies) sharerScratch.emplace_back(b, en);
-              }
-            });
-        // Record the new replicas outside the query traversal (addSharer
-        // mutates the tracker).
-        for (const auto& [b, en] : sharerScratch)
-          vb->tracker_.addSharer(b, en, gpu);
-        sharerScratch.clear();
+        segments += syncReadRange(vb, gpu, elemB * kElemBytes,
+                                  elemE * kElemBytes, xferPlan.get());
       };
       if (plan != nullptr) {
         // Replay the memoized ranges against the live tracker.
@@ -974,11 +878,9 @@ void Runtime::synchronizeMayAccessReads(KernelEntry& ke,
   ResolutionTimer timer(*this);
   trace::Span span(config_.tracer, "runtime", "sync-may-reads");
   std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
-  std::vector<std::pair<i64, i64>> sharerScratch;
-  // Same traversal shape and per-array modeled cost as synchronizeReads,
-  // driven by the inspected footprints instead of the enumerators.  Called
-  // identically by both resolution engines (it is already cheap and
-  // footprint-exact), which keeps them byte-identical.
+  // Same traversal shape as synchronizeReads, driven by the inspected
+  // footprints instead of the enumerators; every range is charged the
+  // uncached per-row cost.
   for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
     for (std::size_t si = 0; si < ke.mayReadArgs.size(); ++si) {
       const auto& ranges = fp.ranges[si][static_cast<std::size_t>(gpu)];
@@ -986,40 +888,9 @@ void Runtime::synchronizeMayAccessReads(KernelEntry& ke,
       VirtualBuffer* vb = args[ke.mayReadArgs[si]].buffer;
       PP_ASSERT(vb != nullptr);
       i64 segments = 0;
-      for (const auto& [elemB, elemE] : ranges) {
-        vb->tracker_.querySharers(
-            elemB * kElemBytes, elemE * kElemBytes,
-            [&](i64 b, i64 en, Owner owner, u64 sharers) {
-              ++segments;
-              if (owner == gpu || owner < 0) return;
-              if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
-                  gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
-                if (config_.trackSharedCopies)
-                  ++stats_.sharedCopyHits;
-                else
-                  ++stats_.prefetchHits;
-                return;
-              }
-              if (config_.enableTransfers) {
-                if (xferPlan != nullptr) {
-                  xferPlan->add(vb, gpu, static_cast<int>(owner), b, en);
-                } else {
-                  machine_->copyPeer(
-                      vb->instances_[static_cast<std::size_t>(gpu)], b,
-                      vb->instances_[static_cast<std::size_t>(owner)], b,
-                      en - b);
-                  ++stats_.peerCopies;
-                  trace::instant(
-                      config_.tracer, "transfer", "peer-copy",
-                      {{"src", owner}, {"dst", gpu}, {"bytes", en - b}});
-                }
-                if (config_.trackSharedCopies) sharerScratch.emplace_back(b, en);
-              }
-            });
-        for (const auto& [b, en] : sharerScratch)
-          vb->tracker_.addSharer(b, en, gpu);
-        sharerScratch.clear();
-      }
+      for (const auto& [elemB, elemE] : ranges)
+        segments += syncReadRange(vb, gpu, elemB * kElemBytes,
+                                  elemE * kElemBytes, xferPlan.get());
       stats_.rangesResolved += static_cast<i64>(ranges.size());
       stats_.trackerSegmentsVisited += segments;
       double perRow =
@@ -1063,384 +934,11 @@ void Runtime::gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
   machine_->synchronizeAll();
 }
 
-// ---------------------------------------------------------------------------
-// Parallel resolution engine (RuntimeConfig::resolutionThreads > 0).
-//
-// The serial paper loop above interleaves three kinds of work per
-// (GPU partition, array) pair: pure polyhedral enumeration, tracker
-// queries/updates, and machine-model bookkeeping (transfers + modeled host
-// cost).  The engine splits them into three phases:
-//
-//   1. acquirePlans      — all missing (gpu, enumerator) materializations run
-//                          concurrently (Enumerator::materialize is const and
-//                          touches no shared state); the plan cache itself is
-//                          only mutated on this thread, with the serial
-//                          hit/miss/eviction accounting replayed verbatim.
-//   2. sharded trackers  — one task per destination VirtualBuffer executes
-//                          that buffer's work items in the canonical
-//                          (gpu, enumerator, range) order.  Trackers of
-//                          different buffers are independent, and the serial
-//                          loop's tracker operations restricted to one buffer
-//                          occur in exactly this order, so every tracker
-//                          reaches a byte-identical state without locks.
-//   3. ordered commit    — transfer decisions and modeled costs collected by
-//                          the tasks are replayed into sim::Machine in the
-//                          canonical serial order, so engine reservations,
-//                          floating-point cost accumulation, MachineStats,
-//                          and RuntimeStats are byte-identical as well.
-// ---------------------------------------------------------------------------
-
-void Runtime::runResolutionTasks(const char* label, i64 n,
-                                 const std::function<void(i64)>& body) {
-  if (n <= 0) return;
-  // parallelWallSeconds is a sub-window of resolutionWallSeconds (the
-  // fraction of resolution wall time spent inside pool fan-outs), so a
-  // parallel window outside an open resolution window would make the subset
-  // accounting meaningless.
-  PP_ASSERT_MSG(ResolutionTimer::openOnThisThread(*this),
-                "parallel resolution tasks outside a resolution wall-time window");
-  trace::Span span(config_.tracer, "runtime", label, {}, {{"tasks", n}});
-  auto t0 = std::chrono::steady_clock::now();
-  pool_->parallelFor(n, body);
-  stats_.resolutionTasks += n;
-  stats_.parallelWallSeconds += wallSeconds(t0);
-}
-
-std::vector<Runtime::PlanAcquisition> Runtime::acquirePlans(
-    KernelEntry& ke, const LaunchConfig& cfg, std::span<const i64> scalars) {
-  trace::Span span(config_.tracer, "runtime", "phase1:acquire-plans");
-  std::vector<PlanAcquisition> acqs;
-  for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
-    GridPartition gp = partitionFor(*ke.model, cfg.grid, gpu);
-    if (gp.blockCount() == 0) continue;
-    acqs.push_back(
-        PlanAcquisition{gpu, PartitionTuple::fromBlocks(gp, cfg.block), nullptr,
-                        false});
-  }
-  const std::size_t numEnums = ke.enumerators.size();
-
-  if (!config_.enableEnumerationCache) {
-    // Cache off: the paper's runtime re-enumerates every launch.  The
-    // enumeration is still materialized (concurrently) into pass-local plans
-    // so the tracker phase can replay it; the recorded ranges are exactly
-    // what a live enumerate() call would have emitted.  Plans the submitting
-    // thread already pre-materialized (pipelined mode) are reused directly.
-    std::vector<std::size_t> need;  // acq indices without a prebuilt plan
-    for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-      if (activePending_ != nullptr && !activePending_->prebuilt.empty())
-        acqs[ai].plan = findPrebuilt(
-            codegen::EnumerationKey::of(acqs[ai].tuple, cfg, scalars));
-      if (acqs[ai].plan == nullptr) need.push_back(ai);
-    }
-    std::vector<std::shared_ptr<LaunchPlan>> fresh(need.size());
-    for (auto& p : fresh) p = std::make_shared<LaunchPlan>(numEnums);
-    runResolutionTasks(
-        "phase1:materialize", static_cast<i64>(need.size() * numEnums),
-        [&](i64 t) {
-          const std::size_t ni = static_cast<std::size_t>(t) / numEnums;
-          const std::size_t ei = static_cast<std::size_t>(t) % numEnums;
-          (*fresh[ni])[ei] =
-              ke.enumerators[ei].materialize(acqs[need[ni]].tuple, cfg, scalars);
-        });
-    for (std::size_t ni = 0; ni < need.size(); ++ni)
-      acqs[need[ni]].plan = std::move(fresh[ni]);
-    return acqs;
-  }
-
-  // Cache on: materialize only the keys that will miss at commit time.  A
-  // key present now can still miss later — the FIFO may evict it while
-  // earlier partitions of this very pass insert theirs — so the commit's
-  // hit/miss sequence is predicted by simulating the FIFO against a copy of
-  // the cache's key set.  Tasks write into pre-allocated pass-local plans;
-  // the cache itself is never touched off this thread (single-producer, no
-  // mutex).
-  std::vector<codegen::EnumerationKey> keys;
-  keys.reserve(acqs.size());
-  for (const PlanAcquisition& a : acqs)
-    keys.push_back(codegen::EnumerationKey::of(a.tuple, cfg, scalars));
-  const i64 cap = config_.enumerationCachePlansPerKernel;
-  std::deque<codegen::EnumerationKey> simOrder = ke.planCacheOrder;
-  std::unordered_set<codegen::EnumerationKey, codegen::EnumerationKeyHash>
-      simPresent(simOrder.begin(), simOrder.end());
-  std::vector<std::size_t> missing;  // acq indices with unique missing keys
-  for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-    if (simPresent.count(keys[ai]) != 0) continue;  // will hit at commit time
-    bool dup = false;
-    for (std::size_t mj : missing)
-      if (keys[mj] == keys[ai]) {
-        dup = true;
-        break;
-      }
-    if (!dup) missing.push_back(ai);
-    if (cap > 0 && static_cast<i64>(simPresent.size()) >= cap) {
-      simPresent.erase(simOrder.front());
-      simOrder.pop_front();
-    }
-    simPresent.insert(keys[ai]);
-    simOrder.push_back(keys[ai]);
-  }
-  // Predicted misses already pre-materialized at submission (pipelined mode)
-  // are taken as-is; only the remainder fans out to the pool.
-  std::vector<std::shared_ptr<const LaunchPlan>> built(missing.size());
-  std::vector<std::size_t> toBuild;  // indices into `missing`
-  for (std::size_t mi = 0; mi < missing.size(); ++mi) {
-    if (activePending_ != nullptr && !activePending_->prebuilt.empty())
-      built[mi] = findPrebuilt(keys[missing[mi]]);
-    if (built[mi] == nullptr) toBuild.push_back(mi);
-  }
-  std::vector<std::shared_ptr<LaunchPlan>> freshBuilt(toBuild.size());
-  for (auto& p : freshBuilt) p = std::make_shared<LaunchPlan>(numEnums);
-  runResolutionTasks(
-      "phase1:materialize", static_cast<i64>(toBuild.size() * numEnums),
-      [&](i64 t) {
-        const std::size_t ti = static_cast<std::size_t>(t) / numEnums;
-        const std::size_t ei = static_cast<std::size_t>(t) % numEnums;
-        (*freshBuilt[ti])[ei] = ke.enumerators[ei].materialize(
-            acqs[missing[toBuild[ti]]].tuple, cfg, scalars);
-      });
-  for (std::size_t ti = 0; ti < toBuild.size(); ++ti)
-    built[toBuild[ti]] = std::move(freshBuilt[ti]);
-
-  // Commit in canonical GPU order, replaying resolvePlan's counter and FIFO
-  // semantics exactly (including eviction thrash when the capacity is
-  // smaller than the partitions of one launch).
-  for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-    auto it = ke.planCache.find(keys[ai]);
-    if (it != ke.planCache.end()) {
-      ++stats_.enumCacheHits;
-      trace::instant(config_.tracer, "cache", "plan-hit");
-      trace::counter(config_.tracer, "cache", "plan-cache-hits",
-                     stats_.enumCacheHits);
-      acqs[ai].cached = true;
-      acqs[ai].plan = it->second;
-      continue;
-    }
-    ++stats_.enumCacheMisses;
-    trace::instant(config_.tracer, "cache", "plan-miss");
-    trace::counter(config_.tracer, "cache", "plan-cache-misses",
-                   stats_.enumCacheMisses);
-    if (cap > 0 && static_cast<i64>(ke.planCache.size()) >= cap) {
-      ke.planCache.erase(ke.planCacheOrder.front());
-      ke.planCacheOrder.pop_front();
-      ++stats_.enumCacheEvictions;
-      trace::instant(config_.tracer, "cache", "plan-evict");
-      trace::counter(config_.tracer, "cache", "plan-cache-evictions",
-                     stats_.enumCacheEvictions);
-    }
-    std::shared_ptr<const LaunchPlan> plan;
-    for (std::size_t mi = 0; mi < missing.size(); ++mi)
-      if (keys[missing[mi]] == keys[ai]) {
-        plan = built[mi];
-        break;
-      }
-    PP_ASSERT_MSG(plan != nullptr, "missed key was not materialized");
-    auto [pos, inserted] = ke.planCache.emplace(keys[ai], std::move(plan));
-    PP_ASSERT(inserted);
-    ke.planCacheOrder.push_back(pos->first);
-    acqs[ai].plan = pos->second;
-    acqs[ai].cached = false;
-  }
-  return acqs;
-}
-
-namespace {
-
-/// Work items of one resolution pass grouped by destination buffer: shard s
-/// owns every (acquisition, enumerator) pair that touches buffers[s], in
-/// canonical order.
-struct BufferShards {
-  std::vector<VirtualBuffer*> buffers;
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> items;
-};
-
-BufferShards shardByBuffer(const std::vector<Enumerator>& enumerators,
-                           std::span<const LaunchArg> args, std::size_t numAcqs,
-                           bool writes,
-                           const std::vector<char>* skipEnum = nullptr) {
-  BufferShards shards;
-  std::unordered_map<VirtualBuffer*, std::size_t> index;
-  for (std::size_t ai = 0; ai < numAcqs; ++ai) {
-    for (std::size_t ei = 0; ei < enumerators.size(); ++ei) {
-      if (enumerators[ei].isWrite() != writes) continue;
-      // Inspector-skipped enumerators must not shard at all: the phase-2
-      // tasks mutate tracker sharer state, which the skip exists to avoid.
-      if (skipEnum != nullptr && (*skipEnum)[ei] != 0) continue;
-      VirtualBuffer* vb = args[enumerators[ei].argIndex()].buffer;
-      PP_ASSERT(vb != nullptr);
-      auto [it, fresh] = index.try_emplace(vb, shards.buffers.size());
-      if (fresh) {
-        shards.buffers.push_back(vb);
-        shards.items.emplace_back();
-      }
-      shards.items[it->second].emplace_back(ai, ei);
-    }
-  }
-  return shards;
-}
-
-}  // namespace
-
-void Runtime::synchronizeReadsParallel(KernelEntry& ke, const LaunchConfig& cfg,
-                                       std::span<const LaunchArg> args,
-                                       std::span<const i64> scalars) {
-  ResolutionTimer timer(*this);
-  trace::Span span(config_.tracer, "runtime", "sync-reads");
-  std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars);
-  const std::size_t numEnums = ke.enumerators.size();
-
-  struct Transfer {
-    i64 begin = 0;
-    i64 end = 0;
-    Owner owner = kOwnerUndefined;
-  };
-  struct EnumResolution {
-    i64 segments = 0;
-    i64 sharedHits = 0;
-    std::vector<Transfer> transfers;
-  };
-  std::vector<EnumResolution> results(acqs.size() * numEnums);
-
-  const bool inspector = inspectorActiveFor(ke);
-  BufferShards shards =
-      shardByBuffer(ke.enumerators, args, acqs.size(), /*writes=*/false,
-                    inspector ? &ke.enumIsMayRead : nullptr);
-  runResolutionTasks("phase2:tracker-tasks",
-                     static_cast<i64>(shards.buffers.size()), [&](i64 s) {
-    VirtualBuffer* vb = shards.buffers[static_cast<std::size_t>(s)];
-    std::vector<std::pair<i64, i64>> sharerScratch;  // task-local
-    for (const auto& [ai, ei] : shards.items[static_cast<std::size_t>(s)]) {
-      const PlanAcquisition& a = acqs[ai];
-      const codegen::MaterializedRanges& mr = (*a.plan)[ei];
-      EnumResolution& r = results[ai * numEnums + ei];
-      const int gpu = a.gpu;
-      for (const auto& [elemB, elemE] : mr.ranges) {
-        vb->tracker_.querySharers(
-            elemB * kElemBytes, elemE * kElemBytes,
-            [&](i64 b, i64 en, Owner owner, u64 sharers) {
-              ++r.segments;
-              if (owner == gpu || owner < 0) return;  // up to date / undefined
-              if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
-                  gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
-                ++r.sharedHits;  // replica already valid here
-                return;
-              }
-              if (config_.enableTransfers) {
-                r.transfers.push_back(Transfer{b, en, owner});
-                if (config_.trackSharedCopies) sharerScratch.emplace_back(b, en);
-              }
-            });
-        // Record the new replicas outside the query traversal (addSharer
-        // mutates the tracker).
-        for (const auto& [b, en] : sharerScratch)
-          vb->tracker_.addSharer(b, en, gpu);
-        sharerScratch.clear();
-      }
-    }
-  });
-
-  // Ordered commit: identical machine-call and stats sequence as the serial
-  // loop — (gpu ascending, enumerator ascending, transfers in decision
-  // order, then the modeled per-array cost).  With scheduling on, the same
-  // canonical order instead populates the TransferPlan, so the schedule —
-  // and everything downstream of it — matches the serial engine byte for
-  // byte.
-  trace::Span phase3(config_.tracer, "runtime", "phase3:commit");
-  std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
-  for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-    const PlanAcquisition& a = acqs[ai];
-    for (std::size_t ei = 0; ei < numEnums; ++ei) {
-      const Enumerator& e = ke.enumerators[ei];
-      if (e.isWrite()) continue;
-      if (inspector && ke.enumIsMayRead[ei] != 0) continue;
-      VirtualBuffer* vb = args[e.argIndex()].buffer;
-      const EnumResolution& r = results[ai * numEnums + ei];
-      for (const Transfer& t : r.transfers) {
-        if (xferPlan != nullptr) {
-          xferPlan->add(vb, a.gpu, static_cast<int>(t.owner), t.begin, t.end);
-          continue;
-        }
-        machine_->copyPeer(vb->instances_[static_cast<std::size_t>(a.gpu)],
-                           t.begin,
-                           vb->instances_[static_cast<std::size_t>(t.owner)],
-                           t.begin, t.end - t.begin);
-        ++stats_.peerCopies;
-        trace::instant(
-            config_.tracer, "transfer", "peer-copy",
-            {{"src", t.owner}, {"dst", a.gpu}, {"bytes", t.end - t.begin}});
-      }
-      // Same attribution rule as the serial path: with shared-copy tracking
-      // on, sharer hits are its; otherwise only prefetched replicas can set
-      // sharer bits, so they are the planner's.
-      if (config_.trackSharedCopies)
-        stats_.sharedCopyHits += r.sharedHits;
-      else
-        stats_.prefetchHits += r.sharedHits;
-      const codegen::EnumInfo& info = (*a.plan)[ei].info;
-      stats_.rangesResolved += info.ranges;
-      stats_.logicalRowsResolved += info.logicalRows;
-      stats_.trackerSegmentsVisited += r.segments;
-      double rowCost = a.cached ? config_.cachedResolutionCostPerRow
-                                : config_.resolutionCostPerRow;
-      double perRow = rowCost + (config_.enableTransfers
-                                     ? config_.transferIssueCostPerRow
-                                     : 0);
-      double cost =
-          config_.resolutionCostPerArray +
-          perRow * static_cast<double>(info.logicalRows + r.segments);
-      double simStart = machine_->now();
-      machine_->advanceHost(cost);
-      trace::simSpan(config_.tracer, "sim.pattern", "resolve-reads",
-                     sim::kSimHostTrack, simStart, cost, {{"gpu", a.gpu}});
-    }
-  }
-  if (xferPlan != nullptr) issueTransferPlan(*xferPlan);
-}
-
-void Runtime::updateTrackersParallel(KernelEntry& ke, const LaunchConfig& cfg,
-                                     std::span<const LaunchArg> args,
-                                     std::span<const i64> scalars) {
-  ResolutionTimer timer(*this);
-  trace::Span span(config_.tracer, "runtime", "update-trackers");
-  std::vector<PlanAcquisition> acqs = acquirePlans(ke, cfg, scalars);
-  const std::size_t numEnums = ke.enumerators.size();
-
-  BufferShards shards =
-      shardByBuffer(ke.enumerators, args, acqs.size(), /*writes=*/true);
-  runResolutionTasks("phase2:tracker-tasks",
-                     static_cast<i64>(shards.buffers.size()), [&](i64 s) {
-    VirtualBuffer* vb = shards.buffers[static_cast<std::size_t>(s)];
-    for (const auto& [ai, ei] : shards.items[static_cast<std::size_t>(s)]) {
-      const PlanAcquisition& a = acqs[ai];
-      for (const auto& [elemB, elemE] : (*a.plan)[ei].ranges)
-        vb->tracker_.update(elemB * kElemBytes, elemE * kElemBytes, a.gpu);
-    }
-  });
-
-  trace::Span phase3(config_.tracer, "runtime", "phase3:commit");
-  for (std::size_t ai = 0; ai < acqs.size(); ++ai) {
-    const PlanAcquisition& a = acqs[ai];
-    for (std::size_t ei = 0; ei < numEnums; ++ei) {
-      if (!ke.enumerators[ei].isWrite()) continue;
-      const codegen::EnumInfo& info = (*a.plan)[ei].info;
-      stats_.rangesResolved += info.ranges;
-      stats_.logicalRowsResolved += info.logicalRows;
-      double rowCost = a.cached ? config_.cachedResolutionCostPerRow
-                                : config_.resolutionCostPerRow;
-      double cost = config_.resolutionCostPerArray +
-                    rowCost * static_cast<double>(info.logicalRows);
-      double simStart = machine_->now();
-      machine_->advanceHost(cost);
-      trace::simSpan(config_.tracer, "sim.pattern", "update-writes",
-                     sim::kSimHostTrack, simStart, cost, {{"gpu", a.gpu}});
-    }
-  }
-}
-
-Runtime::PendingLaunch Runtime::prepareLaunch(const std::string& kernelName,
-                                              const Dim3& grid,
-                                              const Dim3& block,
-                                              std::span<const LaunchArg> args,
-                                              TenantId tenant) {
+Runtime::PreparedLaunch Runtime::prepareLaunch(const std::string& kernelName,
+                                               const Dim3& grid,
+                                               const Dim3& block,
+                                               std::span<const LaunchArg> args,
+                                               TenantId tenant) {
   PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
                 "launch for unknown tenant");
   KernelEntry& ke = entry(kernelName);
@@ -1460,11 +958,11 @@ Runtime::PendingLaunch Runtime::prepareLaunch(const std::string& kernelName,
                   ir::axisName(static_cast<ir::Axis>(a)) + " == 1");
   }
 
-  PendingLaunch pl;
+  PreparedLaunch pl;
   pl.tenant = tenant;
   pl.ke = &ke;
   pl.cfg = LaunchConfig{grid, block};
-  pl.args.assign(args.begin(), args.end());
+  pl.args = args;
 
   // Scalars for the enumerators: i64 scalar args in declaration order.
   // The tenancy invariant is checked in the same walk: a launch may only
@@ -1482,71 +980,14 @@ Runtime::PendingLaunch Runtime::prepareLaunch(const std::string& kernelName,
   return pl;
 }
 
-void Runtime::prebuildPlans(PendingLaunch& pl) {
-  // Pure pre-materialization on the submitting thread: this is the
-  // resolve-of-launch-N+1 half of the pipeline overlap.  Nothing here
-  // touches trackers, the machine, the real plan cache, or stats (beyond
-  // the wall-clock window) — only the *predicted* cache state advances,
-  // under submitMutex_, in epoch order, replaying the FIFO logic the
-  // commits will perform.  Both commit phases (read sync, tracker update)
-  // resolve the same keys, so the prediction simulates two passes.
-  if (!config_.enableDependencyResolution) return;
-  KernelEntry& ke = *pl.ke;
-  ResolutionTimer timer(*this);
-  trace::Span span(config_.tracer, "runtime", "pipeline:prebuild:",
-                   ke.model->kernel);
-  const LaunchConfig& cfg = pl.cfg;
-  std::span<const i64> scalars(pl.scalars);
-
-  std::vector<PartitionTuple> tuples;
-  for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
-    GridPartition gp = partitionFor(*ke.model, cfg.grid, gpu);
-    if (gp.blockCount() == 0) continue;
-    tuples.push_back(PartitionTuple::fromBlocks(gp, cfg.block));
-  }
-
-  auto addPlan = [&](const codegen::EnumerationKey& key,
-                     const PartitionTuple& tuple) {
-    for (const auto& [k, plan] : pl.prebuilt)
-      if (k == key) return;
-    auto plan = std::make_shared<LaunchPlan>();
-    plan->reserve(ke.enumerators.size());
-    for (const Enumerator& e : ke.enumerators)
-      plan->push_back(e.materialize(tuple, cfg, scalars));
-    pl.prebuilt.emplace_back(key, std::move(plan));
-  };
-
-  if (!config_.enableEnumerationCache) {
-    for (const PartitionTuple& tuple : tuples)
-      addPlan(codegen::EnumerationKey::of(tuple, cfg, scalars), tuple);
-    return;
-  }
-
-  const i64 cap = config_.enumerationCachePlansPerKernel;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const PartitionTuple& tuple : tuples) {
-      codegen::EnumerationKey key =
-          codegen::EnumerationKey::of(tuple, cfg, scalars);
-      if (ke.predictedPresent.count(key) != 0) continue;  // predicted hit
-      addPlan(key, tuple);
-      if (cap > 0 && static_cast<i64>(ke.predictedPresent.size()) >= cap) {
-        ke.predictedPresent.erase(ke.predictedOrder.front());
-        ke.predictedOrder.pop_front();
-      }
-      ke.predictedPresent.insert(key);
-      ke.predictedOrder.push_back(key);
-    }
-  }
-}
-
-void Runtime::executeLaunch(PendingLaunch& pl) {
+void Runtime::executeLaunch(const PreparedLaunch& pl) {
   KernelEntry& ke = *pl.ke;
   const KernelModel& model = *ke.model;
   const std::string& kernelName = model.kernel;
   const LaunchConfig& cfg = pl.cfg;
   const Dim3& grid = cfg.grid;
   const Dim3& block = cfg.block;
-  std::span<const LaunchArg> args(pl.args);
+  std::span<const LaunchArg> args = pl.args;
   std::span<const i64> scalars(pl.scalars);
 
   trace::LaunchScope launchScope(config_.tracer, kernelName);
@@ -1617,10 +1058,7 @@ void Runtime::executeLaunch(PendingLaunch& pl) {
     // can skip their whole-extent enumerators.
     std::shared_ptr<const InspectedFootprints> fp;
     if (inspectorActiveFor(ke)) fp = inspectFootprints(ke, cfg, args, scalars);
-    if (pool_)
-      synchronizeReadsParallel(ke, cfg, args, scalars);
-    else
-      synchronizeReads(ke, cfg, args, scalars);
+    synchronizeReads(ke, cfg, args, scalars);
     if (fp != nullptr) synchronizeMayAccessReads(ke, args, *fp);
     if (!planned) machine_->synchronizeAll();
   }
@@ -1746,12 +1184,8 @@ void Runtime::executeLaunch(PendingLaunch& pl) {
 
   // (4) Update the trackers for all writes (Fig. 4, third loop); this runs
   // concurrently with the asynchronous kernels (host-side only).
-  if (config_.enableDependencyResolution) {
-    if (pool_)
-      updateTrackersParallel(ke, cfg, args, scalars);
-    else
-      updateTrackers(ke, cfg, args, scalars);
-  }
+  if (config_.enableDependencyResolution)
+    updateTrackers(ke, cfg, args, scalars);
 
   // (5) Eager prefetch: issue this cycle position's compiled flow edges now
   // that the trackers reflect the launch's writes.  Floors keep the modeled
@@ -1771,189 +1205,33 @@ void Runtime::executeLaunch(PendingLaunch& pl) {
   ke.lastScalars.assign(scalars.begin(), scalars.end());
 }
 
-void Runtime::commitLaunch(PendingLaunch& pl) {
-  // activePending_ exposes the prebuilt plans to resolvePlan/acquirePlans
-  // and the issue tag to issueTransferPlan for the duration of this commit;
-  // the guard clears it even when executeLaunch throws.
-  struct ActiveGuard {
+void Runtime::commitLaunch(const PreparedLaunch& pl) {
+  // The guard runs even when executeLaunch throws: the tenant's slice still
+  // receives whatever the failed launch counted (so the slices keep adding
+  // up to the totals), and device-ordering mode, which is scoped to one
+  // planned launch, cannot leak into the next one.
+  struct Guard {
     Runtime& rt;
-    ~ActiveGuard() {
-      rt.activePending_ = nullptr;
-      // Device-ordering mode is scoped to one planned launch; make sure a
-      // throwing executeLaunch cannot leak it into the next commit.
+    RuntimeStats& slice;
+    const RuntimeStats before;
+    ~Guard() {
+      addStatsDiff(slice, before, rt.stats_);
       rt.machine_->setDeviceOrdering(false);
     }
-  } guard{*this};
-  activePending_ = &pl;
-  machine_->setLaunchTag(pl.tenant);
-  const RuntimeStats before = statsSnapshot();
+  } guard{*this, tenantStats_[static_cast<std::size_t>(pl.tenant)], stats_};
   executeLaunch(pl);
-  const RuntimeStats after = statsSnapshot();
-  std::lock_guard<std::mutex> lock(tenantMutex_);
-  TenantState& ts = tenants_[static_cast<std::size_t>(pl.tenant)];
-  addStatsDiff(ts.stats.resolved, before, after);
-  ++ts.stats.completed;
-}
-
-std::optional<i64> Runtime::submitImpl(const std::string& kernelName,
-                                       const Dim3& grid, const Dim3& block,
-                                       std::span<const LaunchArg> args,
-                                       TenantId tenant, bool blocking) {
-  if (!pipelined()) {
-    // Serial paper path: validate, commit synchronously, retire the ticket
-    // before returning.  epoch stays -1, so the trace output (no tags) is
-    // the classic one.
-    PendingLaunch pl = prepareLaunch(kernelName, grid, block, args, tenant);
-    {
-      std::lock_guard<std::mutex> lock(tenantMutex_);
-      ++tenants_[static_cast<std::size_t>(tenant)].stats.submitted;
-    }
-    commitLaunch(pl);
-    return serialNextTicket_++;
-  }
-
-  rethrowPipelineError();
-  PendingLaunch pl = prepareLaunch(kernelName, grid, block, args, tenant);
-
-  // Admission control: bound this tenant's outstanding launches before the
-  // request may occupy pipeline capacity.
-  {
-    std::unique_lock<std::mutex> lock(tenantMutex_);
-    TenantState& ts = tenants_[static_cast<std::size_t>(tenant)];
-    const i64 cap = config_.maxInFlightPerTenant;
-    if (cap > 0) {
-      if (!blocking && ts.inFlight >= cap) {
-        ++ts.stats.rejected;
-        trace::tenantInstant(config_.tracer, tenant, "runtime",
-                             "admission-reject", {{"in-flight", ts.inFlight}});
-        return std::nullopt;
-      }
-      admissionCv_.wait(lock, [&] { return ts.inFlight < cap; });
-    }
-    ++ts.inFlight;
-    ++ts.stats.submitted;
-    trace::tenantCounter(config_.tracer, tenant, "runtime", "in-flight",
-                         ts.inFlight);
-  }
-
-  // {prediction advance, epoch issue, queue push} is atomic under
-  // submitMutex_, so queue order == epoch order (the EpochClock asserts
-  // this) and the cache-FIFO prediction advances in epoch order.  push()
-  // blocking on a full queue is the pipeline-depth backpressure.
-  std::lock_guard<std::mutex> lock(submitMutex_);
-  prebuildPlans(pl);
-  const i64 epoch = pipeline_->epochs.issue();
-  pl.epoch = epoch;
-  trace::tenantInstant(config_.tracer, tenant, "runtime", "submit",
-                       {{"epoch", epoch}});
-  const bool accepted = pipeline_->queue.push(std::move(pl));
-  PP_ASSERT_MSG(accepted, "submit to a shut-down runtime");
-  return epoch;
-}
-
-i64 Runtime::submit(const std::string& kernelName, const Dim3& grid,
-                    const Dim3& block, std::span<const LaunchArg> args,
-                    TenantId tenant) {
-  std::optional<i64> ticket =
-      submitImpl(kernelName, grid, block, args, tenant, /*blocking=*/true);
-  PP_ASSERT(ticket.has_value());
-  return *ticket;
-}
-
-std::optional<i64> Runtime::trySubmit(const std::string& kernelName,
-                                      const Dim3& grid, const Dim3& block,
-                                      std::span<const LaunchArg> args,
-                                      TenantId tenant) {
-  return submitImpl(kernelName, grid, block, args, tenant, /*blocking=*/false);
 }
 
 void Runtime::launch(const std::string& kernelName, const Dim3& grid,
                      const Dim3& block, std::span<const LaunchArg> args,
                      TenantId tenant) {
-  wait(submit(kernelName, grid, block, args, tenant));
+  commitLaunch(prepareLaunch(kernelName, grid, block, args, tenant));
 }
 
-void Runtime::wait(i64 ticket) {
-  if (!pipelined()) return;  // serial tickets are retired at submit
-  pipeline_->epochs.waitFor(ticket);
-  rethrowPipelineError();
-}
-
-void Runtime::drain() {
-  if (!pipelined()) return;
-  pipeline_->epochs.waitIdle();
-  rethrowPipelineError();
-}
-
-bool Runtime::pipelineIdle() const {
-  return pipeline_ == nullptr || pipeline_->epochs.idle();
-}
-
-TenantStats Runtime::tenantStats(TenantId tenant) {
+const RuntimeStats& Runtime::tenantStats(TenantId tenant) const {
   PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
                 "stats for unknown tenant");
-  drain();
-  std::lock_guard<std::mutex> lock(tenantMutex_);
-  return tenants_[static_cast<std::size_t>(tenant)].stats;
-}
-
-void Runtime::setCommitObserver(std::function<void(i64, TenantId)> fn) {
-  PP_ASSERT_MSG(pipelineIdle(),
-                "commit observer may only change while the pipeline is idle");
-  commitObserver_ = std::move(fn);
-}
-
-void Runtime::rethrowPipelineError() {
-  if (pipeline_ == nullptr ||
-      !pipeline_->failed.load(std::memory_order_acquire))
-    return;
-  std::lock_guard<std::mutex> lock(pipeline_->errorMutex);
-  if (pipeline_->error != nullptr) {
-    std::exception_ptr first = std::exchange(pipeline_->error, nullptr);
-    std::rethrow_exception(first);
-  }
-  // The original failure was already delivered to some caller; everything
-  // after it sees the pipeline as poisoned.
-  throw Error("launch pipeline poisoned by an earlier failure");
-}
-
-RuntimeStats Runtime::statsSnapshot() const {
-  std::lock_guard<std::mutex> lock(statsMutex_);
-  return stats_;
-}
-
-void Runtime::pipelineLoop() {
-  if (config_.tracer != nullptr)
-    config_.tracer->nameCurrentThread("pipeline engine");
-  while (std::optional<PendingLaunch> pl = pipeline_->queue.pop()) {
-    const i64 epoch = pl->epoch;
-    const TenantId tenant = pl->tenant;
-    if (commitObserver_) commitObserver_(epoch, tenant);
-    // A poisoned pipeline stops touching machine/tracker state, but epochs
-    // still retire and in-flight counts still drop so no waiter hangs.
-    if (!pipeline_->failed.load(std::memory_order_acquire)) {
-      try {
-        commitLaunch(*pl);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(pipeline_->errorMutex);
-          pipeline_->error = std::current_exception();
-        }
-        pipeline_->failed.store(true, std::memory_order_release);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(tenantMutex_);
-      TenantState& ts = tenants_[static_cast<std::size_t>(tenant)];
-      --ts.inFlight;
-      trace::tenantCounter(config_.tracer, tenant, "runtime", "in-flight",
-                           ts.inFlight);
-    }
-    admissionCv_.notify_all();
-    trace::tenantInstant(config_.tracer, tenant, "runtime", "commit",
-                         {{"epoch", epoch}});
-    pipeline_->epochs.commit(epoch);
-  }
+  return tenantStats_[static_cast<std::size_t>(tenant)];
 }
 
 }  // namespace polypart::rt

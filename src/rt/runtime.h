@@ -19,33 +19,20 @@
 // (Section 9.2): disable transfers, or disable dependency resolution
 // entirely.
 //
-// Beyond the paper, RuntimeConfig::resolutionThreads enables a host-side
-// parallel resolution engine (see DESIGN.md "Parallel dependency-resolution
-// engine"): plan materialization fans out over (GPU, enumerator) pairs,
-// tracker work is sharded per destination buffer, and transfer decisions are
-// replayed into the machine model in the canonical serial order, keeping
-// results and modeled timing byte-identical with threads on or off.
-//
-// RuntimeConfig::pipelineDepth adds an asynchronous pipelined launch engine
-// on top (see DESIGN.md "Pipelined launches & tenancy"): submit() prepares
-// and pre-materializes launch N+1 on the calling thread while a dedicated
-// engine thread commits launch N, with per-launch epochs keeping the commit
-// strictly in submission order so results stay byte-identical to the serial
-// path.  RuntimeConfig::numTenants shards the runtime into client contexts
-// multiplexed onto the one machine, with per-tenant stats and admission
-// control (maxInFlightPerTenant).
+// Every launch resolves in the paper's serial loop over (GPU partition,
+// array) pairs, on the calling thread (Section 8.3, Fig. 4).
+// RuntimeConfig::numTenants shards the runtime into client contexts
+// multiplexed onto the one machine: each tenant owns the buffers it
+// allocates and gets its own slice of the RuntimeStats counters (see
+// DESIGN.md "Tenancy").
 
-#include <chrono>
-#include <condition_variable>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analysis/model.h"
@@ -53,10 +40,6 @@
 #include "ir/transform.h"
 #include "rt/tracker.h"
 #include "sim/machine.h"
-
-namespace polypart::support {
-class ThreadPool;
-}
 
 namespace polypart::trace {
 class Tracer;
@@ -177,14 +160,14 @@ struct RuntimeConfig {
   bool trackSharedCopies = false;
   /// Topology-aware transfer scheduling (extension; see DESIGN.md "Transfer
   /// plan").  Off (default): the paper's behaviour — each resolved segment is
-  /// copied the moment the tracker query yields it.  On: both resolution
-  /// engines collect the per-launch transfer decisions into a TransferPlan
-  /// that merges adjacent/overlapping same-link ranges, chains one-to-many
-  /// reads through fresh replicas (when trackSharedCopies provides the
-  /// sharer bookkeeping), and issues round-robin across (src, dst) links.
-  /// Functional results, tracker state, and gather bytes are byte-identical
-  /// with scheduling on or off, at every resolutionThreads value;
-  /// bytesPeerToPeer can only shrink (tests/transfer_plan_test.cpp).
+  /// copied the moment the tracker query yields it.  On: read
+  /// synchronization collects the per-launch transfer decisions into a
+  /// TransferPlan that merges adjacent/overlapping same-link ranges, chains
+  /// one-to-many reads through fresh replicas (when trackSharedCopies
+  /// provides the sharer bookkeeping), and issues round-robin across
+  /// (src, dst) links.  Functional results, tracker state, and gather bytes
+  /// are byte-identical with scheduling on or off; bytesPeerToPeer can only
+  /// shrink (tests/transfer_plan_test.cpp).
   bool transferScheduling = false;
   /// Cross-launch dataflow planning (extension; see DESIGN.md "Cross-launch
   /// dataflow planning").  Off (default): the paper's reactive behaviour.
@@ -269,45 +252,26 @@ struct RuntimeConfig {
   double transferIssueCostPerRow = 35e-9;
   /// Fixed modeled host cost per (array, partition) resolution step.
   double resolutionCostPerArray = 2e-6;
-  /// Worker threads for the host-side parallel resolution engine.  0 keeps
-  /// the paper's serial loop over every (GPU partition, array) pair
-  /// (Section 8.3); N > 0 runs a three-phase engine on an N-thread pool:
-  /// parallel plan materialization, per-buffer sharded tracker phases, and a
-  /// deterministic ordered commit into the machine model.  Results, modeled
-  /// timing, and RuntimeStats (minus the wall-clock/task meta-counters) are
-  /// byte-identical for every value of this knob.
+  /// Must be 0: the constructor throws Error naming the field otherwise.
+  /// Resolution always runs the paper's serial loop (Section 8.3).
   int resolutionThreads = 0;
   /// Slowdown factor applied to kernels whose write patterns must be
   /// collected by instrumentation (paper Section 11 future work; dynamic
   /// collection "yields accurate results at the expense of significant
   /// runtime overhead").
   double instrumentationSlowdown = 2.0;
-  /// Asynchronous pipelined launch engine (see DESIGN.md "Pipelined launches
-  /// & tenancy").  0 (default): the paper's synchronous path — launch()
-  /// resolves, transfers, and executes before returning, bit-for-bit
-  /// today's behaviour.  N > 0: submit() enqueues launches onto a dedicated
-  /// engine thread and may run up to N launches ahead of the in-order
-  /// commit, pre-materializing their launch plans (the pure polyhedral
-  /// enumeration) on the submitting thread so resolution of launch N+1
-  /// overlaps execution of launch N.  Functional results, tracker state,
-  /// modeled timing, and RuntimeStats (minus the wall-clock/task
-  /// meta-counters) are byte-identical at every depth.
+  /// Must be 0: the constructor throws Error naming the field otherwise.
+  /// launch() always resolves, transfers, and executes before returning.
   int pipelineDepth = 0;
   /// Client contexts sharded onto this runtime (>= 1).  Each tenant owns the
   /// buffers it allocates (malloc(bytes, tenant)); a launch may only
   /// reference its own tenant's buffers, and per-tenant counters accumulate
   /// into tenantStats().  1 (default): the classic single-client runtime.
   int numTenants = 1;
-  /// Admission control: maximum launches a tenant may have in flight
-  /// (submitted but not yet committed) before trySubmit() rejects and
-  /// submit() blocks.  0 (default) = unbounded.  Only meaningful with
-  /// pipelineDepth > 0 (the serial path commits within submit()).
-  i64 maxInFlightPerTenant = 0;
-  /// Launch-pipeline tracer (support/trace.h).  When set, the runtime, the
-  /// machine model, and the resolution thread pool record structured events
-  /// — launch/sync/update spans, plan-cache hit/miss/evict, per-transfer
-  /// src/dst/bytes, virtual-time engine spans — exportable as a Chrome
-  /// trace.  Must outlive the Runtime.  Null (the default) disables tracing;
+  /// Launch-pipeline tracer (support/trace.h).  When set, the runtime and the
+  /// machine model record structured events — launch/sync/update spans,
+  /// plan-cache hit/miss/evict, per-transfer src/dst/bytes, virtual-time
+  /// engine spans — exportable as a Chrome trace.  Must outlive the Runtime.  Null (the default) disables tracing;
   /// results, modeled timing, RuntimeStats, and MachineStats are identical
   /// with tracing on or off (tests/trace_test.cpp).  Examples and benches
   /// wire this to the POLYPART_TRACE=<path> environment hook
@@ -398,23 +362,18 @@ struct RuntimeStats {
   i64 inspectorCacheInvalidations = 0;  // stale footprints dropped: an
                                         // inspected buffer's content changed
   i64 inspectedElements = 0;   // may-read accesses observed by the walks
-  // Engine meta-counters.  These describe *how* the resolution executed, not
-  // what it computed: wall-clock fields are nondeterministic by nature and
-  // resolutionTasks is 0 in serial mode, so the determinism guarantee of
-  // RuntimeConfig::resolutionThreads covers every field above this line and
-  // excludes the three below (tests/parallel_resolution_test.cpp).
-  i64 resolutionTasks = 0;           // tasks executed by the parallel engine
+  // Meta-counters.  These describe how the host executed, not what the
+  // runtime computed, so every field from here down is excluded from the
+  // determinism guarantees the test suites check (tests/stats_util.h).
+  // resolutionWallSeconds is real wall time, nondeterministic by nature.
   double resolutionWallSeconds = 0;  // real host time spent resolving
-  double parallelWallSeconds = 0;    // real time inside parallel phases
   // Cache-telemetry meta-counters, sampled at the end of every launch.  The
   // FM-memoization counters are process-wide (pset's projection memo is one
-  // table per process) diffed against a baseline taken at Runtime
-  // construction; the specialized-program counters sum over this runtime's
-  // enumerators.  Both are observational: parallel resolution can race two
-  // misses on one key, so they are monotone telemetry, not byte-deterministic
-  // state — like the fields above, they are excluded from the determinism
-  // guarantee (tests/cache_counters_test.cpp asserts monotonicity and
-  // hit/miss consistency instead).
+  // table per process, shared with every other runtime and test) diffed
+  // against a baseline taken at Runtime construction; the
+  // specialized-program counters sum over this runtime's enumerators.  Both
+  // are monotone telemetry (tests/cache_counters_test.cpp asserts
+  // monotonicity and hit/miss consistency).
   i64 fmMemoHits = 0;
   i64 fmMemoMisses = 0;
   i64 fmMemoEvictions = 0;
@@ -423,22 +382,6 @@ struct RuntimeStats {
   i64 specProgramEvictions = 0;
 
   bool operator==(const RuntimeStats&) const = default;
-};
-
-/// Per-tenant slice of the runtime's accounting (Runtime::tenantStats).
-struct TenantStats {
-  i64 submitted = 0;  // launches accepted (serial launches included)
-  i64 rejected = 0;   // trySubmit() admission-control rejections
-  i64 completed = 0;  // launches committed by the engine
-  /// This tenant's share of the RuntimeStats counters: the difference of the
-  /// aggregate counters across each of its launches, accumulated at commit.
-  /// The wall-clock meta-counters follow the same caveat as RuntimeStats —
-  /// submit-side pre-materialization windows of *other* tenants that overlap
-  /// a commit land in whichever launch is committing, so only the fields
-  /// above the meta-counter line are deterministic.
-  RuntimeStats resolved;
-
-  bool operator==(const TenantStats&) const = default;
 };
 
 class Runtime {
@@ -457,8 +400,8 @@ class Runtime {
 
   // -- CUDA Runtime replacement (Section 8.4) --------------------------------
   /// Allocates a virtual buffer owned by `tenant` (0 = the single-client
-  /// default).  In pipelined mode allocation drains the pipeline first, so
-  /// machine operations keep program order.
+  /// default).  Buffers hold 8-byte elements: throws Error naming the size
+  /// when `bytes` is not a multiple of 8.
   VirtualBuffer* malloc(i64 bytes, TenantId tenant = 0);
   /// Releases a buffer obtained from malloc().  Freeing the same buffer
   /// twice, or a pointer this runtime never allocated, is a contract
@@ -473,53 +416,24 @@ class Runtime {
   /// cudaDeviceSynchronize replacement: synchronizes all devices.
   void deviceSynchronize();
 
-  /// Partitioned kernel launch (Fig. 4).  `grid`/`block` are the original
-  /// single-GPU configuration.  In pipelined mode this is submit() + wait():
-  /// synchronous semantics, pipelined machinery.
+  /// Partitioned kernel launch (Fig. 4) on behalf of `tenant`.
+  /// `grid`/`block` are the original single-GPU configuration.  Validates the
+  /// launch, then synchronizes reads, runs the partitions, and updates the
+  /// trackers before returning.  A launch that fails validation throws
+  /// before touching any tracker, machine, or stats state.
   void launch(const std::string& kernelName, const ir::Dim3& grid,
               const ir::Dim3& block, std::span<const LaunchArg> args,
               TenantId tenant = 0);
 
-  // -- pipelined submission (RuntimeConfig::pipelineDepth > 0) ---------------
-  /// Enqueues a launch and returns its epoch (a ticket for wait()).  The
-  /// launch is validated and its plans pre-materialized on this thread; the
-  /// engine thread commits epochs strictly in submission order.  Blocks on
-  /// admission control (maxInFlightPerTenant) and on a full pipeline.  With
-  /// pipelineDepth == 0 the launch commits before returning (the ticket is
-  /// already retired).  Thread-safe: multiple tenants may submit
-  /// concurrently; the relative order of concurrent submissions is decided
-  /// by the epoch each one is assigned.
-  i64 submit(const std::string& kernelName, const ir::Dim3& grid,
-             const ir::Dim3& block, std::span<const LaunchArg> args,
-             TenantId tenant = 0);
-  /// submit() that rejects instead of blocking when the tenant is at its
-  /// admission limit; nullopt = rejected (counted in TenantStats::rejected).
-  std::optional<i64> trySubmit(const std::string& kernelName,
-                               const ir::Dim3& grid, const ir::Dim3& block,
-                               std::span<const LaunchArg> args,
-                               TenantId tenant = 0);
-  /// Blocks until `ticket` (a submit() epoch) has committed, then rethrows
-  /// the first pipeline failure if one occurred.
-  void wait(i64 ticket);
-  /// Blocks until every submitted launch has committed (no-op when serial).
-  void drain();
-  /// True when no submitted launch is outstanding (always true when serial).
-  bool pipelineIdle() const;
-  /// Per-tenant counters; drains first so the numbers are settled.
-  TenantStats tenantStats(TenantId tenant);
-  /// Test hook: invoked on the engine thread immediately before each epoch
-  /// commits.  Set only while the pipeline is idle; pass nullptr to clear.
-  /// Blocking inside the observer stalls the commit stream deterministically
-  /// — that is exactly what the admission-control tests use it for.
-  void setCommitObserver(std::function<void(i64 epoch, TenantId tenant)> fn);
-
   /// End-to-end simulated time including outstanding asynchronous work.
   double elapsedSeconds() const;
 
-  /// Aggregate counters.  In pipelined mode, read these only while the
-  /// pipeline is idle (after drain(); the engine thread owns them while
-  /// launches are in flight).
+  /// Aggregate counters.
   const RuntimeStats& stats() const { return stats_; }
+  /// `tenant`'s slice of the launch counters: the difference of stats()
+  /// across each of its launches, summed.  The slices of all tenants add up
+  /// to the launch-driven part of stats().
+  const RuntimeStats& tenantStats(TenantId tenant) const;
   const sim::MachineStats& machineStats() const { return machine_->stats(); }
 
   /// The partitioned clone of a kernel (for inspection/tests).
@@ -531,9 +445,8 @@ class Runtime {
   // -- elastic repartitioning (RuntimeConfig::allowRepartitioning) -----------
   /// The current weighted partitioning of `kernelName` (even at start).
   const Partitioning& partitioning(const std::string& kernelName) const;
-  /// Changes `kernelName`'s partitioning to `next` between launches.  Drains
-  /// the pipeline, then migrates only the difference of the old and new
-  /// write footprints (a per-device pset subtraction over the kernel's last
+  /// Changes `kernelName`'s partitioning to `next` between launches,
+  /// migrating only the difference of the old and new write footprints (a per-device pset subtraction over the kernel's last
   /// launch signature, clipped against live tracker ownership) and updates
   /// the trackers, so subsequent launches resolve against the new layout
   /// with byte-identical results.  Invalidates every tenant's dataflow plan.
@@ -556,7 +469,7 @@ class Runtime {
   // -- device-failure recovery (rt/checkpoint.h) -----------------------------
   /// Host-side snapshot of every byte range that exists on exactly one live
   /// device (replicated ranges survive a single failure without help).
-  /// Drains and synchronizes first.  Cheap relative to a full dump: on
+  /// Synchronizes first.  Cheap relative to a full dump: on
   /// partitioned workloads each device exclusively owns ~1/N of the data.
   Checkpoint checkpoint();
   /// Recovers from the failure of `device` (after sim::Machine::failDevice):
@@ -579,8 +492,8 @@ class Runtime {
   /// kernel's may-access reads, plus everything the walk depended on (the
   /// cache key).  Entries go stale when any recorded buffer's
   /// Tracker::contentVersion() moves — update() bumps it, addSharer() does
-  /// not, so replication-pattern differences between the resolution engines
-  /// cannot thrash the cache.
+  /// not, so replica bookkeeping (shared-copy tracking, prefetches) cannot
+  /// thrash the cache.
   struct InspectedFootprints {
     ir::LaunchConfig cfg;
     std::vector<i64> scalars;
@@ -607,21 +520,11 @@ class Runtime {
     std::vector<VirtualBuffer*> lastBuffers;
     std::vector<i64> lastScalars;
     /// Enumeration cache (one plan per launch configuration seen, FIFO
-    /// bounded by RuntimeConfig::enumerationCachePlansPerKernel).  Plans are
-    /// held by shared_ptr so the parallel engine can keep using an acquired
-    /// plan after a later insertion of the same pass evicts it.
-    std::unordered_map<codegen::EnumerationKey, std::shared_ptr<const LaunchPlan>,
+    /// bounded by RuntimeConfig::enumerationCachePlansPerKernel).
+    std::unordered_map<codegen::EnumerationKey, LaunchPlan,
                        codegen::EnumerationKeyHash>
         planCache;
     std::deque<codegen::EnumerationKey> planCacheOrder;
-    /// Pipelined-mode prediction of the cache's future contents: submission
-    /// replays the FIFO admission/eviction logic ahead of the commits that
-    /// will actually perform it, so the submitting thread pre-materializes
-    /// exactly the plans the committing launch would miss.  Guarded by
-    /// submitMutex_ (prediction must advance in epoch order).
-    std::unordered_set<codegen::EnumerationKey, codegen::EnumerationKeyHash>
-        predictedPresent;
-    std::deque<codegen::EnumerationKey> predictedOrder;
     /// May-access tier metadata, precomputed at construction.
     /// Args whose writes left the static model (ArrayModel::writeMayAccess):
     /// executeLaunch() observes their stores like instrumented writes, but
@@ -637,57 +540,27 @@ class Runtime {
     /// gather).  Index i here owns InspectedFootprints::ranges[i].
     std::vector<std::size_t> mayReadArgs;
     /// Per enumerators[] entry: it realizes the whole-extent read of an
-    /// inspectable arg, so both sync engines skip it while the inspector is
+    /// inspectable arg, so synchronizeReads() skips it while the inspector is
     /// active (the footprint sync replaces it).
     std::vector<char> enumIsMayRead;
     /// Inspection cache, FIFO bounded by
-    /// RuntimeConfig::inspectionCacheEntriesPerKernel.  Engine thread only.
+    /// RuntimeConfig::inspectionCacheEntriesPerKernel.
     std::deque<std::shared_ptr<const InspectedFootprints>> inspections;
   };
 
-  /// One GPU partition's launch plan for the current pass: the materialized
-  /// enumerator output (owned by the cache, or pass-local when the cache is
-  /// off) plus whether it was replayed (cache hit → cheaper modeled cost).
-  struct PlanAcquisition {
-    int gpu = 0;
-    codegen::PartitionTuple tuple;
-    std::shared_ptr<const LaunchPlan> plan;
-    bool cached = false;
-  };
-
-  /// RAII wall-clock window accumulating into stats_.resolutionWallSeconds
-  /// (under statsMutex_: pipelined mode opens windows on the submitting
-  /// thread — pre-materialization — concurrently with the engine thread's
-  /// launch phases).  Windows may overlap across threads but must not nest
-  /// on one thread for the same runtime: that would double-count the same
-  /// real time, and is asserted against via a thread-local active-window
-  /// marker (the fix for the old per-runtime flag, which would have fired
-  /// spuriously on legitimate cross-thread overlap).
+  /// RAII wall-clock window accumulating into stats_.resolutionWallSeconds.
+  /// Windows must not nest (that would count the same real time twice),
+  /// which resolutionWindowOpen_ asserts.
   class ResolutionTimer;
 
-  /// A validated launch waiting in the pipeline: everything executeLaunch()
-  /// needs, plus the plans pre-materialized at submission.
-  struct PendingLaunch {
-    i64 epoch = -1;
+  /// A validated launch: everything executeLaunch() needs.
+  struct PreparedLaunch {
     TenantId tenant = 0;
     KernelEntry* ke = nullptr;
     ir::LaunchConfig cfg;
-    std::vector<LaunchArg> args;
+    std::span<const LaunchArg> args;
     std::vector<i64> scalars;
-    /// Plans materialized on the submitting thread, keyed by enumeration
-    /// key.  With the cache on these are the *predicted* misses of the
-    /// cache-FIFO replay; with it off, every non-empty partition's plan.
-    /// Consulted by resolvePlan()/acquirePlans() during commit; a mispredict
-    /// merely falls back to materializing there (correctness never depends
-    /// on the prediction).
-    std::vector<std::pair<codegen::EnumerationKey,
-                          std::shared_ptr<const LaunchPlan>>>
-        prebuilt;
   };
-
-  /// Pipeline machinery (queue, epoch clock, engine thread); null when
-  /// pipelineDepth == 0.  Defined in runtime.cpp.
-  struct Pipeline;
 
   const KernelEntry& entry(const std::string& name) const;
   KernelEntry& entry(const std::string& name);
@@ -700,7 +573,7 @@ class Runtime {
   /// (failed devices must have weight 0); throws Error otherwise.
   void validatePartitioning(const Partitioning& next) const;
   /// The footprint-difference migration of one kernel's transition
-  /// prev -> next (repartition.cpp).  Caller has drained and validated.
+  /// prev -> next (repartition.cpp).  Caller has validated `next`.
   RepartitionResult migrateKernel(KernelEntry& ke, const Partitioning& prev,
                                   const Partitioning& next);
   /// Returns the cached launch plan for one (kernel, partition) pair,
@@ -713,6 +586,14 @@ class Runtime {
   void synchronizeReads(KernelEntry& ke, const ir::LaunchConfig& cfg,
                         std::span<const LaunchArg> args,
                         std::span<const i64> scalars);
+  /// The per-range body both read-sync paths share: walks the tracker
+  /// segments of bytes [begin, end) of `vb`, counts a sharer hit for each
+  /// segment `gpu` already replicates (sharedCopyHits with shared-copy
+  /// tracking on, else prefetchHits), copies every other stale segment to
+  /// `gpu` — or records it in `xferPlan` when scheduling — and then records
+  /// the new replicas.  Returns the number of segments visited.
+  i64 syncReadRange(VirtualBuffer* vb, int gpu, i64 begin, i64 end,
+                    TransferPlan* xferPlan);
   /// True when this launch should run the inspector–executor: the knob is
   /// on and the kernel has inspectable may-access reads.
   bool inspectorActiveFor(const KernelEntry& ke) const;
@@ -720,15 +601,14 @@ class Runtime {
   /// walk of the partitioned kernel over mirrors of the current buffer
   /// contents that records the exact per-device element footprint of every
   /// inspectable may-access read.  Functional mode only (the walk needs the
-  /// buffer bytes).  Engine thread.
+  /// buffer bytes).
   std::shared_ptr<const InspectedFootprints> inspectFootprints(
       KernelEntry& ke, const ir::LaunchConfig& cfg,
       std::span<const LaunchArg> args, std::span<const i64> scalars);
   /// Read synchronization for the inspected footprints, replacing the
-  /// skipped whole-extent enumerators with the same tracker-query /
-  /// sharer-skip / transfer-plan / modeled-cost sequence as the regular
-  /// paths (called identically by both engines, keeping them
-  /// byte-identical).
+  /// skipped whole-extent enumerators: the same per-range body as
+  /// synchronizeReads() (syncReadRange), with its own per-array modeled
+  /// cost.
   void synchronizeMayAccessReads(KernelEntry& ke,
                                  std::span<const LaunchArg> args,
                                  const InspectedFootprints& fp);
@@ -747,122 +627,60 @@ class Runtime {
   void issueTransferPlan(TransferPlan& plan);
   /// Dataflow-planning hook: issues the compiled flow edges of cycle
   /// position `step` right after the producing launch.  Every planned byte
-  /// range is clipped against the live tracker (only segments the predicted
+  /// range is clipped against the live tracker (only segments the planned
   /// source still owns, and the destination does not already share, are
   /// copied), issued with per-source floors at the producing kernels'
   /// modeled completions, then recorded as shared replicas so the
   /// consumer's reactive resolution skips them.
-  void issuePrefetches(const PendingLaunch& pl, std::size_t step,
+  void issuePrefetches(const PreparedLaunch& pl, std::size_t step,
                        std::vector<double> kernelDone);
   /// Samples the FM-memoization and specialized-program cache counters into
-  /// the stats meta-fields (end of every launch; engine thread).
+  /// the stats meta-fields (end of every launch).
   void sampleCacheCounters();
   void updateTrackers(KernelEntry& ke, const ir::LaunchConfig& cfg,
                       std::span<const LaunchArg> args,
                       std::span<const i64> scalars);
 
-  // -- parallel resolution engine (RuntimeConfig::resolutionThreads > 0) -----
-  /// Phase 1: acquires one launch plan per non-empty GPU partition,
-  /// materializing cache misses concurrently on the pool (pure work) and
-  /// committing them to the plan cache single-producer on this thread with
-  /// the exact hit/miss/eviction accounting of the serial resolvePlan path.
-  std::vector<PlanAcquisition> acquirePlans(KernelEntry& ke,
-                                            const ir::LaunchConfig& cfg,
-                                            std::span<const i64> scalars);
-  /// Phases 2+3 for the read sets: per-buffer sharded tracker queries with
-  /// task-local sharer scratch, then a deterministic ordered commit of the
-  /// collected transfer decisions into the machine model.
-  void synchronizeReadsParallel(KernelEntry& ke, const ir::LaunchConfig& cfg,
-                                std::span<const LaunchArg> args,
-                                std::span<const i64> scalars);
-  /// Phases 2+3 for the write sets: per-buffer sharded tracker updates, then
-  /// the ordered commit of the modeled bookkeeping costs.
-  void updateTrackersParallel(KernelEntry& ke, const ir::LaunchConfig& cfg,
-                              std::span<const LaunchArg> args,
-                              std::span<const i64> scalars);
-  /// Runs `n` tasks on the pool and accounts them in RuntimeStats; `label`
-  /// names the enclosing trace span (must be a string literal).
-  void runResolutionTasks(const char* label, i64 n,
-                          const std::function<void(i64)>& body);
-
-  // -- pipelined launch engine (RuntimeConfig::pipelineDepth > 0) ------------
-  bool pipelined() const { return pipeline_ != nullptr; }
   /// Validates a launch request and captures everything executeLaunch()
-  /// needs (the front half of the old launch(), minus any machine/tracker
-  /// state).  Runs on the submitting thread.
-  PendingLaunch prepareLaunch(const std::string& kernelName,
-                              const ir::Dim3& grid, const ir::Dim3& block,
-                              std::span<const LaunchArg> args, TenantId tenant);
-  /// Pure plan pre-materialization on the submitting thread.  Caller holds
-  /// submitMutex_, which makes the cache-FIFO prediction advance in epoch
-  /// order.
-  void prebuildPlans(PendingLaunch& pl);
+  /// needs, touching no machine, tracker, or stats state.
+  PreparedLaunch prepareLaunch(const std::string& kernelName,
+                               const ir::Dim3& grid, const ir::Dim3& block,
+                               std::span<const LaunchArg> args,
+                               TenantId tenant);
   /// The Fig. 4 flow against a prepared launch: sync reads, launch the
-  /// partitions, update trackers.  Engine thread (or the calling thread in
-  /// serial mode) — all machine/tracker/stats state is touched here only.
-  void executeLaunch(PendingLaunch& pl);
+  /// partitions, update trackers.
+  void executeLaunch(const PreparedLaunch& pl);
   /// executeLaunch() plus the per-tenant stats diff accounting.
-  void commitLaunch(PendingLaunch& pl);
-  /// The prebuilt plan for `key` of the launch currently committing, if the
-  /// submitting thread materialized one.
-  std::shared_ptr<const LaunchPlan> findPrebuilt(
-      const codegen::EnumerationKey& key) const;
-  std::optional<i64> submitImpl(const std::string& kernelName,
-                                const ir::Dim3& grid, const ir::Dim3& block,
-                                std::span<const LaunchArg> args,
-                                TenantId tenant, bool blocking);
-  /// Engine-thread main loop: pop, commit in epoch order, retire.
-  void pipelineLoop();
-  /// Rethrows (once) the first failure captured on the engine thread.
-  void rethrowPipelineError();
-  RuntimeStats statsSnapshot() const;
+  void commitLaunch(const PreparedLaunch& pl);
 
   RuntimeConfig config_;
   analysis::ApplicationModel model_;
   std::unique_ptr<sim::Machine> machine_;
-  std::unique_ptr<support::ThreadPool> pool_;  // null in serial paper mode
   std::map<std::string, KernelEntry> kernels_;
   std::vector<std::unique_ptr<VirtualBuffer>> buffers_;
   /// Addresses of buffers released through free(): distinguishes a double
   /// free from a free of a pointer this runtime never allocated.
   std::vector<const VirtualBuffer*> freedBuffers_;
   RuntimeStats stats_;
+  /// Per-tenant slices of stats_ (tenantStats()), indexed by tenant.
+  std::vector<RuntimeStats> tenantStats_;
   /// Cross-launch dataflow planners, one per tenant (empty unless
   /// dataflowPlanning is on and dependency resolution + transfers are
   /// enabled).  Buffers are tenant-owned, so cross-tenant flow edges cannot
   /// exist; per-tenant sequences keep each tenant's cycle detection — and
   /// therefore its stats slice — independent of how other tenants' launches
-  /// interleave with it.  Touched only on the launch-commit path, which is
-  /// serial by construction.
+  /// interleave with it.
   std::vector<std::unique_ptr<DataflowPlanner>> planners_;
   /// FM-memoization counter baseline at construction: the memo table is
   /// process-wide, so per-runtime telemetry is the counter delta.
   i64 fmBaseHits_ = 0;
   i64 fmBaseMisses_ = 0;
   i64 fmBaseEvictions_ = 0;
-  /// Guards the cross-thread RuntimeStats fields: submit threads accumulate
-  /// resolutionWallSeconds while the engine thread owns everything else, and
-  /// statsSnapshot() copies the whole struct under this lock.
-  mutable std::mutex statsMutex_;
-
-  // -- pipelined launch engine state -----------------------------------------
-  std::unique_ptr<Pipeline> pipeline_;  // null when pipelineDepth == 0
-  /// Serializes epoch issue + enqueue (and the cache-FIFO prediction), so
-  /// concurrent submitters reach the queue in epoch order.
-  std::mutex submitMutex_;
-  /// Guards tenants_ (admission counters + per-tenant stats).
-  mutable std::mutex tenantMutex_;
-  std::condition_variable admissionCv_;
-  struct TenantState {
-    i64 inFlight = 0;  // submitted, not yet committed
-    TenantStats stats;
-  };
-  std::vector<TenantState> tenants_;
-  /// The launch currently committing (engine thread only); resolvePlan /
-  /// acquirePlans consult its prebuilt plans through findPrebuilt().
-  const PendingLaunch* activePending_ = nullptr;
-  std::function<void(i64, TenantId)> commitObserver_;
-  i64 serialNextTicket_ = 0;  // submit() tickets in serial mode
+  /// An open ResolutionTimer window (the nesting guard).
+  bool resolutionWindowOpen_ = false;
+  /// syncReadRange()'s replica scratch: the segments copied by one tracker
+  /// query, recorded as sharers once the query returns.
+  std::vector<std::pair<i64, i64>> sharerScratch_;
 };
 
 }  // namespace polypart::rt

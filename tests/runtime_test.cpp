@@ -1,11 +1,13 @@
 // Integration tests for the runtime (paper Section 8): virtual buffers,
-// memcpy translation, the Fig. 4 partitioned launch, and the end-to-end
+// memcpy translation, the Fig. 4 partitioned launch, the end-to-end
 // property that multi-GPU partitioned execution is bit-identical to the CPU
-// reference for every benchmark and GPU count.
+// reference for every benchmark and GPU count, and tenancy (interleaved
+// client streams sharing one runtime).
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "analysis/analyze.h"
@@ -14,6 +16,7 @@
 #include "apps/reference.h"
 #include "rt/cuda_api.h"
 #include "rt/runtime.h"
+#include "stats_util.h"
 #include "support/rng.h"
 
 namespace polypart::rt {
@@ -21,14 +24,18 @@ namespace {
 
 using analysis::ApplicationModel;
 
+std::unique_ptr<Runtime> makeRuntime(const RuntimeConfig& cfg) {
+  ir::Module mod = apps::buildBenchmarkModule();
+  ApplicationModel model = analysis::analyzeModule(mod);
+  return std::make_unique<Runtime>(cfg, std::move(model), mod);
+}
+
 std::unique_ptr<Runtime> makeRuntime(int gpus,
                                      sim::ExecutionMode mode = sim::ExecutionMode::Functional) {
   RuntimeConfig cfg;
   cfg.numGpus = gpus;
   cfg.mode = mode;
-  ir::Module mod = apps::buildBenchmarkModule();
-  ApplicationModel model = analysis::analyzeModule(mod);
-  return std::make_unique<Runtime>(cfg, std::move(model), mod);
+  return makeRuntime(cfg);
 }
 
 TEST(Runtime, DeviceCountIsAlwaysOne) {
@@ -72,6 +79,53 @@ TEST(Runtime, UndefinedRegionsNotCopiedBack) {
   // Never written: host buffer untouched.
   for (double v : dst) EXPECT_EQ(v, 7.0);
   rt->free(vb);
+}
+
+TEST(Runtime, MallocRejectsPartialElementSizes) {
+  // Buffers hold 8-byte elements.  The inspection walk's host mirror, the
+  // tracker walks, and the H2D split are all sized in whole elements, so a
+  // 20-byte buffer's last 4 bytes would fall outside them (the mirror copy
+  // used to write past its end).
+  auto rt = makeRuntime(2);
+  try {
+    rt->malloc(20);
+    ADD_FAILURE() << "malloc(20) must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("20 bytes"), std::string::npos)
+        << e.what();
+  }
+  VirtualBuffer* ok = rt->malloc(24);  // whole elements are fine
+  EXPECT_EQ(ok->bytes(), 24);
+  rt->free(ok);
+}
+
+TEST(Runtime, GpartMallocRejectsPartialElementSizes) {
+  auto rt = makeRuntime(2);
+  ScopedGpartRuntime scope(*rt);
+  void* p = nullptr;
+  EXPECT_EQ(gpartMalloc(&p, 20), gpartErrorInvalidValue);
+  EXPECT_EQ(p, nullptr);
+  ASSERT_EQ(gpartMalloc(&p, 24), gpartSuccess);
+  EXPECT_EQ(gpartFree(p), gpartSuccess);
+}
+
+TEST(Runtime, RetiredEngineKnobsMustBeZero) {
+  // resolutionThreads and pipelineDepth stay declared for source
+  // compatibility only; any other value than 0 is rejected by name.
+  auto message = [](const RuntimeConfig& cfg) -> std::string {
+    try {
+      makeRuntime(cfg);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  RuntimeConfig threads;
+  threads.resolutionThreads = 2;
+  EXPECT_NE(message(threads).find("resolutionThreads"), std::string::npos);
+  RuntimeConfig depth;
+  depth.pipelineDepth = 1;
+  EXPECT_NE(message(depth).find("pipelineDepth"), std::string::npos);
 }
 
 TEST(Runtime, LaunchValidatesUnitAxes) {
@@ -404,6 +458,145 @@ TEST(Runtime, SharedCopyTrackingSkipsRedundantBroadcasts) {
   EXPECT_LT(copiesOn, copiesOff);
   // Functional results are identical either way.
   EXPECT_EQ(pxOn, pxOff);
+}
+
+// -- tenancy -----------------------------------------------------------------
+
+/// One tenant's hotspot ping-pong stream on buffers it owns.  Streams never
+/// share buffers, so interleaving them exercises tenancy without functional
+/// coupling.
+struct HotspotStream {
+  i64 n = 0;
+  VirtualBuffer* src = nullptr;
+  VirtualBuffer* dst = nullptr;
+  VirtualBuffer* pw = nullptr;
+
+  void open(Runtime& rt, i64 gridN, u64 seed, TenantId tenant) {
+    n = gridN;
+    const i64 cells = n * n;
+    Rng rng(seed);
+    std::vector<double> temp(static_cast<std::size_t>(cells));
+    std::vector<double> power(static_cast<std::size_t>(cells));
+    for (auto& v : temp) v = rng.uniform() * 80.0;
+    for (auto& v : power) v = rng.uniform();
+    src = rt.malloc(cells * 8, tenant);
+    dst = rt.malloc(cells * 8, tenant);
+    pw = rt.malloc(cells * 8, tenant);
+    rt.memcpy(src, temp.data(), cells * 8, MemcpyKind::HostToDevice);
+    rt.memcpy(pw, power.data(), cells * 8, MemcpyKind::HostToDevice);
+  }
+
+  void step(Runtime& rt, TenantId tenant, i64 gridZ = 1) {
+    const i64 blocks = (n + apps::kBlock2D - 1) / apps::kBlock2D;
+    LaunchArg args[] = {LaunchArg::ofInt(n),      LaunchArg::ofFloat(0.4),
+                        LaunchArg::ofFloat(0.05), LaunchArg::ofBuffer(src),
+                        LaunchArg::ofBuffer(pw),  LaunchArg::ofBuffer(dst)};
+    rt.launch("hotspot", {blocks, blocks, gridZ},
+              {apps::kBlock2D, apps::kBlock2D, 1}, args, tenant);
+    std::swap(src, dst);
+  }
+
+  std::vector<double> gather(Runtime& rt) {
+    std::vector<double> out(static_cast<std::size_t>(n * n), -1.0);
+    rt.memcpy(out.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
+    return out;
+  }
+};
+
+RuntimeConfig tenantConfig(int tenants) {
+  RuntimeConfig cfg;
+  cfg.numGpus = 4;
+  cfg.mode = sim::ExecutionMode::Functional;
+  cfg.numTenants = tenants;
+  // Cache off keeps the streams' enumeration work independent (the plan
+  // cache is per kernel, shared by every tenant); planning off keeps the
+  // counters within the fields tenantSum() adds.
+  cfg.enableEnumerationCache = false;
+  cfg.dataflowPlanning = false;
+  return cfg;
+}
+
+/// Sum of two stats slices over the counters a plain hotspot stream moves.
+RuntimeStats tenantSum(RuntimeStats a, const RuntimeStats& b) {
+  a.launches += b.launches;
+  a.rangesResolved += b.rangesResolved;
+  a.logicalRowsResolved += b.logicalRowsResolved;
+  a.trackerSegmentsVisited += b.trackerSegmentsVisited;
+  a.peerCopies += b.peerCopies;
+  a.sharedCopyHits += b.sharedCopyHits;
+  a.enumCacheHits += b.enumCacheHits;
+  a.enumCacheMisses += b.enumCacheMisses;
+  a.enumCacheEvictions += b.enumCacheEvictions;
+  a.transfersMerged += b.transfersMerged;
+  a.broadcastChains += b.broadcastChains;
+  a.bytesSavedByDedup += b.bytesSavedByDedup;
+  return a;
+}
+
+TEST(RuntimeDeathTest, LaunchWithAnotherTenantsBufferIsRejected) {
+  auto rt = makeRuntime(tenantConfig(2));
+  HotspotStream s;
+  s.open(*rt, 32, 7, /*tenant=*/0);
+  EXPECT_DEATH(s.step(*rt, /*tenant=*/1), "another tenant's buffer");
+}
+
+TEST(Runtime, PerTenantStatsPartitionTheTotals) {
+  // Each tenant's slice must equal its solo run, whatever the interleaving,
+  // and the slices must sum to the runtime totals.
+  auto solo = [](i64 n, u64 seed, int iters) {
+    auto rt = makeRuntime(tenantConfig(1));
+    HotspotStream s;
+    s.open(*rt, n, seed, 0);
+    for (int it = 0; it < iters; ++it) s.step(*rt, 0);
+    return std::make_pair(rt->tenantStats(0), s.gather(*rt));
+  };
+  auto [solo0, bytes0] = solo(64, 101, 5);
+  auto [solo1, bytes1] = solo(48, 55, 3);
+
+  auto rt = makeRuntime(tenantConfig(2));
+  HotspotStream s0, s1;
+  s0.open(*rt, 64, 101, 0);
+  s1.open(*rt, 48, 55, 1);
+  for (int it = 0; it < 5; ++it) {
+    s0.step(*rt, 0);
+    if (it < 3) s1.step(*rt, 1);
+  }
+  const RuntimeStats& t0 = rt->tenantStats(0);
+  const RuntimeStats& t1 = rt->tenantStats(1);
+  EXPECT_EQ(t0.launches, 5);
+  EXPECT_EQ(t1.launches, 3);
+  EXPECT_EQ(deterministicStats(t0), deterministicStats(solo0));
+  EXPECT_EQ(deterministicStats(t1), deterministicStats(solo1));
+  EXPECT_EQ(deterministicStats(tenantSum(t0, t1)),
+            deterministicStats(rt->stats()));
+  EXPECT_EQ(s0.gather(*rt), bytes0);
+  EXPECT_EQ(s1.gather(*rt), bytes1);
+}
+
+TEST(Runtime, ValidationErrorLeavesTheRuntimeUsable) {
+  auto rt = makeRuntime(tenantConfig(2));
+  HotspotStream s0, s1;
+  s0.open(*rt, 32, 7, 0);
+  s1.open(*rt, 32, 9, 1);
+  s0.step(*rt, 0);
+  const RuntimeStats before = rt->stats();
+  // hotspot's model pins gridDim.z == 1: the launch is rejected before it
+  // touches any tracker, machine, or stats state.
+  EXPECT_THROW(s1.step(*rt, 1, /*gridZ=*/2), Error);
+  EXPECT_EQ(rt->stats(), before);
+  EXPECT_EQ(rt->tenantStats(1).launches, 0);
+
+  s1.step(*rt, 1);
+  s0.step(*rt, 0);
+  EXPECT_EQ(rt->stats().launches, 3);
+  EXPECT_EQ(rt->tenantStats(0).launches, 2);
+  EXPECT_EQ(rt->tenantStats(1).launches, 1);
+
+  auto solo = makeRuntime(tenantConfig(1));
+  HotspotStream ref;
+  ref.open(*solo, 32, 9, 0);
+  ref.step(*solo, 0);
+  EXPECT_EQ(s1.gather(*rt), ref.gather(*solo));
 }
 
 }  // namespace

@@ -3,12 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "support/arith.h"
 #include "support/json.h"
-#include "support/pipeline.h"
 #include "support/rng.h"
 #include "support/str.h"
 
@@ -142,67 +140,6 @@ TEST(Rng, RangeBoundsRespected) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
-}
-
-TEST(Pipeline, BoundedQueueFifoAndBackpressure) {
-  support::BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_EQ(q.size(), 2u);
-  // A producer blocked on the full queue resumes once a slot frees up.
-  std::thread producer([&q] { EXPECT_TRUE(q.push(3)); });
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_FALSE(q.closed());
-}
-
-TEST(Pipeline, BoundedQueueCloseDrainsThenStops) {
-  support::BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.push(7));
-  EXPECT_TRUE(q.push(8));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(9));  // rejected after close, item dropped
-  EXPECT_EQ(q.pop(), 7);    // accepted items still drain in order
-  EXPECT_EQ(q.pop(), 8);
-  EXPECT_EQ(q.pop(), std::nullopt);  // closed + drained
-  // A consumer blocked on an empty queue wakes on close.
-  support::BoundedQueue<int> empty(1);
-  std::thread consumer([&empty] { EXPECT_EQ(empty.pop(), std::nullopt); });
-  empty.close();
-  consumer.join();
-}
-
-TEST(Pipeline, EpochClockIssuesAndCommitsInOrder) {
-  support::EpochClock clock;
-  EXPECT_EQ(clock.committed(), -1);
-  EXPECT_TRUE(clock.idle());
-  EXPECT_EQ(clock.issue(), 0);
-  EXPECT_EQ(clock.issue(), 1);
-  EXPECT_EQ(clock.issued(), 2);
-  EXPECT_FALSE(clock.idle());
-  clock.waitFor(-1);  // already satisfied, must not block
-  clock.commit(0);
-  EXPECT_EQ(clock.committed(), 0);
-  clock.waitFor(0);
-  clock.commit(1);
-  EXPECT_TRUE(clock.idle());
-  clock.waitIdle();
-}
-
-TEST(Pipeline, EpochClockBlocksWaitersUntilCommit) {
-  support::EpochClock clock;
-  const i64 e0 = clock.issue();
-  const i64 e1 = clock.issue();
-  std::vector<std::thread> waiters;
-  waiters.emplace_back([&clock, e1] { clock.waitFor(e1); });
-  waiters.emplace_back([&clock] { clock.waitIdle(); });
-  clock.commit(e0);
-  clock.commit(e1);
-  for (std::thread& t : waiters) t.join();
-  EXPECT_EQ(clock.committed(), e1);
 }
 
 }  // namespace

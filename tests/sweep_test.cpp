@@ -12,6 +12,7 @@
 #include "apps/kernels.h"
 #include "apps/reference.h"
 #include "rt/runtime.h"
+#include "stats_util.h"
 #include "support/rng.h"
 
 namespace polypart::rt {
@@ -138,11 +139,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Execution-tier sweep (see DESIGN.md "Execution tiers"): functional
 /// results must be byte-identical and the deterministic RuntimeStats fields
-/// tier-invariant across enumeratorTier x enableEnumerationCache x
-/// resolutionThreads x pipelineDepth.  Hotspot with an odd n guarantees
-/// grid overhang, so the guard expressions the tiers evaluate are
-/// non-trivial.
-TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCacheThreadsDepth) {
+/// tier-invariant across enumeratorTier x enableEnumerationCache.  Hotspot
+/// with an odd n guarantees grid overhang, so the guard expressions the
+/// tiers evaluate are non-trivial.
+TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCache) {
   const i64 n = 37;
   const int iters = 4;
   Rng rng(91);
@@ -156,15 +156,12 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCacheThreadsDepth) {
     std::swap(expect, scratch);
   }
 
-  auto run = [&](codegen::EnumTier tier, bool cache, int threads, int depth,
-                 RuntimeStats* statsOut) {
+  auto run = [&](codegen::EnumTier tier, bool cache, RuntimeStats* statsOut) {
     RuntimeConfig cfg;
     cfg.numGpus = 3;
     cfg.mode = sim::ExecutionMode::Functional;
     cfg.enumeratorTier = tier;
     cfg.enableEnumerationCache = cache;
-    cfg.resolutionThreads = threads;
-    cfg.pipelineDepth = depth;
     Runtime rt(cfg, sharedModel(), sharedModule());
     VirtualBuffer* t0 = rt.malloc(n * n * 8);
     VirtualBuffer* t1 = rt.malloc(n * n * 8);
@@ -182,39 +179,22 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCacheThreadsDepth) {
     }
     std::vector<double> got(static_cast<std::size_t>(n * n));
     rt.memcpy(got.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
-    // The wall-clock/task meta-counters are nondeterministic by design;
-    // everything else must be tier-invariant.
-    RuntimeStats s = rt.stats();
-    s.resolutionTasks = 0;
-    s.resolutionWallSeconds = 0;
-    s.parallelWallSeconds = 0;
-    s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-    s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-    *statsOut = s;
+    *statsOut = deterministicStats(rt.stats());
     return got;
   };
 
   for (bool cache : {false, true}) {
-    for (int threads : {0, 3}) {
-      for (int depth : {0, 2}) {
-        SCOPED_TRACE("cache=" + std::to_string(cache) + " threads=" +
-                     std::to_string(threads) + " depth=" +
-                     std::to_string(depth));
-        RuntimeStats refStats;
-        std::vector<double> ref =
-            run(codegen::EnumTier::Interpret, cache, threads, depth, &refStats);
-        ASSERT_EQ(ref, expect) << "interpreter tier diverges from reference";
-        for (codegen::EnumTier tier :
-             {codegen::EnumTier::Bytecode, codegen::EnumTier::Specialized}) {
-          RuntimeStats s;
-          std::vector<double> got = run(tier, cache, threads, depth, &s);
-          EXPECT_EQ(got, ref)
-              << "tier " << codegen::enumTierName(tier) << " diverges";
-          EXPECT_EQ(s, refStats)
-              << "tier " << codegen::enumTierName(tier)
-              << " perturbs deterministic runtime statistics";
-        }
-      }
+    SCOPED_TRACE("cache=" + std::to_string(cache));
+    RuntimeStats refStats;
+    std::vector<double> ref = run(codegen::EnumTier::Interpret, cache, &refStats);
+    ASSERT_EQ(ref, expect) << "interpreter tier diverges from reference";
+    for (codegen::EnumTier tier :
+         {codegen::EnumTier::Bytecode, codegen::EnumTier::Specialized}) {
+      RuntimeStats s;
+      std::vector<double> got = run(tier, cache, &s);
+      EXPECT_EQ(got, ref) << "tier " << codegen::enumTierName(tier) << " diverges";
+      EXPECT_EQ(s, refStats) << "tier " << codegen::enumTierName(tier)
+                             << " perturbs deterministic runtime statistics";
     }
   }
 }
@@ -223,11 +203,11 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCacheThreadsDepth) {
 /// the hotspot ping-pong is a period-2 launch cycle, so with enough
 /// iterations the planner activates and runs planned launches.  Functional
 /// results must match the reactive reference bit-for-bit for every
-/// combination of planning x tier x cache x threads x depth, and the
-/// deterministic stats must be engine-invariant within each planning value
-/// (planner counters legitimately differ between planning on and off, like
+/// combination of planning x tier x cache, and the deterministic stats must
+/// be tier-invariant within each planning value (planner counters
+/// legitimately differ between planning on and off, like
 /// transferScheduling's).
-TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCacheThreadsDepth) {
+TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCache) {
   const i64 n = 37;
   const int iters = 8;
   Rng rng(93);
@@ -242,15 +222,13 @@ TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCacheThreadsDepth) {
   }
 
   auto run = [&](bool planning, codegen::EnumTier tier, bool cache,
-                 int threads, int depth, RuntimeStats* statsOut) {
+                 RuntimeStats* statsOut) {
     RuntimeConfig cfg;
     cfg.numGpus = 4;
     cfg.mode = sim::ExecutionMode::Functional;
     cfg.dataflowPlanning = planning;
     cfg.enumeratorTier = tier;
     cfg.enableEnumerationCache = cache;
-    cfg.resolutionThreads = threads;
-    cfg.pipelineDepth = depth;
     Runtime rt(cfg, sharedModel(), sharedModule());
     VirtualBuffer* t0 = rt.malloc(n * n * 8);
     VirtualBuffer* t1 = rt.malloc(n * n * 8);
@@ -268,13 +246,7 @@ TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCacheThreadsDepth) {
     }
     std::vector<double> got(static_cast<std::size_t>(n * n));
     rt.memcpy(got.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
-    RuntimeStats s = rt.stats();
-    s.resolutionTasks = 0;
-    s.resolutionWallSeconds = 0;
-    s.parallelWallSeconds = 0;
-    s.fmMemoHits = s.fmMemoMisses = s.fmMemoEvictions = 0;
-    s.specProgramHits = s.specProgramMisses = s.specProgramEvictions = 0;
-    *statsOut = s;
+    *statsOut = deterministicStats(rt.stats());
     return got;
   };
 
@@ -285,9 +257,8 @@ TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCacheThreadsDepth) {
   for (bool planning : {false, true}) {
     for (bool cache : {false, true}) {
       RuntimeStats refStats;
-      std::vector<double> ref = run(planning, codegen::EnumTier::Interpret,
-                                    cache, /*threads=*/0, /*depth=*/0,
-                                    &refStats);
+      std::vector<double> ref =
+          run(planning, codegen::EnumTier::Interpret, cache, &refStats);
       ASSERT_EQ(ref, expect) << "planning=" << planning << " cache=" << cache
                              << " diverges from the CPU reference";
       if (planning) {
@@ -298,22 +269,14 @@ TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCacheThreadsDepth) {
         EXPECT_EQ(refStats.plannedLaunches, 0);
       }
       for (codegen::EnumTier tier :
-           {codegen::EnumTier::Interpret, codegen::EnumTier::Bytecode,
-            codegen::EnumTier::Specialized}) {
-        for (int threads : {0, 3}) {
-          for (int depth : {0, 2}) {
-            SCOPED_TRACE("planning=" + std::to_string(planning) + " tier=" +
-                         codegen::enumTierName(tier) + " cache=" +
-                         std::to_string(cache) + " threads=" +
-                         std::to_string(threads) + " depth=" +
-                         std::to_string(depth));
-            RuntimeStats s;
-            std::vector<double> got = run(planning, tier, cache, threads,
-                                          depth, &s);
-            EXPECT_EQ(got, ref);
-            EXPECT_EQ(s, refStats);
-          }
-        }
+           {codegen::EnumTier::Bytecode, codegen::EnumTier::Specialized}) {
+        SCOPED_TRACE("planning=" + std::to_string(planning) + " tier=" +
+                     codegen::enumTierName(tier) + " cache=" +
+                     std::to_string(cache));
+        RuntimeStats s;
+        std::vector<double> got = run(planning, tier, cache, &s);
+        EXPECT_EQ(got, ref);
+        EXPECT_EQ(s, refStats);
       }
     }
   }

@@ -4,7 +4,7 @@
 // with support/json, the same parser Perfetto-bound tooling would exercise),
 // wall-domain spans must nest properly, the per-launch phase breakdown must
 // agree with both the raw trace events and the machine's busy-time counters,
-// serial-mode deterministic traces must be byte-identical across runs, and —
+// deterministic-timestamp traces must be byte-identical across runs, and —
 // the no-observer-effect guarantee — tracing must not change results,
 // modeled timing, RuntimeStats, or MachineStats.
 
@@ -20,6 +20,7 @@
 #include "apps/drivers.h"
 #include "apps/kernels.h"
 #include "rt/runtime.h"
+#include "stats_util.h"
 #include "support/json.h"
 #include "support/trace.h"
 
@@ -39,13 +40,11 @@ struct TracedRun {
 };
 
 /// Runs a small functional Hotspot workload (several launches, real peer
-/// transfers) with the given tracer and thread count.
-TracedRun runHotspot(Tracer* tracer, int threads, int gpus = 4, i64 n = 48,
-                     int iters = 3) {
+/// transfers) with the given tracer.
+TracedRun runHotspot(Tracer* tracer, int gpus = 4, i64 n = 48, int iters = 3) {
   rt::RuntimeConfig cfg;
   cfg.numGpus = gpus;
   cfg.mode = sim::ExecutionMode::Functional;
-  cfg.resolutionThreads = threads;
   cfg.tracer = tracer;
   static ir::Module mod = apps::buildBenchmarkModule();
   static analysis::ApplicationModel model = analysis::analyzeModule(mod);
@@ -62,7 +61,7 @@ TracedRun runHotspot(Tracer* tracer, int threads, int gpus = 4, i64 n = 48,
 
 TEST(Trace, ExportIsValidChromeTraceJson) {
   Tracer tracer;
-  runHotspot(&tracer, 0);
+  runHotspot(&tracer);
   ASSERT_GT(tracer.eventCount(), 0u);
 
   json::Value root = json::Value::parse(tracer.exportChromeTrace());
@@ -79,7 +78,7 @@ TEST(Trace, ExportIsValidChromeTraceJson) {
     ASSERT_TRUE(ph == "X" || ph == "i" || ph == "C" || ph == "M") << ph;
     EXPECT_TRUE(e.at("name").isString());
     i64 pid = e.at("pid").asInt();
-    EXPECT_TRUE(pid == 1 || pid == 2 || pid == 3);
+    EXPECT_TRUE(pid == kWallPid || pid == kSimPid);
     if (ph == "M") continue;  // metadata carries no timestamp
     EXPECT_GE(num(e.at("ts")), 0.0);
     if (ph == "X") {
@@ -98,7 +97,7 @@ TEST(Trace, ExportIsValidChromeTraceJson) {
 
 TEST(Trace, WallSpansNestProperly) {
   Tracer tracer;  // real timestamps: nesting is a wall-clock property
-  runHotspot(&tracer, 0);
+  runHotspot(&tracer);
 
   json::Value root = tracer.toJson();
   // Group wall-domain complete events per tid and check the classic
@@ -149,7 +148,7 @@ TEST(Trace, WallSpansNestProperly) {
 
 TEST(Trace, PhaseBreakdownMatchesTraceAndMachineStats) {
   Tracer tracer;
-  TracedRun run = runHotspot(&tracer, 0);
+  TracedRun run = runHotspot(&tracer);
 
   std::vector<LaunchBreakdown> breakdown = tracer.phaseBreakdown();
   ASSERT_EQ(breakdown.size(), static_cast<std::size_t>(run.stats.launches));
@@ -205,9 +204,9 @@ TEST(Trace, SerialDeterministicTracesAreByteIdentical) {
   opts.deterministicTimestamps = true;
 
   Tracer a(opts);
-  runHotspot(&a, 0);
+  runHotspot(&a);
   Tracer b(opts);
-  runHotspot(&b, 0);
+  runHotspot(&b);
 
   ASSERT_GT(a.eventCount(), 0u);
   EXPECT_EQ(a.exportChromeTrace(), b.exportChromeTrace());
@@ -215,7 +214,7 @@ TEST(Trace, SerialDeterministicTracesAreByteIdentical) {
 
 TEST(Trace, CacheEventsAppearInTrace) {
   Tracer tracer;
-  runHotspot(&tracer, 0, /*gpus=*/4, /*n=*/48, /*iters=*/4);
+  runHotspot(&tracer, /*gpus=*/4, /*n=*/48, /*iters=*/4);
   json::Value root = tracer.toJson();
   i64 hits = 0, misses = 0, counters = 0;
   for (const json::Value& ev : root.at("traceEvents").asArray()) {
@@ -232,7 +231,7 @@ TEST(Trace, CacheEventsAppearInTrace) {
 
 TEST(Trace, PeerCopyEventsCarrySrcDstBytes) {
   Tracer tracer;
-  TracedRun run = runHotspot(&tracer, 0);
+  TracedRun run = runHotspot(&tracer);
   ASSERT_GT(run.stats.peerCopies, 0);
   json::Value root = tracer.toJson();
   i64 peerEvents = 0;
@@ -247,60 +246,28 @@ TEST(Trace, PeerCopyEventsCarrySrcDstBytes) {
     EXPECT_GT(args.at("bytes").asInt(), 0);
     EXPECT_GE(args.at("launch").asInt(), 0);  // peer copies happen in launches
   }
-  // One instant per transfer decision, in serial and parallel mode alike.
+  // One instant per transfer decision.
   EXPECT_EQ(peerEvents, run.stats.peerCopies);
 }
 
 // The tracing-off smoke test (see also scripts/check.sh): attaching a tracer
-// must not perturb results, modeled timing, or any deterministic counter, in
-// serial and parallel resolution mode alike.
+// must not perturb results, modeled timing, or any deterministic counter.
 TEST(TraceSmoke, TracingOffAndOnProduceIdenticalStats) {
-  for (int threads : {0, 4}) {
-    TracedRun off = runHotspot(nullptr, threads);
-    Tracer tracer;
-    TracedRun on = runHotspot(&tracer, threads);
-
-    EXPECT_EQ(on.temp, off.temp) << threads;
-    EXPECT_EQ(on.elapsed, off.elapsed) << threads;
-    EXPECT_EQ(on.machine, off.machine) << threads;
-    // Wall-clock meta-counters are nondeterministic by nature (documented in
-    // RuntimeStats); everything else must match field by field.
-    rt::RuntimeStats a = on.stats, b = off.stats;
-    a.resolutionWallSeconds = b.resolutionWallSeconds = 0;
-    a.parallelWallSeconds = b.parallelWallSeconds = 0;
-    a.fmMemoHits = b.fmMemoHits = a.fmMemoMisses = b.fmMemoMisses = 0;
-    a.fmMemoEvictions = b.fmMemoEvictions = 0;
-    a.specProgramHits = b.specProgramHits = 0;
-    a.specProgramMisses = b.specProgramMisses = 0;
-    a.specProgramEvictions = b.specProgramEvictions = 0;
-    EXPECT_EQ(a, b) << threads;
-  }
-}
-
-TEST(Trace, ParallelModeTraceIsWellFormed) {
-  // Worker-thread buffers must merge into one consistent export: pool task
-  // spans present, thread tracks named, still-parseable JSON.
+  TracedRun off = runHotspot(nullptr);
   Tracer tracer;
-  runHotspot(&tracer, 4);
-  json::Value root = json::Value::parse(tracer.exportChromeTrace());
-  i64 poolSpans = 0, workerTracks = 0;
-  for (const json::Value& ev : root.at("traceEvents").asArray()) {
-    if (ev.at("ph").asString() == "X" && ev.at("cat").asString() == "pool")
-      ++poolSpans;
-    if (ev.at("ph").asString() == "M" &&
-        ev.at("name").asString() == "thread_name" &&
-        ev.at("args").at("name").asString().starts_with("worker "))
-      ++workerTracks;
-  }
-  EXPECT_GT(poolSpans, 0);
-  EXPECT_GT(workerTracks, 0);
+  TracedRun on = runHotspot(&tracer);
+
+  EXPECT_EQ(on.temp, off.temp);
+  EXPECT_EQ(on.elapsed, off.elapsed);
+  EXPECT_EQ(on.machine, off.machine);
+  EXPECT_EQ(rt::deterministicStats(on.stats), rt::deterministicStats(off.stats));
 }
 
 TEST(Trace, LaunchIdsAreMonotoneAcrossRuntimes) {
   // One tracer shared by several runtimes keeps launch ids distinct.
   Tracer tracer;
-  runHotspot(&tracer, 0, 2, 32, 2);
-  runHotspot(&tracer, 0, 2, 32, 2);
+  runHotspot(&tracer, 2, 32, 2);
+  runHotspot(&tracer, 2, 32, 2);
   std::vector<LaunchBreakdown> breakdown = tracer.phaseBreakdown();
   std::set<i64> ids;
   for (const LaunchBreakdown& lb : breakdown) ids.insert(lb.launch);

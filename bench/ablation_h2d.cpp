@@ -43,8 +43,7 @@ int main() {
       row["pattern"] =
           dist == rt::H2DDistribution::Linear ? "linear" : "round-robin";
       row["simSeconds"] = rt.elapsedSeconds();
-      row["peerCopies"] = rt.stats().peerCopies;
-      row["bytesPeerToPeer"] = rt.machineStats().bytesPeerToPeer;
+      addCounters(row, rt.stats(), rt.machineStats());
     }
   }
   std::printf("\nExpectation: the linear default keeps A's row reads aligned with\n"

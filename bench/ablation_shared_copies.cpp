@@ -56,9 +56,7 @@ int main() {
         row["gpus"] = g;
         row["sharedCopyTracking"] = shared;
         row["simSeconds"] = rt.elapsedSeconds();
-        row["bytesPeerToPeer"] = rt.machineStats().bytesPeerToPeer;
-        row["peerCopies"] = rt.stats().peerCopies;
-        row["sharedCopyHits"] = rt.stats().sharedCopyHits;
+        addCounters(row, rt.stats(), rt.machineStats());
       }
     }
   }

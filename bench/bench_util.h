@@ -74,6 +74,14 @@ inline void openBenchReport(const char* name) {
 }
 inline json::Value& benchRow() { return JsonReport::instance().row(); }
 
+/// Adds every counter of both tables to a bench row, keyed by field name
+/// (support/counters.h).
+inline void addCounters(json::Value& row, const rt::RuntimeStats& runtime,
+                        const sim::MachineStats& machine) {
+  runtime.addTo(row);
+  machine.addTo(row);
+}
+
 /// Process-wide POLYPART_TRACE hook: null unless the environment variable is
 /// set, in which case the trace of every partitioned run is written to the
 /// given path (and the phase-breakdown summary printed) at process exit.

@@ -23,14 +23,7 @@ namespace {
 using namespace polypart;
 using namespace polypart::benchutil;
 
-struct CacheRun {
-  i64 launches = 0;
-  double wallSeconds = 0;
-  double simSeconds = 0;
-  rt::RuntimeStats stats;
-};
-
-CacheRun runWorkload(apps::Benchmark b, i64 n, int iters, int gpus, bool cache) {
+RunResult runWorkload(apps::Benchmark b, i64 n, int iters, int gpus, bool cache) {
   rt::RuntimeConfig cfg;
   cfg.numGpus = gpus;
   cfg.mode = sim::ExecutionMode::TimingOnly;
@@ -50,8 +43,7 @@ CacheRun runWorkload(apps::Benchmark b, i64 n, int iters, int gpus, bool cache) 
       apps::runMatmul(rt, n, nullptr, nullptr, nullptr);
       break;
   }
-  return CacheRun{rt.stats().launches, rt.stats().resolutionWallSeconds,
-                  rt.elapsedSeconds(), rt.stats()};
+  return RunResult{rt.elapsedSeconds(), rt.stats(), rt.machineStats()};
 }
 
 /// Functional-mode equivalence: a cached run must produce byte-identical
@@ -114,27 +106,25 @@ int main(int argc, char** argv) {
     if (iters < 1) iters = 1;
     double wallOff = 0, wallOn = 0;
     for (bool cache : {false, true}) {
-      CacheRun r = runWorkload(c.bench, c.n, iters, c.gpus, cache);
-      (cache ? wallOn : wallOff) = r.wallSeconds;
+      const RunResult r = runWorkload(c.bench, c.n, iters, c.gpus, cache);
+      const i64 launches = r.runtime.launches;
+      const double wall = r.runtime.resolutionWallSeconds;
+      (cache ? wallOn : wallOff) = wall;
       std::printf("  %-8s %-7lld %4d %6s %9lld %14.2f %12.2f %10lld %8lld %6lld\n",
                   apps::benchmarkName(c.bench), static_cast<long long>(c.n),
                   c.gpus, cache ? "on" : "off",
-                  static_cast<long long>(r.launches), 1e3 * r.wallSeconds,
-                  1e6 * r.wallSeconds / static_cast<double>(r.launches),
-                  static_cast<long long>(r.stats.enumCacheHits),
-                  static_cast<long long>(r.stats.enumCacheMisses),
-                  static_cast<long long>(r.stats.enumCacheEvictions));
+                  static_cast<long long>(launches), 1e3 * wall,
+                  1e6 * wall / static_cast<double>(launches),
+                  static_cast<long long>(r.runtime.enumCacheHits),
+                  static_cast<long long>(r.runtime.enumCacheMisses),
+                  static_cast<long long>(r.runtime.enumCacheEvictions));
       std::fflush(stdout);
       json::Value& row = benchRow();
       row["benchmark"] = apps::benchmarkName(c.bench);
       row["n"] = c.n;
       row["gpus"] = c.gpus;
       row["cache"] = cache;
-      row["launches"] = r.launches;
-      row["resolutionWallSeconds"] = r.wallSeconds;
-      row["enumCacheHits"] = r.stats.enumCacheHits;
-      row["enumCacheMisses"] = r.stats.enumCacheMisses;
-      row["enumCacheEvictions"] = r.stats.enumCacheEvictions;
+      addCounters(row, r.runtime, r.machine);
     }
     std::printf("  %-8s %-7lld %4d  -> resolution wall-time speedup %.1fx\n",
                 apps::benchmarkName(c.bench), static_cast<long long>(c.n),

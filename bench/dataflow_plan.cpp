@@ -89,12 +89,9 @@ ir::Module buildModule() {
   return mod;
 }
 
-struct Row {
-  double seconds = 0;
-  rt::RuntimeStats stats;
-};
+using polypart::benchutil::RunResult;
 
-Row runLoop(const analysis::ApplicationModel& model, const ir::Module& mod,
+RunResult runLoop(const analysis::ApplicationModel& model, const ir::Module& mod,
             int gpus, bool planning, int iters) {
   rt::RuntimeConfig cfg;
   cfg.numGpus = gpus;
@@ -130,10 +127,11 @@ Row runLoop(const analysis::ApplicationModel& model, const ir::Module& mod,
     rt.launch("copyback", jGrid, block, cpy);
   }
   rt.deviceSynchronize();
-  return Row{rt.elapsedSeconds(), rt.stats()};
+  return RunResult{rt.elapsedSeconds(), rt.stats(), rt.machineStats()};
 }
 
-void printRow(int gpus, bool planning, const Row& r, double reactiveSeconds) {
+void printRow(int gpus, bool planning, const RunResult& r,
+              double reactiveSeconds) {
   const double delta =
       planning && reactiveSeconds > 0
           ? 100.0 * (reactiveSeconds - r.seconds) / reactiveSeconds
@@ -141,26 +139,19 @@ void printRow(int gpus, bool planning, const Row& r, double reactiveSeconds) {
   std::printf(
       "  %4d %8s  %12.4f  %10lld  %10lld  %12.1f  %10.1f  %7lld/%-5lld  %6.1f\n",
       gpus, planning ? "planned" : "reactive", r.seconds,
-      static_cast<long long>(r.stats.peerCopies),
-      static_cast<long long>(r.stats.prefetchCopies),
-      static_cast<double>(r.stats.bytesPrefetched) / 1e6,
-      static_cast<double>(r.stats.bytesElided) / 1e3,
-      static_cast<long long>(r.stats.plannedLaunches),
-      static_cast<long long>(r.stats.launches), delta);
+      static_cast<long long>(r.runtime.peerCopies),
+      static_cast<long long>(r.runtime.prefetchCopies),
+      static_cast<double>(r.runtime.bytesPrefetched) / 1e6,
+      static_cast<double>(r.runtime.bytesElided) / 1e3,
+      static_cast<long long>(r.runtime.plannedLaunches),
+      static_cast<long long>(r.runtime.launches), delta);
   std::fflush(stdout);
 
   json::Value& row = polypart::benchutil::benchRow();
   row["gpus"] = gpus;
   row["mode"] = planning ? "planned" : "reactive";
   row["simSeconds"] = r.seconds;
-  row["peerCopies"] = r.stats.peerCopies;
-  row["prefetchCopies"] = r.stats.prefetchCopies;
-  row["bytesPrefetched"] = r.stats.bytesPrefetched;
-  row["bytesElided"] = r.stats.bytesElided;
-  row["plannedLaunches"] = r.stats.plannedLaunches;
-  row["launches"] = r.stats.launches;
-  row["planActivations"] = r.stats.planActivations;
-  row["planDivergences"] = r.stats.planDivergences;
+  polypart::benchutil::addCounters(row, r.runtime, r.machine);
   row["deltaPercent"] = delta;
 }
 
@@ -184,9 +175,9 @@ int main(int argc, char** argv) {
               "mode", "sim time [s]", "peerCopies", "prefetch", "pref [MB]",
               "elided[KB]", "planned/total", "d%");
   for (int gpus : {8, 16, 32}) {
-    Row reactive = runLoop(model, mod, gpus, /*planning=*/false, iters);
+    RunResult reactive = runLoop(model, mod, gpus, /*planning=*/false, iters);
     printRow(gpus, false, reactive, 0.0);
-    Row planned = runLoop(model, mod, gpus, /*planning=*/true, iters);
+    RunResult planned = runLoop(model, mod, gpus, /*planning=*/true, iters);
     printRow(gpus, true, planned, reactive.seconds);
   }
 

@@ -35,6 +35,7 @@
 namespace {
 
 using namespace polypart;
+using benchutil::RunResult;
 
 ir::Module irregularModule() { return apps::buildIrregularModule(); }
 
@@ -71,17 +72,11 @@ Csr makeBandedCsr(i64 n, i64 band, Rng& rng) {
   return a;
 }
 
-struct SpmvRun {
-  double seconds = 0;
-  double peerBytes = 0;
-  rt::RuntimeStats stats;
-};
-
 /// Iterated y = A*x with persistent device buffers (raw launches, so repeat
 /// launches can hit the inspection cache the way an iterative solver would).
-SpmvRun runSpmvLoop(const analysis::ApplicationModel& model,
-                    const ir::Module& mod, int gpus, bool inspector,
-                    const Csr& a, const std::vector<double>& x, int iters) {
+RunResult runSpmvLoop(const analysis::ApplicationModel& model,
+                      const ir::Module& mod, int gpus, bool inspector,
+                      const Csr& a, const std::vector<double>& x, int iters) {
   rt::Runtime rt(baseConfig(gpus, inspector), model, mod);
   const i64 n = a.n;
   rt::VirtualBuffer* dRow = rt.malloc((n + 1) * 8);
@@ -104,8 +99,7 @@ SpmvRun runSpmvLoop(const analysis::ApplicationModel& model,
     rt.launch("spmv", grid, block, args);
   }
   rt.deviceSynchronize();
-  return SpmvRun{rt.elapsedSeconds(), rt.machineStats().bytesPeerToPeer,
-                 rt.stats()};
+  return {rt.elapsedSeconds(), rt.stats(), rt.machineStats()};
 }
 
 void tableSpmv(const analysis::ApplicationModel& model, const ir::Module& mod,
@@ -116,17 +110,17 @@ void tableSpmv(const analysis::ApplicationModel& model, const ir::Module& mod,
   std::printf("  %4s  %12s  %10s  %8s  %10s  %6s  %5s\n", "GPUs", "mode",
               "time [ms]", "speedup", "peer [MB]", "walks", "hits");
 
-  const SpmvRun base =
+  const RunResult base =
       runSpmvLoop(model, mod, 1, /*inspector=*/false, a, x, iters);
   for (int gpus : {8, 16, 32}) {
     for (bool inspector : {false, true}) {
-      const SpmvRun r = runSpmvLoop(model, mod, gpus, inspector, a, x, iters);
+      const RunResult r = runSpmvLoop(model, mod, gpus, inspector, a, x, iters);
       const double speedup = r.seconds > 0 ? base.seconds / r.seconds : 0.0;
       std::printf("  %4d  %12s  %10.3f  %7.2fx  %10.2f  %6lld  %5lld\n", gpus,
                   inspector ? "inspector" : "whole-buffer", r.seconds * 1e3,
-                  speedup, r.peerBytes / 1e6,
-                  static_cast<long long>(r.stats.inspectorRuns),
-                  static_cast<long long>(r.stats.inspectorCacheHits));
+                  speedup, r.machine.bytesPeerToPeer / 1e6,
+                  static_cast<long long>(r.runtime.inspectorRuns),
+                  static_cast<long long>(r.runtime.inspectorCacheHits));
       std::fflush(stdout);
 
       json::Value& row = benchutil::benchRow();
@@ -136,10 +130,7 @@ void tableSpmv(const analysis::ApplicationModel& model, const ir::Module& mod,
       row["simSeconds"] = r.seconds;
       row["baselineSeconds"] = base.seconds;
       row["speedup"] = speedup;
-      row["bytesPeerToPeer"] = r.peerBytes;
-      row["inspectorRuns"] = r.stats.inspectorRuns;
-      row["inspectorCacheHits"] = r.stats.inspectorCacheHits;
-      row["inspectedElements"] = r.stats.inspectedElements;
+      benchutil::addCounters(row, r.runtime, r.machine);
     }
   }
 }
@@ -175,7 +166,7 @@ void tableScatterRmw(const analysis::ApplicationModel& model,
         row["gpus"] = gpus;
         row["mode"] = inspector ? "inspector" : "whole-buffer";
         row["simSeconds"] = rt.elapsedSeconds();
-        row["bytesPeerToPeer"] = rt.machineStats().bytesPeerToPeer;
+        benchutil::addCounters(row, rt.stats(), rt.machineStats());
       }
       {
         rt::Runtime rt(baseConfig(gpus, inspector), model, mod);
@@ -190,7 +181,7 @@ void tableScatterRmw(const analysis::ApplicationModel& model,
         row["gpus"] = gpus;
         row["mode"] = inspector ? "inspector" : "whole-buffer";
         row["simSeconds"] = rt.elapsedSeconds();
-        row["bytesPeerToPeer"] = rt.machineStats().bytesPeerToPeer;
+        benchutil::addCounters(row, rt.stats(), rt.machineStats());
       }
       std::fflush(stdout);
     }

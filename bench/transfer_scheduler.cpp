@@ -120,12 +120,7 @@ void printRow(const char* name, int gpus, bool sched, rt::Runtime& rt) {
   row["gpus"] = gpus;
   row["scheduling"] = sched;
   row["simSeconds"] = rt.elapsedSeconds();
-  row["transferBusySeconds"] = rt.machineStats().transferBusySeconds;
-  row["peerCopies"] = rt.stats().peerCopies;
-  row["transfersMerged"] = rt.stats().transfersMerged;
-  row["broadcastChains"] = rt.stats().broadcastChains;
-  row["bytesSavedByDedup"] = rt.stats().bytesSavedByDedup;
-  row["bytesPeerToPeer"] = rt.machineStats().bytesPeerToPeer;
+  polypart::benchutil::addCounters(row, rt.stats(), rt.machineStats());
 }
 
 constexpr i64 kElems = i64{1} << 20;

@@ -18,10 +18,7 @@
 #include "ir/cost.h"
 #include "ir/interp.h"
 #include "sim/spec.h"
-
-namespace polypart::trace {
-class Tracer;
-}
+#include "support/counters.h"
 
 namespace polypart::sim {
 
@@ -63,26 +60,28 @@ struct LaunchOptions {
   double costMultiplier = 1.0;
 };
 
-/// Aggregate counters for the evaluation section.
-struct MachineStats {
-  i64 apiCalls = 0;
-  i64 kernelLaunches = 0;
-  i64 transfers = 0;
-  /// Modeled traffic per direction.  Accumulated as double: modeled bytes
-  /// are fractional when the modeled element width differs from the 8-byte
-  /// storage width, and truncating per transfer would under-report workloads
-  /// made of many small copies.
-  double bytesHostToDevice = 0;
-  double bytesDeviceToHost = 0;
-  double bytesPeerToPeer = 0;
-  double kernelBusySeconds = 0;    // summed across devices
-  double transferBusySeconds = 0;  // summed across engines
+/// Aggregate counters for the evaluation section, one row each (see
+/// support/counters.h).  All are deterministic: modeled time and traffic
+/// depend only on the operation sequence, so two runs match only when their
+/// operation sequences were identical (doubles are compared exactly).
+/// Modeled bytes accumulate as double: they are fractional when the modeled
+/// element width differs from the 8-byte storage width, and truncating per
+/// transfer would under-report workloads made of many small copies.
+#define POLYPART_MACHINE_COUNTERS(X)                                           \
+  X(i64, apiCalls, Deterministic)                                              \
+  X(i64, kernelLaunches, Deterministic)                                        \
+  X(i64, transfers, Deterministic)                                             \
+  X(double, bytesHostToDevice, Deterministic)                                  \
+  X(double, bytesDeviceToHost, Deterministic)                                  \
+  X(double, bytesPeerToPeer, Deterministic)                                    \
+  X(double, kernelBusySeconds, Deterministic)   /* summed across devices */    \
+  X(double, transferBusySeconds, Deterministic) /* summed across engines */
 
-  /// Field-wise equality (doubles compared exactly): two runs match only
-  /// when their operation sequences were identical, which is what the
-  /// runtime's determinism tests assert.
+struct MachineStats : counters::Table<MachineStats> {
+  POLYPART_COUNTER_FIELDS(MachineStats, POLYPART_MACHINE_COUNTERS)
   bool operator==(const MachineStats&) const = default;
 };
+static_assert(sizeof(MachineStats) == MachineStats::kRowBytes);
 
 class Machine {
  public:

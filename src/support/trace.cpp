@@ -52,8 +52,9 @@ void Tracer::instantImpl(const char* category, std::string name,
   append(Event::Kind::Instant, category, std::move(name), args);
 }
 
-void Tracer::counterImpl(const char* category, std::string name, i64 value) {
-  append(Event::Kind::Counter, category, std::move(name), {Arg{"value", value}});
+void Tracer::counterImpl(const char* category, std::string name,
+                         double value) {
+  append(Event::Kind::Counter, category, std::move(name), {}).value = value;
 }
 
 void Tracer::simSpanImpl(const char* category, std::string name, int simTid,
@@ -146,6 +147,7 @@ json::Value Tracer::toJson() const {
     for (int a = 0; a < e.numArgs; ++a)
       args[e.args[static_cast<std::size_t>(a)].key] =
           e.args[static_cast<std::size_t>(a)].value;
+    if (e.kind == Event::Kind::Counter) args["value"] = e.value;
     if (args.asObject().size() > 0) v["args"] = std::move(args);
     events.push(std::move(v));
   }

@@ -42,7 +42,7 @@ namespace polypart::trace {
 
 /// One key/value annotation on an event.  Keys must be string literals (the
 /// tracer stores the pointer); values are integers — byte counts, device
-/// ordinals, cache totals.
+/// ordinals.
 struct Arg {
   const char* key = nullptr;
   i64 value = 0;
@@ -74,6 +74,7 @@ struct Event {
   std::string name;
   std::array<Arg, kMaxArgs> args{};
   int numArgs = 0;
+  double value = 0;  // counters only: the sampled value
 };
 
 struct TracerOptions {
@@ -126,7 +127,7 @@ class Tracer {
 
   void instantImpl(const char* category, std::string name,
                    std::initializer_list<Arg> args);
-  void counterImpl(const char* category, std::string name, i64 value);
+  void counterImpl(const char* category, std::string name, double value);
   /// Sim-domain span; timestamps are simulated seconds supplied by the
   /// caller (the machine model), not read from any real clock.
   void simSpanImpl(const char* category, std::string name, int simTid,
@@ -198,8 +199,10 @@ inline void instant(Tracer* t, const char* category, std::string_view name,
     if (t) t->instantImpl(category, std::string(name), args);
 }
 
+/// One sample of the counter track `name` (Chrome "ph":"C"); counters of
+/// either stats table are emitted through counters::Table::traceChanges.
 inline void counter(Tracer* t, const char* category, std::string_view name,
-                    i64 value) {
+                    double value) {
   if constexpr (kTracingCompiledIn)
     if (t) t->counterImpl(category, std::string(name), value);
 }

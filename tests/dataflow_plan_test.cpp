@@ -14,7 +14,6 @@
 #include "fuzz_util.h"
 #include "ir/builder.h"
 #include "rt/runtime.h"
-#include "stats_util.h"
 #include "support/rng.h"
 
 namespace polypart::rt {
@@ -324,7 +323,7 @@ TEST(DataflowPlan, PlanningIsDeterministicWithAndWithoutCache) {
     RunOut out;
     out.x.assign(static_cast<std::size_t>(kN), -1.0);
     rt.memcpy(out.x.data(), vx, bytes, MemcpyKind::DeviceToHost);
-    out.stats = deterministicStats(rt.stats());
+    out.stats = rt.stats().deterministic();
     return out;
   };
   RunOut ref = runWith(/*cache=*/true);

@@ -27,7 +27,6 @@
 #include "apps/reference.h"
 #include "rt/checkpoint.h"
 #include "rt/runtime.h"
-#include "stats_util.h"
 #include "support/rng.h"
 
 namespace polypart::rt {
@@ -266,7 +265,7 @@ TEST(Irregular, ByteIdenticalAcrossAllKnobs) {
     EXPECT_EQ(gotBfs, expBfs);
     EXPECT_EQ(gotHist, expHist);
 
-    *statsOut = deterministicStats(rt.stats());
+    *statsOut = rt.stats().deterministic();
   };
 
   for (bool inspector : {false, true}) {

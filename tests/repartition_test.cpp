@@ -22,7 +22,6 @@
 #include "analysis/analyze.h"
 #include "ir/builder.h"
 #include "rt/runtime.h"
-#include "stats_util.h"
 
 namespace polypart::rt {
 namespace {
@@ -246,7 +245,7 @@ Snapshot runTransitionWorkload(RuntimeConfig rc,
   Snapshot snap;
   snap.out.resize(kN);
   rt.memcpy(snap.out.data(), src, bytes, MemcpyKind::DeviceToHost);
-  snap.rstats = deterministicStats(rt.stats());
+  snap.rstats = rt.stats().deterministic();
   snap.h2d = rt.machineStats().bytesHostToDevice;
   snap.d2h = rt.machineStats().bytesDeviceToHost;
   return snap;

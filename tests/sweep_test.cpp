@@ -12,7 +12,6 @@
 #include "apps/kernels.h"
 #include "apps/reference.h"
 #include "rt/runtime.h"
-#include "stats_util.h"
 #include "support/rng.h"
 
 namespace polypart::rt {
@@ -179,7 +178,7 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCache) {
     }
     std::vector<double> got(static_cast<std::size_t>(n * n));
     rt.memcpy(got.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
-    *statsOut = deterministicStats(rt.stats());
+    *statsOut = rt.stats().deterministic();
     return got;
   };
 
@@ -246,7 +245,7 @@ TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCache) {
     }
     std::vector<double> got(static_cast<std::size_t>(n * n));
     rt.memcpy(got.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
-    *statsOut = deterministicStats(rt.stats());
+    *statsOut = rt.stats().deterministic();
     return got;
   };
 

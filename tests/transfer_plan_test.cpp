@@ -22,7 +22,6 @@
 #include "ir/builder.h"
 #include "rt/runtime.h"
 #include "rt/transfer_plan.h"
-#include "stats_util.h"
 
 namespace polypart::rt {
 namespace {
@@ -295,7 +294,7 @@ Snapshot runWorkload(RuntimeConfig rc, const analysis::ApplicationModel& model,
   rt.memcpy(snap.bcastOut.data(), vb, bytes, MemcpyKind::DeviceToHost);
   for (const VirtualBuffer* v : {vin, vw, vs, va, vb})
     snap.dumps.push_back(dump(v));
-  snap.rstats = deterministicStats(rt.stats());
+  snap.rstats = rt.stats().deterministic();
   snap.mstats = rt.machineStats();
   snap.elapsed = rt.elapsedSeconds();
   return snap;

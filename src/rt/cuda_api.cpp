@@ -50,7 +50,12 @@ MemcpyKind toKind(gpartMemcpyKind k) {
 
 gpartError gpartMemcpy(void* dst, const void* src, std::size_t count,
                        gpartMemcpyKind kind) {
-  gpartCurrentRuntime().memcpy(dst, src, static_cast<i64>(count), toKind(kind));
+  try {
+    gpartCurrentRuntime().memcpy(dst, src, static_cast<i64>(count),
+                                 toKind(kind));
+  } catch (const UnsupportedOperationError&) {
+    return gpartErrorNotSupported;
+  }
   return gpartSuccess;
 }
 
@@ -76,7 +81,13 @@ gpartError gpartDeviceSynchronize() {
 
 gpartError gpartLaunchKernel(const char* kernelName, ir::Dim3 grid, ir::Dim3 block,
                              std::span<const LaunchArg> args) {
-  gpartCurrentRuntime().launch(kernelName, grid, block, args);
+  try {
+    gpartCurrentRuntime().launch(kernelName, grid, block, args);
+  } catch (const UnsupportedOperationError&) {
+    return gpartErrorNotSupported;
+  } catch (const Error&) {
+    return gpartErrorInvalidConfiguration;
+  }
   return gpartSuccess;
 }
 

@@ -17,7 +17,17 @@
 
 namespace polypart::rt {
 
-enum gpartError { gpartSuccess = 0, gpartErrorInvalidValue = 1 };
+/// Error codes, numbered like their cudaError_t counterparts.  No gpart*
+/// function lets a polypart exception escape: errors become codes.
+enum gpartError {
+  gpartSuccess = 0,
+  gpartErrorInvalidValue = 1,
+  /// A launch the runtime rejects (cudaErrorInvalidConfiguration).
+  gpartErrorInvalidConfiguration = 9,
+  /// An operation the partitioned runtime does not support, such as a
+  /// device-to-device memcpy (cudaErrorNotSupported).
+  gpartErrorNotSupported = 801,
+};
 
 enum gpartMemcpyKind {
   gpartMemcpyHostToHost = 0,
@@ -48,6 +58,7 @@ gpartError gpartMalloc(void** devPtr, std::size_t size);
 gpartError gpartFree(void* devPtr);
 
 // -- cudaMemcpy / cudaMemcpyAsync ---------------------------------------------
+/// gpartErrorNotSupported for gpartMemcpyDeviceToDevice (Section 8.2).
 gpartError gpartMemcpy(void* dst, const void* src, std::size_t count,
                        gpartMemcpyKind kind);
 gpartError gpartMemcpyAsync(void* dst, const void* src, std::size_t count,
@@ -58,6 +69,10 @@ gpartError gpartGetDeviceCount(int* count);
 gpartError gpartDeviceSynchronize();
 
 // -- kernel launch primitive inserted by the rewriter ---------------------------
+/// gpartErrorInvalidConfiguration when the runtime rejects the launch (for
+/// example a grid axis the kernel's model requires to be 1);
+/// gpartErrorNotSupported when the kernel needs Functional execution in a
+/// TimingOnly runtime.
 gpartError gpartLaunchKernel(const char* kernelName, ir::Dim3 grid, ir::Dim3 block,
                              std::span<const LaunchArg> args);
 gpartError gpartLaunchKernel(const char* kernelName, ir::Dim3 grid, ir::Dim3 block,

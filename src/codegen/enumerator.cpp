@@ -202,8 +202,8 @@ std::shared_ptr<const bc::Program> Enumerator::specializedFor(
     }
   }
   cache.misses.fetch_add(1, std::memory_order_relaxed);
-  // Fold outside the lock; racing misses on one key specialize twice and the
-  // first insert wins (the fold is pure, so both programs are equivalent).
+  // Fold outside the lock.  The fold is pure: if this key was inserted in
+  // the meantime, keeping the existing program is equivalent.
   auto fresh =
       std::make_shared<const bc::Program>(bc::specialize(*program_, params));
   EnumerationKey key;

@@ -204,9 +204,9 @@ void eliminateOne(Rows& r, std::size_t col, bool& exact) {
 // calls it with heavily repeated inputs: buildScan projects every dimension
 // prefix of the same set, and every enumerator of a kernel intersects the
 // same access map with the same partition box.  A process-wide bounded memo
-// table replays the result instead of re-running the elimination.  The table
-// is guarded by a mutex because the Runtime constructor analyzes kernels in
-// parallel; entries are evicted FIFO.
+// table replays the result instead of re-running the elimination.  Being
+// process-wide, the table is shared by every runtime in the process, so a
+// mutex guards it; entries are evicted FIFO.
 
 struct MemoKey {
   std::vector<i64> words;
@@ -309,8 +309,8 @@ ElimResult eliminateColumns(std::vector<Constraint> rows,
       return it->second;
     }
   }
-  // Computed outside the lock: concurrent misses on the same key merely
-  // duplicate the (pure) work; the first insert wins.
+  // Computed outside the lock (the elimination is pure): if the key was
+  // inserted in the meantime, the existing entry is kept.
   memoMisses.fetch_add(1, std::memory_order_relaxed);
   ElimResult res = eliminateColumnsImpl(std::move(rows), elim);
   std::lock_guard<std::mutex> lock(memoMutex);

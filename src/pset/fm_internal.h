@@ -43,9 +43,9 @@ namespace polypart::pset {
 /// Process-wide counters of the Fourier-Motzkin projection memo table
 /// (fm.cpp).  Monotone over the process lifetime; the runtime samples them
 /// as deltas from a construction-time baseline to expose per-runtime cache
-/// behaviour through RuntimeStats.  Racing misses on one key each count as a
-/// miss (both threads did the work), so the counts are observational, not
-/// byte-deterministic across thread interleavings.
+/// behaviour through RuntimeStats.  The table is shared with everything else
+/// the process runs, so the counts are telemetry, not a function of one
+/// runtime's launch stream.
 struct FmMemoCounters {
   i64 hits = 0;
   i64 misses = 0;

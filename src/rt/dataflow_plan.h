@@ -62,9 +62,8 @@ struct FlowEdge {
   std::vector<PlannedTransfer> transfers;
 };
 
-/// Sequence recorder + flow-set compiler.  Single-threaded: the runtime only
-/// calls it from the launch-commit path (the engine thread in pipelined
-/// mode, the calling thread otherwise), which is serial by construction.
+/// Sequence recorder + flow-set compiler.  Single-threaded: the runtime
+/// calls it only from launch(), on the calling thread.
 class DataflowPlanner {
  public:
   /// Partition oracle: the runtime's partitionFor (kept as a callback so the

@@ -87,7 +87,7 @@ const std::vector<ScheduledTransfer>& TransferPlan::schedule() {
   // dependencies — a chained copy cannot start before its parent lands.
   // Gate per source: chain only sources carrying more than twice this
   // plan's per-device average copy count.  The gate is a pure function of
-  // the merged ranges, so it is deterministic across resolution engines.
+  // the merged ranges, so it is deterministic.
   std::unordered_map<int, i64> outgoing;
   std::unordered_set<int> devices;
   i64 totalCopies = 0;

@@ -36,12 +36,16 @@ for stage in "${stages[@]}"; do
       run cmake --build build -j "$jobs"
       run ctest --test-dir build -j "$jobs" --output-on-failure
       # Fastest end-to-end smoke of the whole pipeline, with tracing live:
-      # quickstart self-verifies and the exported trace must be parseable
-      # (the trace_test suite parses it properly; this just proves the env
-      # hook writes a file).
+      # quickstart self-verifies, and the trace the env hook writes must
+      # parse as JSON and carry the per-launch counter track `launches`
+      # (support/counters.h; trace_test checks the trace in detail).
       trace_out=$(mktemp /tmp/polypart-trace.XXXXXX.json)
       run env POLYPART_TRACE="$trace_out" ./build/examples/quickstart
       [ -s "$trace_out" ] || { echo "POLYPART_TRACE wrote no trace"; exit 1; }
+      run python3 -c 'import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+n = sum(e["ph"] == "C" and e["name"] == "launches" for e in events)
+sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       rm -f "$trace_out"
       ;;
     asan)

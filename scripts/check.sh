@@ -3,13 +3,14 @@
 # knob-forcing re-runs of the sanitizer tree, and the benchmark self-tests,
 # run back to back.
 #
-#   scripts/check.sh            # everything (tier1, asan, bytecode, dataflow, repartition, irregular, perf)
+#   scripts/check.sh            # everything (tier1, asan, bytecode, dataflow, repartition, irregular, figures, perf)
 #   scripts/check.sh tier1      # just the default build + full test suite
 #   scripts/check.sh asan       # just the sanitizer configuration
 #   scripts/check.sh bytecode   # sanitizer tree re-run under the bytecode tier
 #   scripts/check.sh dataflow   # sanitizer tree re-run with dataflow planning on
 #   scripts/check.sh repartition # sanitizer tree re-run with repartitioning allowed
 #   scripts/check.sh irregular  # sanitizer tree re-run with the inspector-executor on
+#   scripts/check.sh figures    # paper figure/table benches diffed against bench_results/
 #   scripts/check.sh perf       # benchmark self-tests (perfbench/run.py --selftest)
 #
 # Each configuration uses its own build tree (build/, build-asan/,
@@ -20,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 stages=("$@")
-[ ${#stages[@]} -eq 0 ] && stages=(tier1 asan bytecode dataflow repartition irregular perf)
+[ ${#stages[@]} -eq 0 ] && stages=(tier1 asan bytecode dataflow repartition irregular figures perf)
 
 run() {
   echo
@@ -123,6 +124,28 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       run env POLYPART_INSPECTOR_EXECUTOR=1 \
         ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
       ;;
+    figures)
+      # Paper-figure reproductions: the five figure/table benches must print
+      # exactly what bench_results/ holds (modeled numbers only, so any
+      # difference is a behaviour change).  Each bench runs from a scratch
+      # directory because it writes BENCH_<name>.json to the working
+      # directory.  Reuses the tier-1 build tree.
+      figure_benches=(fig6_speedup:fig6 fig7_breakdown:fig7 fig8_overhead:fig8
+                      single_gpu_overhead:single_gpu table1_configs:table1)
+      run cmake -B build -S .
+      run cmake --build build -j "$jobs" --target "${figure_benches[@]%%:*}"
+      root=$(pwd)
+      fig_dir=$(mktemp -d /tmp/polypart-figures.XXXXXX)
+      for entry in "${figure_benches[@]}"; do
+        bench=${entry%%:*}
+        result=${entry##*:}
+        echo
+        echo "== $bench > $result.txt =="
+        (cd "$fig_dir" && "$root/build/bench/$bench" > "$result.txt")
+        run diff -u "bench_results/$result.txt" "$fig_dir/$result.txt"
+      done
+      rm -rf "$fig_dir"
+      ;;
     perf)
       # The benchmark's self-tests: self-time aggregation, the paper-figure
       # anchor, the output checks, and seed handling.  Builds the benchmark
@@ -130,7 +153,7 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       run python3 perfbench/run.py --selftest
       ;;
     *)
-      echo "unknown stage '$stage' (expected: tier1, asan, bytecode, dataflow, repartition, irregular, perf)" >&2
+      echo "unknown stage '$stage' (expected: tier1, asan, bytecode, dataflow, repartition, irregular, figures, perf)" >&2
       exit 2
       ;;
   esac

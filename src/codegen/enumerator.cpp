@@ -7,6 +7,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "pset/set.h"
 #include "support/str.h"
 
 namespace polypart::codegen {
@@ -66,6 +67,102 @@ std::size_t EnumerationKeyHash::operator()(std::span<const i64> words) const {
 }
 
 namespace {
+
+/// The constraints of `s` linked to the columns marked in `linked` through
+/// shared dimensions or parameters, transitively.  Their conjunction
+/// contains `s`; a proof that it has no point outside some set therefore
+/// holds for `s`, over a smaller elimination problem.
+BasicSet connectedPart(const BasicSet& s, std::vector<bool> linked) {
+  std::vector<bool> taken(s.numConstraints(), false);
+  BasicSet out(s.space());
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (std::size_t i = 0; i < s.numConstraints(); ++i) {
+      const LinExpr& row = s.constraints()[i].expr;
+      bool touches = false;
+      for (std::size_t col = 1; col < row.cols() && !touches; ++col)
+        touches = row[col] != 0 && linked[col];
+      if (taken[i] || !touches) continue;
+      taken[i] = grew = true;
+      out.add(s.constraints()[i]);
+      for (std::size_t col = 1; col < row.cols(); ++col)
+        if (row[col] != 0) linked[col] = true;
+    }
+  }
+  return out;
+}
+
+/// Marks the non-constant columns `e` uses.
+void markColumns(const LinExpr& e, std::vector<bool>* cols) {
+  for (std::size_t col = 1; col < e.cols(); ++col)
+    if (e[col] != 0) (*cols)[col] = true;
+}
+
+bool hasInequality(const BasicSet& s, const LinExpr& e) {
+  const std::vector<Constraint>& cs = s.constraints();
+  return std::find(cs.begin(), cs.end(), Constraint::ge(e)) != cs.end();
+}
+
+/// Scan nest of the union of `pieces` when that union is provably one
+/// convex set C, else nullopt.  C is every inequality (equalities split into
+/// two) that every piece satisfies — a piece S satisfies e >= 0 when
+/// S ∩ {e < 0} is infeasible — so C contains the union by construction, and
+/// the proof holds when C ∖ union is exactly empty for every parameter
+/// value.  Inconclusive feasibility, an inexact subtraction or a checked
+/// overflow inside the proof all mean "not proven".
+std::optional<ScanNest> convexUnionNest(const Space& space,
+                                        const std::vector<BasicSet>& pieces) {
+  auto split = [](const BasicSet& s) {  // constraints as inequalities
+    std::vector<LinExpr> out;
+    for (const Constraint& c : s.constraints()) {
+      out.push_back(c.expr);
+      if (c.isEquality) out.push_back(-c.expr);
+    }
+    return out;
+  };
+  try {
+    BasicSet hull(space);
+    for (const BasicSet& source : pieces)
+      for (const LinExpr& e : split(source)) {
+        if (hasInequality(hull, e)) continue;
+        LinExpr violated = -e;
+        violated.addConstant(-1);  // ¬(e >= 0)  ≡  -e - 1 >= 0 over Z
+        std::vector<bool> cols(e.cols(), false);
+        markColumns(e, &cols);
+        auto satisfies = [&](const BasicSet& s) {
+          BasicSet test = connectedPart(s, cols);
+          test.addGe(violated);
+          test.simplify();
+          return test.markedEmpty() ||
+                 test.feasibility() == BasicSet::Feas::Empty;
+        };
+        if (std::all_of(pieces.begin(), pieces.end(), satisfies)) hull.addGe(e);
+      }
+    // A point of C outside the union violates some piece constraint that C
+    // does not already carry, so those are all the subtrahends need; the
+    // subtraction then only sees C's constraints linked to them.
+    pset::Set rest(space);
+    std::vector<bool> cols(space.cols(), false);
+    for (const BasicSet& piece : pieces) {
+      BasicSet extra(space);
+      for (const LinExpr& e : split(piece))
+        if (!hasInequality(hull, e)) {
+          markColumns(e, &cols);
+          extra.addGe(e);
+        }
+      rest.addPart(std::move(extra));
+    }
+    pset::Set gap(space);
+    gap.addPart(connectedPart(hull, std::move(cols)));
+    gap = gap.subtract(rest);
+    if (!gap.exact() || gap.emptiness() != pset::Tri::Yes) return std::nullopt;
+    return pset::buildScan(hull);
+  } catch (const OverflowError&) {
+    return std::nullopt;
+  } catch (const UnsupportedKernelError&) {  // buildScan: unbounded dimension
+    return std::nullopt;
+  }
+}
 
 std::vector<std::string> partitionParamNames() {
   std::vector<std::string> names;
@@ -144,6 +241,7 @@ Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
   }
 
   Space scanSpace = Space::set(extMapSpace.paramNames(), extMapSpace.outNames());
+  std::vector<BasicSet> scanSets;  // one per nest
   for (const BasicSet& part : accessMap.parts()) {
     BasicSet constrained = part.alignToSpace(extMapSpace).intersect(box);
     // Project the six thread-grid inputs away; the image over the array
@@ -157,6 +255,7 @@ Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
     BasicSet scanSet(scanSpace);
     for (const Constraint& c : p.set.constraints()) scanSet.add(c);
     nests_.push_back(pset::buildScan(scanSet));
+    scanSets.push_back(std::move(scanSet));
   }
 
   if (isWrite_ && !exact_)
@@ -179,10 +278,20 @@ Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
     if (hullable_) exact_ = false;
   }
 
+  // Writes must stay exact, so instead of a hull a multi-disjunct write map
+  // is checked for being one convex set in disguise: a stencil's interior
+  // plus its four borders is exactly the clipped square.  When the proof
+  // holds, enumerate() emits through that one nest (see there).
+  if (isWrite_ && nests_.size() > 1)
+    convex_ = convexUnionNest(scanSpace, scanSets);
+
   // Compile the bytecode tier once per enumerator; copies share the program
   // and the specialized-program cache (both are reached through shared_ptr
-  // and the cache is internally synchronized).
-  program_ = std::make_shared<const bc::Program>(bc::compile(nests_));
+  // and the cache is internally synchronized).  The convex nest, when
+  // proven, is the program's last nest.
+  std::vector<ScanNest> compiled = nests_;
+  if (convex_) compiled.push_back(*convex_);
+  program_ = std::make_shared<const bc::Program>(bc::compile(compiled));
   specCache_ = std::make_shared<SpecCache>();
 }
 
@@ -302,20 +411,20 @@ struct VmEval {
 /// evaluator so every tier shares one control flow (identical coalescing
 /// decisions, identical emission order, identical work accounting) and over
 /// the emit callback so the per-row collector call inlines instead of going
-/// through std::function.
+/// through std::function.  In count-only mode the walk takes the same
+/// decisions and accumulates the same logicalRows but emits nothing, so
+/// full-row and uniform-tail levels cost O(1) instead of O(rows).
 template <typename Eval, typename EmitFn>
 struct EmitCtx {
   const Eval& ev;
   std::span<const i64> strides;  // per level; strides[last] == 1
   std::span<const i64> dims;     // extent per level; <= 0 when unknown
   bool coalesce;
+  bool countOnly;
   const EmitFn& emit;
   support::SmallVec<i64, 8> coords;
   i64 logicalRows = 0;
 
-  /// True when every level below `level` has bounds independent of loop
-  /// variables >= `level` and spans its full extent: the tail then flattens
-  /// into one contiguous run of strides[level] elements per iteration.
   std::size_t numLevels() const { return ev.numLevels(); }
 
   std::span<const i64> coordSpan() const {
@@ -342,6 +451,9 @@ struct EmitCtx {
     return ev.boundsIndependent(level, ofLevel);
   }
 
+  /// True when every level below `level` has bounds independent of loop
+  /// variables >= `level` and spans its full extent: the tail then flattens
+  /// into one contiguous run of strides[level] elements per iteration.
   bool tailIsFullRows(std::size_t level) {
     for (std::size_t j = level + 1; j < numLevels(); ++j) {
       if (dims[j] <= 0) return false;
@@ -358,7 +470,7 @@ struct EmitCtx {
     if (lo > hi) return;
     if (level + 1 == numLevels()) {
       ++logicalRows;
-      emit(checkedAdd(base, lo), checkedAdd(base, hi + 1));
+      if (!countOnly) emit(checkedAdd(base, lo), checkedAdd(base, hi + 1));
       return;
     }
     if (coalesce && tailIsFullRows(level)) {
@@ -368,8 +480,9 @@ struct EmitCtx {
       for (std::size_t j = level + 1; j + 1 < numLevels(); ++j)
         rows = checkedMul(rows, dims[j]);
       logicalRows += rows;
-      emit(checkedAdd(base, checkedMul(lo, strides[level])),
-           checkedAdd(base, checkedMul(hi + 1, strides[level])));
+      if (!countOnly)
+        emit(checkedAdd(base, checkedMul(lo, strides[level])),
+             checkedAdd(base, checkedMul(hi + 1, strides[level])));
       return;
     }
     // Uniform tail: the innermost bounds do not depend on this loop
@@ -380,6 +493,7 @@ struct EmitCtx {
       i64 ihi = upperAt(level + 1);
       if (ilo > ihi) return;
       logicalRows += hi - lo + 1;
+      if (countOnly) return;
       for (i64 v = lo; v <= hi; ++v) {
         i64 rowBase = checkedAdd(base, checkedMul(v, strides[level]));
         emit(rowBase + ilo, rowBase + ihi + 1);
@@ -428,37 +542,54 @@ void Enumerator::enumerate(const PartitionTuple& partition,
   i64 logicalRows = 0;
   support::SmallVec<std::size_t, 8> runEnds;  // ranges.size() after each nest
 
-  auto emitWith = [&](const auto& ev) {
+  // Walks one evaluator's nest(s); a count-only walk collects no ranges.
+  auto walk = [&](const auto& ev, bool countOnly) {
     EmitCtx<std::decay_t<decltype(ev)>, decltype(collect)> ctx{
         ev, {strides.data(), strides.size()}, {dims.data(), dims.size()},
-        coalesce, collect, {}, 0};
+        coalesce, countOnly, collect, {}, 0};
     ctx.run(0, 0);
-    logicalRows += ctx.logicalRows;
     if (ranges.size() > (runEnds.empty() ? 0 : runEnds.back()))
       runEnds.push_back(ranges.size());
+    return ctx.logicalRows;
+  };
+
+  // One dispatch for every tier.  `live` holds the disjunct nests whose
+  // guards hold; `convexLive` is the proven convex nest when coalescing uses
+  // it and its guards hold.  Reads with several live disjuncts go through
+  // their rectangular hull.  A proven write counts each live disjunct's rows
+  // without emitting (EnumInfo::logicalRows keeps the paper's per-disjunct
+  // count) and emits through the convex nest: it holds exactly the union's
+  // elements, so the merge below yields the same maximal runs.
+  const bool viaConvex = coalesce && convex_.has_value();
+  auto walkLive = [&](const auto& live, auto convexLive, auto makeEval) {
+    using Nest = std::decay_t<decltype(live[0])>;
+    if (coalesce && hullable_ && live.size() > 1) {
+      logicalRows +=
+          walk(makeEval(std::span<const Nest>(live.data(), live.size())), false);
+      return;
+    }
+    for (const Nest& nest : live)
+      logicalRows += walk(makeEval(std::span<const Nest>(&nest, 1)), viaConvex);
+    if (convexLive) walk(makeEval(std::span<const Nest>(&convexLive, 1)), false);
   };
 
   if (tier == EnumTier::Interpret) {
-    support::SmallVec<const ScanNest*, 8> live;
-    for (const ScanNest& nest : nests_) {
-      bool ok = true;
-      // Guards short-circuit in order; later guards of a dead nest are
-      // never evaluated (the tiers preserve this, including its lazy
-      // overflow behaviour).
+    // Guards short-circuit in order; later guards of a dead nest are never
+    // evaluated (the tiers preserve this, including its lazy overflow
+    // behaviour).
+    auto guardsHold = [&](const ScanNest& nest) {
       for (const AstExpr& g : nest.guards)
-        if (g.eval(pspan, {}) < 0) {
-          ok = false;
-          break;
-        }
-      if (ok) live.push_back(&nest);
-    }
-    if (coalesce && hullable_ && live.size() > 1) {
-      // Rectangular hull over the live disjuncts (reads only).
-      emitWith(AstEval{{live.data(), live.size()}, pspan});
-    } else {
-      for (const ScanNest* nest : live)
-        emitWith(AstEval{std::span<const ScanNest* const>(&nest, 1), pspan});
-    }
+        if (g.eval(pspan, {}) < 0) return false;
+      return true;
+    };
+    support::SmallVec<const ScanNest*, 8> live;
+    for (const ScanNest& nest : nests_)
+      if (guardsHold(nest)) live.push_back(&nest);
+    const ScanNest* convexLive =
+        viaConvex && guardsHold(*convex_) ? &*convex_ : nullptr;
+    walkLive(live, convexLive, [&](std::span<const ScanNest* const> ns) {
+      return AstEval{ns, pspan};
+    });
   } else {
     std::shared_ptr<const bc::Program> specialized;
     const bc::Program* prog = program_.get();
@@ -477,24 +608,21 @@ void Enumerator::enumerate(const PartitionTuple& partition,
       regsHeap.resize(prog->numRegs);
       regs = regsHeap.data();
     }
-    support::SmallVec<const bc::CompiledNest*, 8> live;
-    for (const bc::CompiledNest& nest : prog->nests) {
-      bool ok = true;
+    auto guardsHold = [&](const bc::CompiledNest& nest) {
       for (const bc::CompiledExpr& g : nest.guards)
-        if (prog->eval(g, pspan, {}, regs) < 0) {
-          ok = false;
-          break;
-        }
-      if (ok) live.push_back(&nest);
-    }
-    if (coalesce && hullable_ && live.size() > 1) {
-      emitWith(VmEval{*prog, {live.data(), live.size()}, pspan, regs});
-    } else {
-      for (const bc::CompiledNest* nest : live)
-        emitWith(VmEval{*prog,
-                        std::span<const bc::CompiledNest* const>(&nest, 1),
-                        pspan, regs});
-    }
+        if (prog->eval(g, pspan, {}, regs) < 0) return false;
+      return true;
+    };
+    support::SmallVec<const bc::CompiledNest*, 8> live;
+    for (std::size_t i = 0; i < nests_.size(); ++i)
+      if (guardsHold(prog->nests[i])) live.push_back(&prog->nests[i]);
+    const bc::CompiledNest* convexLive =
+        viaConvex && guardsHold(prog->nests.back()) ? &prog->nests.back()
+                                                    : nullptr;
+    walkLive(live, convexLive,
+             [&](std::span<const bc::CompiledNest* const> ns) {
+               return VmEval{*prog, ns, pspan, regs};
+             });
   }
 
   // Establish sorted order.  Every nest walks its loops in increasing order,
@@ -599,9 +727,8 @@ std::string Enumerator::emitC() const {
     }
     out += "  const int64_t " + paramNames_[i] + " = " + src + ";\n";
   }
-  for (std::size_t d = 0; d < nests_.size(); ++d) {
-    out += "  // Disjunct " + std::to_string(d) + "\n";
-    std::string body = pset::scanToC(nests_[d], paramNames_, "cb");
+  auto renderNest = [&](const ScanNest& nest) {
+    std::string body = pset::scanToC(nest, paramNames_, "cb");
     // Indent the generated nest.
     std::size_t pos = 0;
     while (pos < body.size()) {
@@ -609,6 +736,17 @@ std::string Enumerator::emitC() const {
       if (nl == std::string::npos) nl = body.size();
       out += "  " + body.substr(pos, nl - pos) + "\n";
       pos = nl + 1;
+    }
+  };
+  if (convex_) {
+    // With coalescing on (the default), the proven nest is the function.
+    out += "  // Convex union of " + std::to_string(nests_.size()) +
+           " disjuncts (proven: hull minus union is empty)\n";
+    renderNest(*convex_);
+  } else {
+    for (std::size_t d = 0; d < nests_.size(); ++d) {
+      out += "  // Disjunct " + std::to_string(d) + "\n";
+      renderNest(nests_[d]);
     }
   }
   out += "}\n";

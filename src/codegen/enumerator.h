@@ -26,6 +26,14 @@
 // resolution of a 36k x 36k stencil from tens of thousands of callbacks into
 // one.  bench/ablation_coalescing measures the effect; disable with
 // `coalesce = false`.
+//
+// Exact writes cannot use the read path's rectangular hull, so a
+// multi-disjunct write map (a stencil's interior plus its borders) would be
+// walked one partial row per disjunct.  At construction the enumerator
+// instead tries to prove that the disjuncts' union is one convex set C (see
+// Enumerator::Enumerator); when the proof holds, coalesced enumeration emits
+// through C's nest in O(1) ranges per partition and counts the paper's
+// per-disjunct rows in closed form.
 
 #include <array>
 #include <functional>
@@ -199,13 +207,18 @@ class Enumerator {
   bool exact_ = true;
   std::size_t numModelParams_ = 0;           // 6 + #scalars
   std::vector<pset::ScanNest> nests_;        // one per disjunct
+  /// Scan nest of the union of a multi-disjunct write map, present only when
+  /// the union is proven to be one convex set; compiled into program_ after
+  /// nests_.  Used with `coalesce` on (see enumerate()).
+  std::optional<pset::ScanNest> convex_;
   /// Whether a runtime rectangular hull over the disjuncts may be used
   /// (read maps with uniform rank); see enumerate().
   bool hullable_ = false;
   std::vector<pset::LinExpr> shapeRows_;     // over the model param space
   std::vector<std::string> paramNames_;      // extended space, for emitC
-  /// Bytecode program for nests_, compiled once at construction and shared
-  /// by copies (Enumerator is copyable; the program is immutable).
+  /// Bytecode program for nests_ (then convex_, when proven), compiled once
+  /// at construction and shared by copies (Enumerator is copyable; the
+  /// program is immutable).
   std::shared_ptr<const bc::Program> program_;
   /// Specialized-tier program cache (keyed by EnumerationKey, FIFO-bounded,
   /// mutex-guarded); shared across copies like the program.

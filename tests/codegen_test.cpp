@@ -89,37 +89,82 @@ TEST(Codegen, HotspotHaloAndCoalescing) {
   EXPECT_EQ(writes[0].second, 32 * 64);
 }
 
+/// A write whose disjuncts do not form a convex set: only the left column
+/// and the top row of an n x n array (an L shape).
+ir::KernelPtr buildBorderOnly() {
+  ir::KernelBuilder b("border_only");
+  auto n = b.scalar("n", ir::Type::I64);
+  auto out = b.array("out", ir::Type::F64, {n, n});
+  auto x = b.let("x", b.globalId(ir::Axis::X));
+  auto y = b.let("y", b.globalId(ir::Axis::Y));
+  b.iff(ir::land(ir::lt(x, n), ir::lt(y, n)), [&] {
+    b.iff(ir::lor(ir::lt(x, ir::iconst(1)), ir::lt(y, ir::iconst(1))),
+          [&] { b.store(out, y * n + x, ir::fconst(1.0)); });
+  });
+  return b.build();
+}
+
+/// Coalescing is a pure representation change for writes: on every tier the
+/// coalesced range list and EnumInfo equal the per-row (coalesce = false)
+/// interpreter's.  Hotspot's five-piece write goes through its proven convex
+/// nest; the border-only write is not convex and keeps the per-disjunct walk.
+/// Reads may only grow (the hull).
 TEST(Codegen, CoalescingMatchesPerRowEnumeration) {
-  KernelModel m = analysis::analyzeKernel(*apps::buildHotspot());
-  auto es = buildEnumerators(m);
   LaunchConfig cfg{{4, 4, 1}, {8, 8, 1}};
   i64 scalars[] = {30};  // grid overhang: 32 threads cover 30 cells
-  for (i64 lo = 0; lo < 4; ++lo) {
-    for (i64 hi = lo + 1; hi <= 4; ++hi) {
-      PartitionTuple part = PartitionTuple::fromBlocks(
-          GridPartition{{0, lo, 0}, {4, hi, 1}}, cfg.block);
-      for (const Enumerator& e : es) {
-        Enumerator perRow = e;
-        perRow.coalesce = false;
-        std::set<i64> a, b;
-        e.enumerate(part, cfg, scalars, [&](i64 x, i64 y) {
-          for (i64 v = x; v < y; ++v) a.insert(v);
-        });
-        perRow.enumerate(part, cfg, scalars, [&](i64 x, i64 y) {
-          for (i64 v = x; v < y; ++v) b.insert(v);
-        });
-        if (e.isWrite()) {
-          // Writes must be identical: coalescing may not change the set.
-          EXPECT_EQ(a, b) << e.name() << " partition [" << lo << "," << hi << ")";
-        } else {
-          // The read hull may add elements but never lose any.
-          for (i64 v : b)
-            EXPECT_TRUE(a.count(v))
-                << e.name() << " lost element " << v << " with coalescing";
+  for (const KernelPtr& k : {apps::buildHotspot(), buildBorderOnly()}) {
+    KernelModel m = analysis::analyzeKernel(*k);
+    auto es = buildEnumerators(m);
+    for (i64 lo = 0; lo < 4; ++lo) {
+      for (i64 hi = lo + 1; hi <= 4; ++hi) {
+        // Row slices and column slices of the 4 x 4 block grid.
+        for (GridPartition gp : {GridPartition{{0, lo, 0}, {4, hi, 1}},
+                                 GridPartition{{lo, 0, 0}, {hi, 4, 1}}}) {
+          PartitionTuple part = PartitionTuple::fromBlocks(gp, cfg.block);
+          for (const Enumerator& e : es) {
+            SCOPED_TRACE(e.name() + " partition [" + std::to_string(gp.lo.x) +
+                         "," + std::to_string(gp.hi.x) + ")x[" +
+                         std::to_string(gp.lo.y) + "," +
+                         std::to_string(gp.hi.y) + ")");
+            Enumerator perRow = e;
+            perRow.coalesce = false;
+            MaterializedRanges ref = perRow.materialize(part, cfg, scalars);
+            if (!e.isWrite()) {
+              std::set<i64> covered;
+              for (auto [b, en] : collect(e, part, cfg, scalars))
+                for (i64 v = b; v < en; ++v) covered.insert(v);
+              for (auto [b, en] : ref.ranges)
+                for (i64 v = b; v < en; ++v)
+                  EXPECT_TRUE(covered.count(v)) << "lost element " << v;
+              continue;
+            }
+            for (EnumTier tier :
+                 {EnumTier::Interpret, EnumTier::Bytecode, EnumTier::Specialized}) {
+              Enumerator coalesced = e;
+              coalesced.tier = tier;
+              MaterializedRanges got = coalesced.materialize(part, cfg, scalars);
+              EXPECT_EQ(got.ranges, ref.ranges) << enumTierName(tier);
+              EXPECT_EQ(got.info, ref.info) << enumTierName(tier);
+            }
+          }
         }
       }
     }
   }
+}
+
+/// emitC() renders the nest enumerate() uses with coalescing on: the proven
+/// convex union for hotspot's stencil write, the disjuncts otherwise.
+TEST(Codegen, EmitCRendersProvenConvexUnion) {
+  KernelModel hotspot = analysis::analyzeKernel(*apps::buildHotspot());
+  std::string src = find(buildEnumerators(hotspot), 5, true).emitC();
+  EXPECT_NE(src.find("// Convex union of 5 disjuncts"), std::string::npos) << src;
+  EXPECT_EQ(src.find("// Disjunct"), std::string::npos) << src;
+
+  KernelModel border = analysis::analyzeKernel(*buildBorderOnly());
+  std::string lshape = find(buildEnumerators(border), 1, true).emitC();
+  EXPECT_EQ(lshape.find("Convex union"), std::string::npos) << lshape;
+  EXPECT_NE(lshape.find("// Disjunct 1"), std::string::npos) << lshape;
 }
 
 TEST(Codegen, MatmulBReadIsFullMatrix) {

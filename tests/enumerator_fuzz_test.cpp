@@ -12,7 +12,8 @@
 //   - read enumerators are sound: range union is a superset of the observed
 //     footprint, and equal when the enumerator reports exact(),
 //   - full-row coalescing is a pure representation change: the element set
-//     with `coalesce` on equals the set with it off,
+//     with `coalesce` on equals the set with it off, and for writes so does
+//     the work accounting (EnumInfo),
 //   - emitted ranges are well-formed (begin < end) and in-bounds.
 //
 // Seeds follow tests/fuzz_util.h; a failing case replays alone via
@@ -42,7 +43,7 @@ using FootprintKey = std::pair<std::size_t, bool>;
 
 void collectRanges(const Enumerator& e, const PartitionTuple& tuple,
                    const ir::LaunchConfig& cfg, std::span<const i64> scalars,
-                   i64 elems, std::set<i64>* out) {
+                   i64 elems, std::set<i64>* out, EnumInfo* info) {
   e.enumerate(tuple, cfg, scalars, [&](i64 begin, i64 end) {
     EXPECT_LT(begin, end) << e.name() << ": empty or inverted range";
     if (e.isWrite()) {
@@ -52,7 +53,7 @@ void collectRanges(const Enumerator& e, const PartitionTuple& tuple,
       EXPECT_LE(end, elems) << e.name() << ": write range past the array";
     }
     for (i64 i = begin; i < end; ++i) out->insert(i);
-  });
+  }, info);
 }
 
 TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
@@ -129,15 +130,23 @@ TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
       for (Enumerator& e : enumerators) {
         SCOPED_TRACE(e.name());
         std::set<i64> coalesced, flat;
+        EnumInfo coalescedInfo, flatInfo;
         e.coalesce = true;
-        collectRanges(e, tuple, cfg, scalars, elems, &coalesced);
+        collectRanges(e, tuple, cfg, scalars, elems, &coalesced, &coalescedInfo);
         e.coalesce = false;
-        collectRanges(e, tuple, cfg, scalars, elems, &flat);
+        collectRanges(e, tuple, cfg, scalars, elems, &flat, &flatInfo);
         e.coalesce = true;
         if (::testing::Test::HasFailure()) return;
 
         EXPECT_EQ(coalesced, flat)
             << "coalescing changed the enumerated element set";
+        if (e.isWrite()) {
+          // Exact writes merge into the same maximal runs either way, and
+          // the paper's row count must not depend on how they were walked.
+          EXPECT_EQ(coalescedInfo, flatInfo)
+              << "coalescing changed the write work accounting\n"
+              << g.kernel->str();
+        }
 
         const std::set<i64>& truth = observed[{e.argIndex(), e.isWrite()}];
         if (e.isWrite()) {

@@ -68,10 +68,8 @@ void Runtime::recoverDevice(int device, const Checkpoint& cp,
   trace::Span span(config_.tracer, "runtime", "recover-device", {},
                    {{"device", device}});
   // Stale compiled cycles would replay transfers sourced from the dead
-  // device; recovery invalidates every tenant's plan (repartition() below
-  // does too, but the restores must not race a planner either).
-  for (auto& p : planners_)
-    if (p) p->reset();
+  // device, so recovery drops the plan.
+  if (planner_ != nullptr) planner_->reset();
 
   // Restore target: the lowest-ordinal survivor with a share under `next`.
   int target = -1;

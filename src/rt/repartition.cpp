@@ -83,12 +83,9 @@ RepartitionResult Runtime::repartition(const std::string& kernelName,
         "(RuntimeConfig::allowRepartitioning / POLYPART_ALLOW_REPARTITIONING)");
   KernelEntry& ke = entry(kernelName);
   validatePartitioning(next);
-  // A geometry change invalidates every tenant's compiled dataflow cycle:
-  // the flow edges were composed under partitionFor() of the *old* weights,
-  // and a kernel is shared across tenants, so resetting only one tenant's
-  // planner would leave the others replaying stale transfer sets.
-  for (auto& p : planners_)
-    if (p) p->reset();
+  // A geometry change invalidates the compiled dataflow cycle: its flow
+  // edges were composed under partitionFor() of the *old* weights.
+  if (planner_ != nullptr) planner_->reset();
   if (ke.partitioning == next) return {};  // no-op: weights unchanged
   trace::Span span(config_.tracer, "runtime", "repartition");
   const Partitioning prev = ke.partitioning;

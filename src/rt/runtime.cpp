@@ -95,7 +95,10 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
     throw Error("RuntimeConfig::pipelineDepth must be 0 (got " +
                 std::to_string(config_.pipelineDepth) +
                 "); launches always run synchronously");
-  PP_ASSERT_MSG(config_.numTenants >= 1, "numTenants must be >= 1");
+  if (config_.h2dPageBytes < 1)
+    throw Error("RuntimeConfig::h2dPageBytes must be >= 1 (got " +
+                std::to_string(config_.h2dPageBytes) +
+                "); the round-robin scatter copies one page at a time");
   // FM-memoization telemetry baseline: taken before any enumerator is built
   // so this runtime's construction-time projections count toward its sample.
   const pset::FmMemoCounters fmBase = pset::fmMemoCounters();
@@ -105,17 +108,13 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
   config_.machine.numDevices = config_.numGpus;
   machine_ = std::make_unique<sim::Machine>(config_.machine, config_.mode);
   if (config_.dataflowPlanning && config_.enableDependencyResolution &&
-      config_.enableTransfers) {
-    planners_.resize(static_cast<std::size_t>(config_.numTenants));
-    for (auto& p : planners_)
-      p = std::make_unique<DataflowPlanner>(
-          config_.numGpus, kElemBytes,
-          [this](const KernelModel& m, const Dim3& g, int gpu) {
-            return partitionFor(m, g, gpu);
-          });
-  }
+      config_.enableTransfers)
+    planner_ = std::make_unique<DataflowPlanner>(
+        config_.numGpus, kElemBytes,
+        [this](const KernelModel& m, const Dim3& g, int gpu) {
+          return partitionFor(m, g, gpu);
+        });
   machine_->setTracer(config_.tracer);
-  tenantStats_.resize(static_cast<std::size_t>(config_.numTenants));
 
   // Per-kernel partitioning (Section 7) and enumerator generation
   // (Section 6).
@@ -207,10 +206,8 @@ const ir::Kernel& Runtime::partitionedKernel(const std::string& name) const {
   return *entry(name).partitioned;
 }
 
-VirtualBuffer* Runtime::malloc(i64 bytes, TenantId tenant) {
+VirtualBuffer* Runtime::malloc(i64 bytes) {
   PP_ASSERT(bytes >= 0);
-  PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
-                "malloc for unknown tenant");
   // Host mirrors, tracker walks, and the H2D split all work in whole
   // elements; a trailing partial element would fall outside them.
   if (bytes % kElemBytes != 0)
@@ -224,7 +221,7 @@ VirtualBuffer* Runtime::malloc(i64 bytes, TenantId tenant) {
     instances.push_back(machine_->deviceFailed(d) ? sim::DevBuffer{}
                                                   : machine_->alloc(d, bytes));
   buffers_.push_back(std::unique_ptr<VirtualBuffer>(
-      new VirtualBuffer(bytes, std::move(instances), tenant)));
+      new VirtualBuffer(bytes, std::move(instances))));
   VirtualBuffer* vb = buffers_.back().get();
   // The heap may hand back the address of a previously freed VirtualBuffer;
   // a stale freed record for it would misdiagnose a later bad free of this
@@ -241,12 +238,8 @@ void Runtime::free(VirtualBuffer* buf) {
     if (it->get() == buf) {
       // Recorded launch signatures hold buffer identities; dropping the
       // buffer invalidates them (a reused address must not match a stale
-      // plan).  Only the owning tenant's planner can reference it — other
-      // tenants' plans stay live, so their stats slices are unaffected by
-      // this tenant's frees.  Read the tenant only now that the pointer is
-      // known live (the double-free diagnosis below must not touch *buf).
-      if (!planners_.empty())
-        planners_[static_cast<std::size_t>(buf->tenant())]->reset();
+      // plan).
+      if (planner_ != nullptr) planner_->reset();
       for (auto& [name, ke] : kernels_) {
         // Cached inspections key on buffer identity + content version; a
         // reallocation can reuse both, so footprints that referenced the
@@ -444,10 +437,10 @@ void Runtime::issueTransferPlan(TransferPlan& plan) {
   stats_.bytesSavedByDedup += ps.bytesSaved;
 }
 
-void Runtime::issuePrefetches(const PreparedLaunch& pl, std::size_t step,
+void Runtime::issuePrefetches(std::span<const LaunchArg> args,
+                              std::size_t step,
                               std::vector<double> kernelDone) {
-  const std::vector<FlowEdge>& edges =
-      planners_[static_cast<std::size_t>(pl.tenant)]->edgesFor(step);
+  const std::vector<FlowEdge>& edges = planner_->edgesFor(step);
   if (edges.empty()) return;
   ResolutionTimer timer(*this);
   trace::Span span(config_.tracer, "runtime", "prefetch-flows", {},
@@ -473,7 +466,7 @@ void Runtime::issuePrefetches(const PreparedLaunch& pl, std::size_t step,
   };
   std::vector<Replica> replicas;
   for (const FlowEdge& edge : edges) {
-    VirtualBuffer* vb = pl.args[edge.argIndex].buffer;
+    VirtualBuffer* vb = args[edge.argIndex].buffer;
     if (vb == nullptr) continue;
     stats_.bytesElided += edge.elidedBytes;
     for (const PlannedTransfer& t : edge.transfers) {
@@ -884,10 +877,7 @@ void Runtime::gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
 Runtime::PreparedLaunch Runtime::prepareLaunch(const std::string& kernelName,
                                                const Dim3& grid,
                                                const Dim3& block,
-                                               std::span<const LaunchArg> args,
-                                               TenantId tenant) {
-  PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
-                "launch for unknown tenant");
+                                               std::span<const LaunchArg> args) {
   KernelEntry& ke = entry(kernelName);
   const KernelModel& model = *ke.model;
   PP_ASSERT_MSG(args.size() + 6 == ke.partitioned->numParams(),
@@ -906,23 +896,16 @@ Runtime::PreparedLaunch Runtime::prepareLaunch(const std::string& kernelName,
   }
 
   PreparedLaunch pl;
-  pl.tenant = tenant;
   pl.ke = &ke;
   pl.cfg = LaunchConfig{grid, block};
   pl.args = args;
 
   // Scalars for the enumerators: i64 scalar args in declaration order.
-  // The tenancy invariant is checked in the same walk: a launch may only
-  // reference buffers of the tenant that submitted it.
   for (std::size_t i = 0; i < args.size(); ++i) {
     const analysis::ParamInfo& p = model.params[i];
     PP_ASSERT_MSG(p.isArray == (args[i].buffer != nullptr),
                   "scalar/array launch argument mismatch");
-    if (args[i].buffer != nullptr) {
-      checkLive(args[i].buffer);
-      PP_ASSERT_MSG(args[i].buffer->tenant() == tenant,
-                    "launch references another tenant's buffer");
-    }
+    if (args[i].buffer != nullptr) checkLive(args[i].buffer);
     if (!p.isArray && p.type == ir::Type::I64)
       pl.scalars.push_back(args[i].scalar.i);
   }
@@ -966,18 +949,15 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
   // after phase (4).
   DataflowPlanner::Observation obs;
   bool planned = false;
-  DataflowPlanner* planner =
-      planners_.empty() ? nullptr
-                        : planners_[static_cast<std::size_t>(pl.tenant)].get();
-  if (planner != nullptr) {
+  if (planner_ != nullptr) {
     std::vector<VirtualBuffer*> argBufs;
     argBufs.reserve(args.size());
     for (const LaunchArg& a : args) argBufs.push_back(a.buffer);
-    obs = planner->observe(model, &ke, cfg, argBufs, scalars);
+    obs = planner_->observe(model, &ke, cfg, argBufs, scalars);
     if (obs.activated) {
       ++stats_.planActivations;
       trace::instant(config_.tracer, "plan", "dataflow-activated",
-                     {{"period", static_cast<i64>(planner->period())}});
+                     {{"period", static_cast<i64>(planner_->period())}});
     }
     if (obs.diverged) {
       ++stats_.planDivergences;
@@ -1139,7 +1119,7 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
   // that the trackers reflect the launch's writes.  Floors keep the modeled
   // copies behind the producing kernels; device ordering (still on) keeps
   // them behind the destination's compute.
-  if (planned) issuePrefetches(pl, obs.step, std::move(kernelDone));
+  if (planned) issuePrefetches(args, obs.step, std::move(kernelDone));
   machine_->setDeviceOrdering(false);
   sampleCacheCounters();
 
@@ -1153,39 +1133,28 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
   ke.lastScalars.assign(scalars.begin(), scalars.end());
 }
 
-void Runtime::commitLaunch(const PreparedLaunch& pl) {
-  trace::LaunchScope launchScope(config_.tracer, pl.ke->model->kernel);
-  // The guard runs even when executeLaunch throws: the tenant's slice still
-  // receives whatever the failed launch counted (so the slices keep adding
-  // up to the totals), the counters the launch moved are sampled onto their
-  // trace tracks, and device-ordering mode, which is scoped to one planned
-  // launch, cannot leak into the next one.
+void Runtime::launch(const std::string& kernelName, const Dim3& grid,
+                     const Dim3& block, std::span<const LaunchArg> args) {
+  // (1) Validate: a rejected launch throws before any tracker, machine, or
+  // stats state is touched.
+  const PreparedLaunch pl = prepareLaunch(kernelName, grid, block, args);
+  // (2) The guard runs even when executeLaunch throws: the counters the
+  // launch moved are sampled onto their trace tracks, and device-ordering
+  // mode, which is scoped to one planned launch, cannot leak into the next
+  // one.
+  trace::LaunchScope launchScope(config_.tracer, kernelName);
   struct Guard {
     Runtime& rt;
-    RuntimeStats& slice;
     const RuntimeStats before;
     const sim::MachineStats machineBefore;
     ~Guard() {
-      slice += rt.stats_ - before;
       rt.stats_.traceChanges(rt.config_.tracer, before);
       rt.machine_->stats().traceChanges(rt.config_.tracer, machineBefore);
       rt.machine_->setDeviceOrdering(false);
     }
-  } guard{*this, tenantStats_[static_cast<std::size_t>(pl.tenant)], stats_,
-          machine_->stats()};
+  } guard{*this, stats_, machine_->stats()};
+  // (3) The Fig. 4 flow.
   executeLaunch(pl);
-}
-
-void Runtime::launch(const std::string& kernelName, const Dim3& grid,
-                     const Dim3& block, std::span<const LaunchArg> args,
-                     TenantId tenant) {
-  commitLaunch(prepareLaunch(kernelName, grid, block, args, tenant));
-}
-
-const RuntimeStats& Runtime::tenantStats(TenantId tenant) const {
-  PP_ASSERT_MSG(tenant >= 0 && tenant < config_.numTenants,
-                "stats for unknown tenant");
-  return tenantStats_[static_cast<std::size_t>(tenant)];
 }
 
 }  // namespace polypart::rt

@@ -20,11 +20,9 @@
 // entirely.
 //
 // Every launch resolves in the paper's serial loop over (GPU partition,
-// array) pairs, on the calling thread (Section 8.3, Fig. 4).
-// RuntimeConfig::numTenants shards the runtime into client contexts
-// multiplexed onto the one machine: each tenant owns the buffers it
-// allocates and gets its own slice of the RuntimeStats counters (see
-// DESIGN.md "Tenancy").
+// array) pairs, on the calling thread (Section 8.3, Fig. 4).  As in the
+// paper, one application owns the runtime and every buffer in it (see
+// DESIGN.md "Launch path").
 
 #include <deque>
 #include <map>
@@ -220,7 +218,8 @@ struct RuntimeConfig {
   /// Bounded inspection cache size: retained footprint sets per kernel,
   /// evicted FIFO.  Values < 1 mean unbounded.
   i64 inspectionCacheEntriesPerKernel = 8;
-  /// Page size for the round-robin distribution (bytes).
+  /// Page size for the round-robin distribution (bytes).  Must be >= 1: the
+  /// constructor throws Error naming the field otherwise.
   i64 h2dPageBytes = 65536;
   /// Launch-plan enumeration cache: memoizes, per kernel, the coalesced
   /// element ranges the enumerators produce for a given (partition tuple,
@@ -264,11 +263,6 @@ struct RuntimeConfig {
   /// Must be 0: the constructor throws Error naming the field otherwise.
   /// launch() always resolves, transfers, and executes before returning.
   int pipelineDepth = 0;
-  /// Client contexts sharded onto this runtime (>= 1).  Each tenant owns the
-  /// buffers it allocates (malloc(bytes, tenant)); a launch may only
-  /// reference its own tenant's buffers, and per-tenant counters accumulate
-  /// into tenantStats().  1 (default): the classic single-client runtime.
-  int numTenants = 1;
   /// Launch-pipeline tracer (support/trace.h).  When set, the runtime and the
   /// machine model record structured events — launch/sync/update spans,
   /// plan-cache hit/miss/evict, per-transfer src/dst/bytes, virtual-time
@@ -280,30 +274,18 @@ struct RuntimeConfig {
   trace::Tracer* tracer = nullptr;
 };
 
-/// Client context ordinal of the multi-tenant runtime; tenant 0 is the
-/// default used by every single-client entry point.
-using TenantId = int;
-
 /// A "virtual buffer": per-device instances + ownership tracker.
 class VirtualBuffer {
  public:
   i64 bytes() const { return bytes_; }
   const SegmentTracker& tracker() const { return tracker_; }
-  /// The client context that allocated this buffer (sharding invariant:
-  /// only that tenant's launches may reference it).
-  TenantId tenant() const { return tenant_; }
 
  private:
   friend class Runtime;
   friend class TransferPlan;  // issues scheduled copies between instances
-  VirtualBuffer(i64 bytes, std::vector<sim::DevBuffer> instances,
-                TenantId tenant)
-      : bytes_(bytes),
-        tenant_(tenant),
-        instances_(std::move(instances)),
-        tracker_(bytes) {}
+  VirtualBuffer(i64 bytes, std::vector<sim::DevBuffer> instances)
+      : bytes_(bytes), instances_(std::move(instances)), tracker_(bytes) {}
   i64 bytes_ = 0;
-  TenantId tenant_ = 0;
   std::vector<sim::DevBuffer> instances_;  // one per device
   SegmentTracker tracker_;
 };
@@ -398,10 +380,9 @@ class Runtime {
   sim::Machine& machine() { return *machine_; }
 
   // -- CUDA Runtime replacement (Section 8.4) --------------------------------
-  /// Allocates a virtual buffer owned by `tenant` (0 = the single-client
-  /// default).  Buffers hold 8-byte elements: throws Error naming the size
-  /// when `bytes` is not a multiple of 8.
-  VirtualBuffer* malloc(i64 bytes, TenantId tenant = 0);
+  /// Allocates a virtual buffer.  Buffers hold 8-byte elements: throws Error
+  /// naming the size when `bytes` is not a multiple of 8.
+  VirtualBuffer* malloc(i64 bytes);
   /// Releases a buffer obtained from malloc().  Freeing the same buffer
   /// twice, or a pointer this runtime never allocated, is a contract
   /// violation and raises a diagnosable assertion instead of corrupting the
@@ -417,24 +398,19 @@ class Runtime {
   /// cudaDeviceSynchronize replacement: synchronizes all devices.
   void deviceSynchronize();
 
-  /// Partitioned kernel launch (Fig. 4) on behalf of `tenant`.
-  /// `grid`/`block` are the original single-GPU configuration.  Validates the
-  /// launch, then synchronizes reads, runs the partitions, and updates the
-  /// trackers before returning.  A launch that fails validation throws
-  /// before touching any tracker, machine, or stats state.
+  /// Partitioned kernel launch (Fig. 4).  `grid`/`block` are the original
+  /// single-GPU configuration.  Validates the launch, then synchronizes
+  /// reads, runs the partitions, and updates the trackers before returning.
+  /// A launch that fails validation throws before touching any tracker,
+  /// machine, or stats state.
   void launch(const std::string& kernelName, const ir::Dim3& grid,
-              const ir::Dim3& block, std::span<const LaunchArg> args,
-              TenantId tenant = 0);
+              const ir::Dim3& block, std::span<const LaunchArg> args);
 
   /// End-to-end simulated time including outstanding asynchronous work.
   double elapsedSeconds() const;
 
   /// Aggregate counters.
   const RuntimeStats& stats() const { return stats_; }
-  /// `tenant`'s slice of the launch counters: the difference of stats()
-  /// across each of its launches, summed.  The slices of all tenants add up
-  /// to the launch-driven part of stats().
-  const RuntimeStats& tenantStats(TenantId tenant) const;
   const sim::MachineStats& machineStats() const { return machine_->stats(); }
 
   /// The partitioned clone of a kernel (for inspection/tests).
@@ -450,7 +426,7 @@ class Runtime {
   /// migrating only the difference of the old and new write footprints (a per-device pset subtraction over the kernel's last
   /// launch signature, clipped against live tracker ownership) and updates
   /// the trackers, so subsequent launches resolve against the new layout
-  /// with byte-identical results.  Invalidates every tenant's dataflow plan.
+  /// with byte-identical results.  Invalidates the dataflow plan.
   /// Throws Error when repartitioning is disabled or `next` is invalid
   /// (wrong arity, negative weights, zero total, weight on a failed device).
   RepartitionResult repartition(const std::string& kernelName,
@@ -556,7 +532,6 @@ class Runtime {
 
   /// A validated launch: everything executeLaunch() needs.
   struct PreparedLaunch {
-    TenantId tenant = 0;
     KernelEntry* ke = nullptr;
     ir::LaunchConfig cfg;
     std::span<const LaunchArg> args;
@@ -632,8 +607,9 @@ class Runtime {
   /// source still owns, and the destination does not already share, are
   /// copied), issued with per-source floors at the producing kernels'
   /// modeled completions, then recorded as shared replicas so the
-  /// consumer's reactive resolution skips them.
-  void issuePrefetches(const PreparedLaunch& pl, std::size_t step,
+  /// consumer's reactive resolution skips them.  `args` are the producing
+  /// launch's arguments (flow edges name buffers by argument index).
+  void issuePrefetches(std::span<const LaunchArg> args, std::size_t step,
                        std::vector<double> kernelDone);
   /// Samples the FM-memoization and specialized-program cache counters into
   /// the stats meta-fields (end of every launch).
@@ -646,14 +622,10 @@ class Runtime {
   /// needs, touching no machine, tracker, or stats state.
   PreparedLaunch prepareLaunch(const std::string& kernelName,
                                const ir::Dim3& grid, const ir::Dim3& block,
-                               std::span<const LaunchArg> args,
-                               TenantId tenant);
+                               std::span<const LaunchArg> args);
   /// The Fig. 4 flow against a prepared launch: sync reads, launch the
   /// partitions, update trackers.
   void executeLaunch(const PreparedLaunch& pl);
-  /// executeLaunch() plus the per-tenant stats diff accounting and the
-  /// per-launch counter trace samples.
-  void commitLaunch(const PreparedLaunch& pl);
   /// Dies unless `buf` is a live buffer of this runtime, naming a freed
   /// buffer or a foreign pointer; called before any use dereferences it.
   void checkLive(const VirtualBuffer* buf) const;
@@ -667,15 +639,9 @@ class Runtime {
   /// free from a free of a pointer this runtime never allocated.
   std::vector<const VirtualBuffer*> freedBuffers_;
   RuntimeStats stats_;
-  /// Per-tenant slices of stats_ (tenantStats()), indexed by tenant.
-  std::vector<RuntimeStats> tenantStats_;
-  /// Cross-launch dataflow planners, one per tenant (empty unless
-  /// dataflowPlanning is on and dependency resolution + transfers are
-  /// enabled).  Buffers are tenant-owned, so cross-tenant flow edges cannot
-  /// exist; per-tenant sequences keep each tenant's cycle detection — and
-  /// therefore its stats slice — independent of how other tenants' launches
-  /// interleave with it.
-  std::vector<std::unique_ptr<DataflowPlanner>> planners_;
+  /// Cross-launch dataflow planner (null unless dataflowPlanning is on and
+  /// dependency resolution + transfers are enabled).
+  std::unique_ptr<DataflowPlanner> planner_;
   /// FM-memoization counter baseline at construction: the memo table is
   /// process-wide, so per-runtime telemetry is the counter delta.
   i64 fmBaseHits_ = 0;

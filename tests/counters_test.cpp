@@ -42,23 +42,21 @@ std::set<std::string> rowNames(Class c) {
 }
 
 template <class T>
-void expectSumAndDifferenceRoundTrip() {
+void expectSumAddsEveryRow() {
   const T a = distinct<T>(100);
   const T b = distinct<T>(1000);
   const T sum = a + b;
   T::forEach([&](const char* name, Class, auto m) {
     EXPECT_EQ(sum.*m, a.*m + b.*m) << name;
   });
-  EXPECT_EQ(sum - b, a);
   T c = a;
   c += b;
-  c -= b;
-  EXPECT_EQ(c, a);
+  EXPECT_EQ(c, sum);
 }
 
-TEST(Counters, SumThenDifferenceRoundTrips) {
-  expectSumAndDifferenceRoundTrip<rt::RuntimeStats>();
-  expectSumAndDifferenceRoundTrip<sim::MachineStats>();
+TEST(Counters, SumAddsEveryRow) {
+  expectSumAddsEveryRow<rt::RuntimeStats>();
+  expectSumAddsEveryRow<sim::MachineStats>();
 }
 
 template <class T>

@@ -338,8 +338,8 @@ TEST(DataflowPlan, PlanningIsDeterministicWithAndWithoutCache) {
 TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {
   // Regression: a repartition changes every kernel's footprint geometry, so
   // any cycle the planner detected beforehand prefetches the *old* flow sets.
-  // Repartitioning must invalidate the cached plans of every tenant; a stale
-  // plan would prefetch to the wrong devices and (worse) elide transfers that
+  // Repartitioning must invalidate the planner's cached plan; a stale plan
+  // would prefetch to the wrong devices and (worse) elide transfers that
   // are no longer dead.  Byte-identity against the reactive path running the
   // same schedule is the strongest possible check.
   const std::vector<double> x0 = seededInput(23);

@@ -11,7 +11,9 @@
 #include "apps/kernels.h"
 #include "ir/builder.h"
 #include "rt/runtime.h"
+#include "support/json.h"
 #include "support/rng.h"
+#include "support/trace.h"
 
 namespace polypart::rt {
 namespace {
@@ -177,6 +179,43 @@ TEST(Dynamic, InstrumentationRequiresFunctionalMode) {
                       LaunchArg::ofBuffer(dIn), LaunchArg::ofBuffer(dOut)};
   EXPECT_THROW(rt.launch("scatter", {4, 1, 1}, {64, 1, 1}, args),
                UnsupportedOperationError);
+}
+
+TEST(Dynamic, LaunchThatThrowsStillSamplesItsCounters) {
+  // The instrumented scatter passes validation and throws from inside the
+  // launch, after counting it: the launch guard must still sample the
+  // counters it moved onto their trace tracks.
+  KernelPtr k = buildScatter();
+  ir::Module mod;
+  mod.addKernel(k);
+  AnalysisOptions opts;
+  opts.allowInstrumentedWrites = true;
+  ApplicationModel model = analysis::analyzeModule(mod, opts);
+  trace::Tracer tracer;
+  RuntimeConfig cfg;
+  cfg.numGpus = 2;
+  cfg.mode = sim::ExecutionMode::TimingOnly;
+  cfg.tracer = &tracer;
+  Runtime rt(cfg, model, mod);
+  VirtualBuffer* dIdx = rt.malloc(256 * 8);
+  VirtualBuffer* dIn = rt.malloc(256 * 8);
+  VirtualBuffer* dOut = rt.malloc(256 * 8);
+  LaunchArg args[] = {LaunchArg::ofInt(256), LaunchArg::ofBuffer(dIdx),
+                      LaunchArg::ofBuffer(dIn), LaunchArg::ofBuffer(dOut)};
+  EXPECT_THROW(rt.launch("scatter", {4, 1, 1}, {64, 1, 1}, args),
+               UnsupportedOperationError);
+  EXPECT_EQ(rt.stats().launches, 1);
+
+  const json::Value root = tracer.toJson();
+  std::vector<double> launchSamples;
+  for (const json::Value& ev : root.at("traceEvents").asArray()) {
+    if (ev.at("ph").asString() != "C" || ev.at("name").asString() != "launches")
+      continue;
+    const json::Value& v = ev.at("args").at("value");
+    launchSamples.push_back(v.isInt() ? static_cast<double>(v.asInt())
+                                      : v.asDouble());
+  }
+  EXPECT_EQ(launchSamples, std::vector<double>{1.0});
 }
 
 TEST(Dynamic, GatherUsesWholeArrayReadFallback) {

@@ -94,10 +94,9 @@ TEST(PipelineFuzz, RandomAffineKernelsPartitionExactly) {
   EXPECT_EQ(accepted, iters);
 }
 
-/// One generated kernel's state inside a tenant's launch stream: the kernel,
-/// its device buffers, its host-side inputs, and the single-device truth of
-/// its whole stream.
-struct TenantStream {
+/// One generated kernel's launch stream: the kernel, its device buffers, its
+/// host-side inputs, and the single-device truth of its whole stream.
+struct KernelStream {
   GeneratedKernel g;
   i64 n = 0;
   i64 elems = 0;
@@ -108,25 +107,25 @@ struct TenantStream {
   std::vector<VirtualBuffer*> bufs;  // inputs... then the output buffer
 };
 
-TEST(PipelineFuzz, InterleavedTenantStreamsMatchSerialExecution) {
-  // Random multi-tenant launch streams: each tenant owns one generated
-  // kernel and its buffers; a randomized round-robin interleaves their
-  // launches on one shared runtime across cache settings and transfer
-  // scheduling.  Every tenant's gathered output must be bit-identical to
-  // single-device interpretation of its own stream.
+TEST(PipelineFuzz, InterleavedStreamsMatchSerialExecution) {
+  // Random interleaved launch streams: each stream runs one generated
+  // kernel on buffers no other stream touches; a randomized round-robin
+  // interleaves their launches on one shared runtime across cache settings
+  // and transfer scheduling.  Every stream's gathered output must be
+  // bit-identical to single-device interpretation of its own stream.
   const int iters = fuzz::caseCount(6);
   for (int iter = 0; iter < iters; ++iter) {
     fuzz::SeededRng rng(fuzz::seedFor(9393, iter));
     SCOPED_TRACE(rng.replay());
 
-    // Generate one kernel per tenant; regenerate on the rare shapes the
+    // Generate one kernel per stream; regenerate on the rare shapes the
     // analyzer cannot accept is unnecessary (generate() only emits supported
-    // kernels), but keep module assembly shared across tenants.
-    const int tenants = 2 + static_cast<int>(rng.next() % 2);  // 2..3
+    // kernels), but keep module assembly shared across streams.
+    const int numStreams = 2 + static_cast<int>(rng.next() % 2);  // 2..3
     ir::Module mod;
-    std::vector<TenantStream> streams(static_cast<std::size_t>(tenants));
-    for (int t = 0; t < tenants; ++t) {
-      TenantStream& s = streams[static_cast<std::size_t>(t)];
+    std::vector<KernelStream> streams(static_cast<std::size_t>(numStreams));
+    for (int t = 0; t < numStreams; ++t) {
+      KernelStream& s = streams[static_cast<std::size_t>(t)];
       s.g = generate(rng, iter * 7 + t);
       mod.addKernel(s.g.kernel);
       s.n = s.g.is2d ? 17 : 257;
@@ -148,19 +147,19 @@ TEST(PipelineFuzz, InterleavedTenantStreamsMatchSerialExecution) {
       continue;
     }
 
-    // The interleave order and per-tenant launch counts are drawn once and
+    // The interleave order and per-stream launch counts are drawn once and
     // replayed identically under every configuration.
     std::vector<int> order;
-    for (int t = 0; t < tenants; ++t) {
-      TenantStream& s = streams[static_cast<std::size_t>(t)];
+    for (int t = 0; t < numStreams; ++t) {
+      KernelStream& s = streams[static_cast<std::size_t>(t)];
       s.launches = 2 + static_cast<int>(rng.next() % 3);  // 2..4
       for (int l = 0; l < s.launches; ++l) order.push_back(t);
     }
     for (std::size_t i = order.size(); i > 1; --i)
       std::swap(order[i - 1], order[rng.next() % i]);
 
-    // Ground truth per tenant: its stream on one device, uninterleaved.
-    for (TenantStream& s : streams) {
+    // Ground truth per stream: its launches on one device, uninterleaved.
+    for (KernelStream& s : streams) {
       s.truth.assign(static_cast<std::size_t>(s.elems), 99.0);
       std::vector<ir::ArgValue> args;
       args.push_back(ir::ArgValue::ofInt(s.n));
@@ -178,33 +177,31 @@ TEST(PipelineFuzz, InterleavedTenantStreamsMatchSerialExecution) {
       rc.mode = sim::ExecutionMode::Functional;
       rc.enableEnumerationCache = cache;
       rc.transferScheduling = xferSched;
-      rc.numTenants = tenants;
       Runtime rt(rc, model, mod);
-      for (int t = 0; t < tenants; ++t) {
-        TenantStream& s = streams[static_cast<std::size_t>(t)];
+      for (KernelStream& s : streams) {
         s.bufs.clear();
         for (auto& buf : s.inputs) {
-          VirtualBuffer* vb = rt.malloc(s.elems * 8, t);
+          VirtualBuffer* vb = rt.malloc(s.elems * 8);
           rt.memcpy(vb, buf.data(), s.elems * 8, MemcpyKind::HostToDevice);
           s.bufs.push_back(vb);
         }
-        s.bufs.push_back(rt.malloc(s.elems * 8, t));
+        s.bufs.push_back(rt.malloc(s.elems * 8));
       }
       for (int t : order) {
-        TenantStream& s = streams[static_cast<std::size_t>(t)];
+        KernelStream& s = streams[static_cast<std::size_t>(t)];
         std::vector<LaunchArg> args;
         args.push_back(LaunchArg::ofInt(s.n));
         for (VirtualBuffer* vb : s.bufs) args.push_back(LaunchArg::ofBuffer(vb));
-        rt.launch(s.g.kernel->name(), s.cfg.grid, s.cfg.block, args, t);
+        rt.launch(s.g.kernel->name(), s.cfg.grid, s.cfg.block, args);
       }
-      for (int t = 0; t < tenants; ++t) {
-        TenantStream& s = streams[static_cast<std::size_t>(t)];
+      EXPECT_EQ(rt.stats().launches, static_cast<i64>(order.size()));
+      for (int t = 0; t < numStreams; ++t) {
+        KernelStream& s = streams[static_cast<std::size_t>(t)];
         std::vector<double> got(static_cast<std::size_t>(s.elems), -99.0);
         rt.memcpy(got.data(), s.bufs.back(), s.elems * 8,
                   MemcpyKind::DeviceToHost);
-        ASSERT_EQ(got, s.truth) << "tenant " << t << " kernel:\n"
+        ASSERT_EQ(got, s.truth) << "stream " << t << " kernel:\n"
                                 << s.g.kernel->str();
-        EXPECT_EQ(rt.tenantStats(t).launches, s.launches) << "tenant " << t;
       }
     };
     for (bool cache : {false, true})

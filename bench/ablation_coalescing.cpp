@@ -67,6 +67,6 @@ int main() {
   std::printf("\nExpectation: coalescing reduces emitted ranges by orders of\n"
               "magnitude for stencil workloads; simulated time is unchanged\n"
               "because the modeled per-row cost reflects the paper's scheme\n"
-              "either way (see rt::RuntimeConfig::resolutionCostPerRow).\n");
+              "either way (see rt::Runtime::kResolutionCostPerRow).\n");
   return 0;
 }

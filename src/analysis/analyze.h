@@ -27,10 +27,11 @@ namespace polypart::analysis {
 /// behaviour for non-affine subscripts).
 bool defaultAllowMayAccess();
 
-/// Fallback policies for kernels the purely static analysis rejects.  The
-/// first two implement directions the paper's conclusion names explicitly:
-/// "this limitation can be remedied by using instrumentation to collect
-/// write patterns ... or annotation of the source code with write patterns".
+/// Fallback policies for kernels the purely static analysis rejects.
+/// Instrumented writes and annotations implement directions the paper's
+/// conclusion names explicitly: "this limitation can be remedied by using
+/// instrumentation to collect write patterns ... or annotation of the source
+/// code with write patterns".
 struct AnalysisOptions {
   /// Writes the polyhedral model cannot capture accurately (non-affine
   /// indices, non-affine guards, inexact projections, unprovable
@@ -38,20 +39,16 @@ struct AnalysisOptions {
   /// the kernel; the runtime then collects the write pattern by executing
   /// an instrumented kernel (Functional mode only).
   bool allowInstrumentedWrites = false;
-  /// Reads the model cannot capture fall back to the array's full extent
-  /// (requires a declared shape) — a sound over-approximation that forces a
-  /// whole-buffer synchronization.
-  bool allowWholeArrayReadFallback = false;
   /// May-access tier (DESIGN.md "May-access tier & inspector–executor"):
   /// when a subscript is not affine (indirect indexing — x[idx[i]]), demote
   /// the access to a conservative MayAccess record instead of rejecting the
   /// kernel.  May-reads over-approximate to the array's whole declared
   /// extent (readMayAccess); may-writes drop their static map entirely and
   /// the runtime derives the written ranges by observed execution
-  /// (writeMayAccess, Functional mode only).  Checked after the two opt-in
-  /// fallbacks above, so enabling those keeps their behaviour.  Scoped to
-  /// non-affine subscripts: inexact projections and unprovable injectivity
-  /// of otherwise-affine writes still reject.
+  /// (writeMayAccess, Functional mode only).  Checked after the opt-in
+  /// instrumented-write fallback above, so enabling it keeps its behaviour
+  /// for writes.  Scoped to non-affine subscripts: inexact projections and
+  /// unprovable injectivity of otherwise-affine writes still reject.
   bool allowMayAccess = defaultAllowMayAccess();
   /// User-supplied access maps overriding the extraction per (kernel
   /// argument); see KernelAnnotations.

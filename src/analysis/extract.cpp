@@ -94,7 +94,6 @@ struct Extractor {
   std::array<bool, 3> axisUsesThreadIdx{false, false, false};
   // Arguments that fell back to the dynamic/conservative paths.
   std::set<std::size_t> instrumentedWriteArgs;
-  std::set<std::size_t> wholeArrayReadArgs;
   // Arguments demoted to the may-access tier, with the first demotion
   // diagnostic per argument (ArrayModel::mayAccessWhy).
   std::set<std::size_t> mayReadArgs;
@@ -299,9 +298,9 @@ struct Extractor {
       recordAccessConj(argIndex, isWrite, flatIndex, conj);
   }
 
-  /// Handles an access the polyhedral model cannot represent: route it to
-  /// the instrumented-write or whole-array-read fallback when enabled, then
-  /// to the may-access tier, otherwise reject the kernel (the paper's base
+  /// Handles an access the polyhedral model cannot represent: route a write
+  /// to the instrumented-write fallback when enabled, then any access to the
+  /// may-access tier, otherwise reject the kernel (the paper's base
   /// behaviour, restored by POLYPART_STRICT_AFFINE=1).  The diagnostic — in
   /// both the demotion record and the rejection — names the argument and
   /// the offending subscript expression.
@@ -311,11 +310,6 @@ struct Extractor {
         why + " on '" + kernel.param(argIndex).name + "'";
     if (isWrite && options.allowInstrumentedWrites) {
       instrumentedWriteArgs.insert(argIndex);
-      return;
-    }
-    if (!isWrite && options.allowWholeArrayReadFallback &&
-        !shapes[argIndex].empty()) {
-      wholeArrayReadArgs.insert(argIndex);
       return;
     }
     if (options.allowMayAccess &&
@@ -688,7 +682,6 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
       if (acc.argIndex != argIndex) continue;
       // Arrays on a fallback path ignore their (partial) static accesses.
       if (acc.isWrite && ex.instrumentedWriteArgs.count(argIndex)) continue;
-      if (!acc.isWrite && ex.wholeArrayReadArgs.count(argIndex)) continue;
       if (acc.isWrite && ex.mayWriteArgs.count(argIndex)) continue;
       if (!acc.isWrite && ex.mayReadArgs.count(argIndex)) continue;
       // Project out loop dimensions first.
@@ -791,7 +784,6 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
     }
     am.writeInstrumented = ex.instrumentedWriteArgs.count(argIndex) > 0;
     if (am.writeInstrumented) am.write = Map(mapSpace);
-    am.readWholeArray = ex.wholeArrayReadArgs.count(argIndex) > 0;
     am.readMayAccess = ex.mayReadArgs.count(argIndex) > 0;
     am.writeMayAccess = ex.mayWriteArgs.count(argIndex) > 0;
     if (am.writeMayAccess) am.write = Map(mapSpace);
@@ -817,12 +809,11 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
       am.shape.push_back(std::move(row));
     }
 
-    // Whole-array read fallback and may-access reads: the read set is the
-    // full declared extent, independent of the partition (sound
-    // over-approximation; the inspector–executor may tighten may-access
-    // reads per launch at runtime).
-    if (am.readWholeArray || am.readMayAccess) {
-      PP_ASSERT_MSG(!am.shape.empty(), "whole-array fallback requires a shape");
+    // May-access reads: the read set is the full declared extent,
+    // independent of the partition (sound over-approximation; the
+    // inspector–executor may tighten it per launch at runtime).
+    if (am.readMayAccess) {
+      PP_ASSERT_MSG(!am.shape.empty(), "may-access read requires a shape");
       BasicSet box(mapSpace);
       for (std::size_t j = 0; j < am.shape.size(); ++j) {
         LinExpr a = LinExpr::dim(mapSpace, DimId::out(j));

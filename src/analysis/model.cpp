@@ -149,7 +149,6 @@ json::Value KernelModel::toJson() const {
     av["read"] = mapToJson(a.read);
     av["write"] = mapToJson(a.write);
     av["write_instrumented"] = a.writeInstrumented;
-    av["read_whole_array"] = a.readWholeArray;
     av["read_may_access"] = a.readMayAccess;
     av["write_may_access"] = a.writeMayAccess;
     if (!a.mayAccessWhy.empty()) av["may_access_why"] = a.mayAccessWhy;
@@ -191,7 +190,6 @@ KernelModel KernelModel::fromJson(const json::Value& v) {
     a.read = mapFromJson(av.at("read"), paramSpace);
     a.write = mapFromJson(av.at("write"), paramSpace);
     a.writeInstrumented = av.at("write_instrumented").asBool();
-    a.readWholeArray = av.at("read_whole_array").asBool();
     // May-access fields are absent in pre-tier model files (still loadable).
     if (const json::Value* rm = av.asObject().find("read_may_access"))
       a.readMayAccess = rm->asBool();

@@ -62,8 +62,6 @@ struct ArrayModel {
   /// The static model could not capture the writes: the runtime must
   /// collect them by instrumented execution (paper Section 11).
   bool writeInstrumented = false;
-  /// The read map is the array's whole extent (conservative fallback).
-  bool readWholeArray = false;
   /// May-access tier (indirect subscripts, AnalysisOptions::allowMayAccess).
   /// readMayAccess: `read` is the whole-extent over-approximation of an
   /// unprovable read; the runtime may tighten it per launch with the

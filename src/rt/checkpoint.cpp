@@ -26,7 +26,7 @@ Checkpoint Runtime::checkpoint() {
           if (owner < 0) return;  // never written: nothing to lose
           // A range with a second valid replica survives any single device
           // failure without the checkpoint; only exclusive ranges are saved.
-          if ((sharers & ~(u64{1} << owner)) != 0) return;
+          if ((sharers & ~SegmentTracker::sharerBit(owner)) != 0) return;
           if (machine_->deviceFailed(owner)) return;  // already lost
           Checkpoint::Segment seg;
           seg.begin = b;
@@ -96,9 +96,9 @@ void Runtime::recoverDevice(int device, const Checkpoint& cp,
         0, buf->bytes(), [&](i64 b, i64 e, Owner owner, u64 sharers) {
           if (owner != device) return;
           Lost l{b, e, -1};
-          for (int d = 0; d < config_.numGpus && d < 64; ++d) {
+          for (int d = 0; d < config_.numGpus; ++d) {
             if (d == device || machine_->deviceFailed(d)) continue;
-            if ((sharers & (u64{1} << d)) != 0) {
+            if ((sharers & SegmentTracker::sharerBit(d)) != 0) {
               l.adopt = d;
               break;
             }

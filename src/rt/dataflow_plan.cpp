@@ -21,12 +21,9 @@ using pset::Constraint;
 using pset::Set;
 using pset::Space;
 
-DataflowPlanner::DataflowPlanner(int numGpus, i64 elemBytes,
-                                 PartitionFn partitionFor)
-    : numGpus_(numGpus),
-      elemBytes_(elemBytes),
-      partitionFor_(std::move(partitionFor)) {
-  PP_ASSERT(numGpus_ >= 1 && elemBytes_ > 0 && partitionFor_ != nullptr);
+DataflowPlanner::DataflowPlanner(int numGpus, PartitionFn partitionFor)
+    : numGpus_(numGpus), partitionFor_(std::move(partitionFor)) {
+  PP_ASSERT(numGpus_ >= 1 && partitionFor_ != nullptr);
 }
 
 DataflowPlanner::~DataflowPlanner() = default;
@@ -93,7 +90,7 @@ bool DataflowPlanner::compilePlan() {
       VirtualBuffer* buf = prod.buffers[wa.argIndex];
       if (buf == nullptr) continue;
       std::optional<std::vector<i64>> prodDims =
-          evalShape(wa, prodParams, buf->bytes(), elemBytes_);
+          evalShape(wa, prodParams, buf->bytes(), kElemBytes);
       if (!prodDims) continue;
       i64 totalElems = 1;
       try {
@@ -101,7 +98,7 @@ bool DataflowPlanner::compilePlan() {
       } catch (...) {
         continue;
       }
-      totalElems = std::min(totalElems, buf->bytes() / elemBytes_);
+      totalElems = std::min(totalElems, buf->bytes() / kElemBytes);
       const Space canon = canonSpace(prodDims->size());
 
       // This step's concrete write set per producing device.
@@ -133,7 +130,7 @@ bool DataflowPlanner::compilePlan() {
           if (!ra.hasReads()) continue;
           if (cons.buffers[ra.argIndex] != buf) continue;
           std::optional<std::vector<i64>> consDims =
-              evalShape(ra, consParams, buf->bytes(), elemBytes_);
+              evalShape(ra, consParams, buf->bytes(), kElemBytes);
           // Incompatible flattening geometries cannot be related statically;
           // skip the edge (the reactive path still moves the bytes).
           if (!consDims || *consDims != *prodDims) continue;
@@ -166,14 +163,14 @@ bool DataflowPlanner::compilePlan() {
                 break;
               }
               edge.elidedBytes +=
-                  (flowFlat->elems - liveFlat->elems) * elemBytes_;
+                  (flowFlat->elems - liveFlat->elems) * kElemBytes;
               if (!liveFlat->ranges.empty()) {
                 PlannedTransfer pt;
                 pt.src = gSrc;
                 pt.dst = gDst;
                 pt.byteRanges.reserve(liveFlat->ranges.size());
                 for (const auto& [b, e] : liveFlat->ranges)
-                  pt.byteRanges.emplace_back(b * elemBytes_, e * elemBytes_);
+                  pt.byteRanges.emplace_back(b * kElemBytes, e * kElemBytes);
                 edge.transfers.push_back(std::move(pt));
               }
             }
@@ -187,7 +184,7 @@ bool DataflowPlanner::compilePlan() {
           if (!wa2.hasWrites()) continue;
           if (cons.buffers[wa2.argIndex] != buf) continue;
           std::optional<std::vector<i64>> killDims =
-              evalShape(wa2, consParams, buf->bytes(), elemBytes_);
+              evalShape(wa2, consParams, buf->bytes(), kElemBytes);
           // A write we cannot relate to the producer's geometry is simply
           // not subtracted — elision only ever under-fires (safe: the
           // tracker clip at issue time discards any stale prefetch).

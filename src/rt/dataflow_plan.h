@@ -71,7 +71,7 @@ class DataflowPlanner {
   using PartitionFn = std::function<ir::GridPartition(
       const analysis::KernelModel&, const ir::Dim3&, int)>;
 
-  DataflowPlanner(int numGpus, i64 elemBytes, PartitionFn partitionFor);
+  DataflowPlanner(int numGpus, PartitionFn partitionFor);
   ~DataflowPlanner();
 
   /// What observe() decided for one committed launch.
@@ -82,8 +82,9 @@ class DataflowPlanner {
     std::size_t step = 0;    // cycle position when `planned`
   };
 
-  /// Feeds one committed launch through the recorder/matcher.  Must be
-  /// called for every launch, in commit (epoch) order.
+  /// Feeds one launch through the recorder/matcher.  Must be called for
+  /// every launch, in the order launch() runs them (the single serial launch
+  /// path).
   Observation observe(const analysis::KernelModel& model,
                       const void* kernelTag, const ir::LaunchConfig& cfg,
                       std::span<VirtualBuffer* const> buffers,
@@ -133,7 +134,6 @@ class DataflowPlanner {
   static constexpr std::size_t kMaxRangesPerEdge = 65536;
 
   int numGpus_ = 1;
-  i64 elemBytes_ = 8;
   PartitionFn partitionFor_;
 
   std::vector<Step> history_;  // recording mode; cleared on activation

@@ -34,9 +34,6 @@ using ir::GridPartition;
 
 namespace {
 
-/// Storage element size (matches runtime.cpp: buffers hold 8-byte elements).
-constexpr i64 kElemBytes = 8;
-
 /// Flattened-range explosion guard per (array, device) footprint; beyond it
 /// the migration falls back to the device's full new footprint (still
 /// clipped against the tracker, so only a cost, never a correctness issue).
@@ -222,7 +219,7 @@ RepartitionResult Runtime::migrateKernel(KernelEntry& ke,
             [&](i64 b, i64 e, Owner owner, u64 sharers) {
               ++stats_.trackerSegmentsVisited;
               if (owner < 0 || owner == d) return;  // undefined / already here
-              if (d < 64 && (sharers & (u64{1} << d)) != 0) {
+              if ((sharers & SegmentTracker::sharerBit(d)) != 0) {
                 flips.push_back(Assign{buf, b, e, d});  // replica: no copy
                 return;
               }
@@ -237,10 +234,7 @@ RepartitionResult Runtime::migrateKernel(KernelEntry& ke,
   res.bytesMoved = bytesQueued;
   if (config_.enableTransfers && !moves.empty()) {
     if (config_.transferScheduling) {
-      TransferPlan::Options opts;
-      opts.mergeRanges = true;
-      opts.chainBroadcasts = false;  // transitions are already per-destination
-      TransferPlan plan(opts);
+      TransferPlan plan;  // no chaining: transitions are already per-destination
       for (const Move& m : moves) plan.add(m.buf, m.dst, m.src, m.begin, m.end);
       const TransferPlanStats& ps = plan.issue(*machine_, config_.tracer);
       res.copies = ps.issued;
@@ -267,8 +261,8 @@ RepartitionResult Runtime::migrateKernel(KernelEntry& ke,
 
   // Modeled host cost of assembling/issuing the transition, charged with the
   // same per-row coefficient as reactive transfer creation.
-  const double cost = config_.transferIssueCostPerRow *
-                      static_cast<double>(moves.size() + flips.size());
+  const double cost =
+      kTransferIssueCostPerRow * static_cast<double>(moves.size() + flips.size());
   const double simStart = machine_->now();
   machine_->advanceHost(cost);
   trace::simSpan(config_.tracer, "sim.pattern", "repartition-issue",

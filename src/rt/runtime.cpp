@@ -51,9 +51,6 @@ bool defaultInspectorExecutor() {
 
 namespace {
 
-/// Storage element size: buffers hold 8-byte elements (ir::Type::I64/F64).
-constexpr i64 kElemBytes = 8;
-
 double wallSeconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - since)
       .count();
@@ -95,10 +92,6 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
     throw Error("RuntimeConfig::pipelineDepth must be 0 (got " +
                 std::to_string(config_.pipelineDepth) +
                 "); launches always run synchronously");
-  if (config_.h2dPageBytes < 1)
-    throw Error("RuntimeConfig::h2dPageBytes must be >= 1 (got " +
-                std::to_string(config_.h2dPageBytes) +
-                "); the round-robin scatter copies one page at a time");
   // FM-memoization telemetry baseline: taken before any enumerator is built
   // so this runtime's construction-time projections count toward its sample.
   const pset::FmMemoCounters fmBase = pset::fmMemoCounters();
@@ -110,7 +103,7 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
   if (config_.dataflowPlanning && config_.enableDependencyResolution &&
       config_.enableTransfers)
     planner_ = std::make_unique<DataflowPlanner>(
-        config_.numGpus, kElemBytes,
+        config_.numGpus,
         [this](const KernelModel& m, const Dim3& g, int gpu) {
           return partitionFor(m, g, gpu);
         });
@@ -185,8 +178,7 @@ const Runtime::LaunchPlan* Runtime::resolvePlan(KernelEntry& ke,
   wasHit = false;
   ++stats_.enumCacheMisses;
   trace::instant(config_.tracer, "cache", "plan-miss");
-  const i64 cap = config_.enumerationCachePlansPerKernel;
-  if (cap > 0 && static_cast<i64>(ke.planCache.size()) >= cap) {
+  if (ke.planCache.size() >= kEnumerationCachePlansPerKernel) {
     ke.planCache.erase(ke.planCacheOrder.front());
     ke.planCacheOrder.pop_front();
     ++stats_.enumCacheEvictions;
@@ -331,12 +323,11 @@ void Runtime::memcpy(void* dst, const void* src, i64 bytes, MemcpyKind kind) {
         }
       } else {
         // Round-robin pages (ablation): fragments ownership across GPUs.
-        const i64 page = config_.h2dPageBytes;
         i64 off = 0;
         int i = 0;
         while (off < bytes) {
           const int d = targets[static_cast<std::size_t>(i)];
-          i64 len = std::min(page, bytes - off);
+          i64 len = std::min(kH2DPageBytes, bytes - off);
           machine_->copyHostToDevice(vb->instances_[static_cast<std::size_t>(d)], off,
                                      src ? static_cast<const char*>(src) + off : nullptr,
                                      len);
@@ -418,13 +409,11 @@ GridPartition Runtime::partitionWith(const KernelModel& model, const Dim3& grid,
 
 std::unique_ptr<TransferPlan> Runtime::makeTransferPlan() const {
   if (!config_.transferScheduling || !config_.enableTransfers) return nullptr;
-  TransferPlan::Options opts;
-  opts.mergeRanges = true;
   // Chaining sources a copy from a replica instead of the owner, which is
   // exactly the reuse the sharer bitmap legitimizes; without it, replicas
   // are not tracked and the plan keeps every copy on its owner link.
-  opts.chainBroadcasts = config_.trackSharedCopies;
-  return std::make_unique<TransferPlan>(opts);
+  return std::make_unique<TransferPlan>(
+      /*chainBroadcasts=*/config_.trackSharedCopies);
 }
 
 void Runtime::issueTransferPlan(TransferPlan& plan) {
@@ -446,11 +435,9 @@ void Runtime::issuePrefetches(std::span<const LaunchArg> args,
   trace::Span span(config_.tracer, "runtime", "prefetch-flows", {},
                    {{"edges", static_cast<i64>(edges.size())}});
 
-  TransferPlan::Options opts;
-  opts.mergeRanges = true;
-  opts.chainBroadcasts = false;  // prefetch replicas are sharer-tracked, but
-                                 // flow edges are already per-destination
-  TransferPlan plan(opts);
+  // No broadcast chaining: prefetch replicas are sharer-tracked, but flow
+  // edges are already per-destination.
+  TransferPlan plan;
   plan.markPrefetch();
   plan.setSrcFloors(std::move(kernelDone));
 
@@ -471,13 +458,17 @@ void Runtime::issuePrefetches(std::span<const LaunchArg> args,
     stats_.bytesElided += edge.elidedBytes;
     for (const PlannedTransfer& t : edge.transfers) {
       if (t.src < 0 || t.src >= config_.numGpus) continue;
-      if (t.dst < 0 || t.dst >= config_.numGpus || t.dst >= 64) continue;
+      // A destination without a sharer bit could not record the replica.
+      if (t.dst < 0 || t.dst >= config_.numGpus ||
+          SegmentTracker::sharerBit(t.dst) == 0)
+        continue;
       for (const auto& [rb, re] : t.byteRanges) {
         vb->tracker_.querySharers(
             rb, re, [&](i64 b, i64 e, Owner owner, u64 sharers) {
               ++stats_.trackerSegmentsVisited;
               if (owner != t.src) return;  // plan/reality divergence: skip
-              if ((sharers & (u64{1} << t.dst)) != 0) return;  // already there
+              if ((sharers & SegmentTracker::sharerBit(t.dst)) != 0)
+                return;  // already there
               plan.add(vb, t.dst, t.src, b, e);
               replicas.push_back(Replica{vb, b, e, t.dst});
             });
@@ -500,8 +491,7 @@ void Runtime::issuePrefetches(std::span<const LaunchArg> args,
 
   // Modeled host cost of assembling/issuing the prefetch copies — the same
   // per-row transfer-issue coefficient the reactive path is charged.
-  double cost = config_.transferIssueCostPerRow *
-                static_cast<double>(replicas.size());
+  double cost = kTransferIssueCostPerRow * static_cast<double>(replicas.size());
   double simStart = machine_->now();
   machine_->advanceHost(cost);
   trace::simSpan(config_.tracer, "sim.pattern", "prefetch-issue",
@@ -538,7 +528,7 @@ i64 Runtime::syncReadRange(VirtualBuffer* vb, int gpu, i64 begin, i64 end,
         // trackSharedCopies records reactive replicas, the dataflow planner
         // records prefetched ones.
         if ((config_.trackSharedCopies || config_.dataflowPlanning) &&
-            gpu < 64 && (sharers & (u64{1} << gpu)) != 0) {
+            (sharers & SegmentTracker::sharerBit(gpu)) != 0) {
           if (config_.trackSharedCopies)
             ++stats_.sharedCopyHits;  // replica already valid here
           else
@@ -607,11 +597,10 @@ void Runtime::synchronizeReads(KernelEntry& ke, const LaunchConfig& cfg,
       stats_.rangesResolved += info.ranges;
       stats_.logicalRowsResolved += info.logicalRows;
       stats_.trackerSegmentsVisited += segments;
-      double rowCost =
-          cached ? config_.cachedResolutionCostPerRow : config_.resolutionCostPerRow;
-      double perRow = rowCost +
-                      (config_.enableTransfers ? config_.transferIssueCostPerRow : 0);
-      double cost = config_.resolutionCostPerArray +
+      double rowCost = cached ? kCachedResolutionCostPerRow : kResolutionCostPerRow;
+      double perRow =
+          rowCost + (config_.enableTransfers ? kTransferIssueCostPerRow : 0);
+      double cost = kResolutionCostPerArray +
                     perRow * static_cast<double>(info.logicalRows + segments);
       double simStart = machine_->now();
       machine_->advanceHost(cost);
@@ -652,9 +641,8 @@ void Runtime::updateTrackers(KernelEntry& ke, const LaunchConfig& cfg,
       }
       stats_.rangesResolved += info.ranges;
       stats_.logicalRowsResolved += info.logicalRows;
-      double rowCost =
-          cached ? config_.cachedResolutionCostPerRow : config_.resolutionCostPerRow;
-      double cost = config_.resolutionCostPerArray +
+      double rowCost = cached ? kCachedResolutionCostPerRow : kResolutionCostPerRow;
+      double cost = kResolutionCostPerArray +
                     rowCost * static_cast<double>(info.logicalRows);
       double simStart = machine_->now();
       machine_->advanceHost(cost);
@@ -798,15 +786,13 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
 
   ++stats_.inspectorRuns;
   stats_.inspectedElements += accesses;
-  const double cost =
-      config_.inspectorCostPerElement * static_cast<double>(accesses);
+  const double cost = kInspectorCostPerElement * static_cast<double>(accesses);
   const double simStart = machine_->now();
   machine_->advanceHost(cost);
   trace::simSpan(config_.tracer, "sim.pattern", "inspect", sim::kSimHostTrack,
                  simStart, cost, {{"elements", accesses}});
 
-  const i64 cap = config_.inspectionCacheEntriesPerKernel;
-  if (cap > 0 && static_cast<i64>(ke.inspections.size()) >= cap)
+  if (ke.inspections.size() >= kInspectionCacheEntriesPerKernel)
     ke.inspections.pop_front();
   ke.inspections.push_back(fp);
   return fp;
@@ -833,10 +819,9 @@ void Runtime::synchronizeMayAccessReads(KernelEntry& ke,
                                   elemE * kElemBytes, xferPlan.get());
       stats_.rangesResolved += static_cast<i64>(ranges.size());
       stats_.trackerSegmentsVisited += segments;
-      double perRow =
-          config_.resolutionCostPerRow +
-          (config_.enableTransfers ? config_.transferIssueCostPerRow : 0);
-      double cost = config_.resolutionCostPerArray +
+      double perRow = kResolutionCostPerRow +
+                      (config_.enableTransfers ? kTransferIssueCostPerRow : 0);
+      double cost = kResolutionCostPerArray +
                     perRow * static_cast<double>(
                                  static_cast<i64>(ranges.size()) + segments);
       double simStart = machine_->now();
@@ -1055,7 +1040,7 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
     };
     sim::LaunchOptions opts;
     opts.observer = &observer;
-    opts.costMultiplier = config_.instrumentationSlowdown;
+    opts.costMultiplier = kInstrumentationSlowdown;
     machine_->launchKernel(gpu, *ke.partitioned, partCfg, kargs, opts);
 
     for (auto& [arg, flats] : writes) {
@@ -1079,9 +1064,8 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
         stats_.rangesResolved += 1;
         i = j + 1;
       }
-      double cost = config_.resolutionCostPerArray +
-                    config_.resolutionCostPerRow *
-                        static_cast<double>(flats.size());
+      double cost = kResolutionCostPerArray +
+                    kResolutionCostPerRow * static_cast<double>(flats.size());
       double simStart = machine_->now();
       machine_->advanceHost(cost);
       trace::simSpan(config_.tracer, "sim.pattern", "instrumented-writes",

@@ -50,10 +50,16 @@ class Checkpoint;
 class DataflowPlanner;
 class TransferPlan;
 
+/// Storage element size: virtual buffers hold 8-byte elements
+/// (ir::Type::I64/F64).  Host mirrors, tracker walks, the H2D split and the
+/// footprint flattening all work in whole elements of this size.
+inline constexpr i64 kElemBytes = 8;
+
 /// Host-to-device distribution pattern (Section 8.2: "data is distributed
 /// in a predefined pattern, hoping that this pattern matches the read
 /// pattern of the following kernels.  Currently, this pattern is a linear
-/// distribution").  RoundRobinPages exists for the ablation bench.
+/// distribution").  RoundRobinPages exists for the ablation bench: it deals
+/// fixed 64 KiB pages (Runtime::kH2DPageBytes) to the live devices in turn.
 enum class H2DDistribution { Linear, RoundRobinPages };
 
 /// Process-default enumerator execution tier: POLYPART_ENUMERATOR_TIER
@@ -211,16 +217,6 @@ struct RuntimeConfig {
   /// byte-identical with the inspector on or off.  Defaults to the
   /// POLYPART_INSPECTOR_EXECUTOR environment override, else off.
   bool inspectorExecutor = defaultInspectorExecutor();
-  /// Modeled host cost per may-read access observed by an inspection walk
-  /// (charged on cache misses only; the walk re-executes the kernel's
-  /// address arithmetic on the host).
-  double inspectorCostPerElement = 1e-9;
-  /// Bounded inspection cache size: retained footprint sets per kernel,
-  /// evicted FIFO.  Values < 1 mean unbounded.
-  i64 inspectionCacheEntriesPerKernel = 8;
-  /// Page size for the round-robin distribution (bytes).  Must be >= 1: the
-  /// constructor throws Error naming the field otherwise.
-  i64 h2dPageBytes = 65536;
   /// Launch-plan enumeration cache: memoizes, per kernel, the coalesced
   /// element ranges the enumerators produce for a given (partition tuple,
   /// grid, block, scalars) key.  The ranges are a pure function of that key,
@@ -230,36 +226,9 @@ struct RuntimeConfig {
   /// either way — only the pure enumeration is memoized — so functional
   /// results and transfer counts are identical with the cache on or off.
   bool enableEnumerationCache = true;
-  /// Bounded cache size: retained launch plans per kernel, evicted FIFO.
-  /// Values < 1 mean unbounded.
-  i64 enumerationCachePlansPerKernel = 64;
-  /// Modeled host cost per *logical row* of dependency bookkeeping: the
-  /// paper's runtime enumerates the first/last element of every array row
-  /// and performs a tracker operation per row (Sections 6.1, 8.3).  This
-  /// part runs in the β configuration too, so it is what the paper's
-  /// "patterns" overhead measures (median 0.51 %, max 6.8 %).
-  double resolutionCostPerRow = 3e-9;
-  /// Modeled host cost per logical row when a launch plan is replayed from
-  /// the enumeration cache.  The per-row charging structure of the
-  /// β-overhead model is preserved — every row still pays a tracker
-  /// bookkeeping step — but the polyhedral enumeration of the row is gone,
-  /// so the coefficient is smaller than resolutionCostPerRow.
-  double cachedResolutionCostPerRow = 1e-9;
-  /// Modeled host cost per row of *transfer creation* (assembling and
-  /// issuing the memcpy for a resolved row range).  Skipped when transfers
-  /// are disabled, so it shows up in the α-β "transfers" share, where the
-  /// paper attributes the majority of the overhead.
-  double transferIssueCostPerRow = 35e-9;
-  /// Fixed modeled host cost per (array, partition) resolution step.
-  double resolutionCostPerArray = 2e-6;
   /// Must be 0: the constructor throws Error naming the field otherwise.
   /// Resolution always runs the paper's serial loop (Section 8.3).
   int resolutionThreads = 0;
-  /// Slowdown factor applied to kernels whose write patterns must be
-  /// collected by instrumentation (paper Section 11 future work; dynamic
-  /// collection "yields accurate results at the expense of significant
-  /// runtime overhead").
-  double instrumentationSlowdown = 2.0;
   /// Must be 0: the constructor throws Error naming the field otherwise.
   /// launch() always resolves, transfers, and executes before returning.
   int pipelineDepth = 0;
@@ -461,6 +430,43 @@ class Runtime {
   std::size_t freedRecordCount() const { return freedBuffers_.size(); }
 
  private:
+  // -- fixed costs and bounds of the runtime --------------------------------
+  /// Modeled host cost per *logical row* of dependency bookkeeping: the
+  /// paper's runtime enumerates the first/last element of every array row
+  /// and performs a tracker operation per row (Sections 6.1, 8.3).  This
+  /// part runs in the β configuration too, so it is what the paper's
+  /// "patterns" overhead measures (median 0.51 %, max 6.8 %).
+  static constexpr double kResolutionCostPerRow = 3e-9;
+  /// Modeled host cost per logical row when a launch plan is replayed from
+  /// the enumeration cache.  The per-row charging structure of the
+  /// β-overhead model is preserved — every row still pays a tracker
+  /// bookkeeping step — but the polyhedral enumeration of the row is gone,
+  /// so the coefficient is smaller than kResolutionCostPerRow.
+  static constexpr double kCachedResolutionCostPerRow = 1e-9;
+  /// Modeled host cost per row of *transfer creation* (assembling and
+  /// issuing the memcpy for a resolved row range).  Skipped when transfers
+  /// are disabled, so it shows up in the α-β "transfers" share, where the
+  /// paper attributes the majority of the overhead.
+  static constexpr double kTransferIssueCostPerRow = 35e-9;
+  /// Fixed modeled host cost per (array, partition) resolution step.
+  static constexpr double kResolutionCostPerArray = 2e-6;
+  /// Modeled host cost per may-read access observed by an inspection walk
+  /// (charged on cache misses only; the walk re-executes the kernel's
+  /// address arithmetic on the host).
+  static constexpr double kInspectorCostPerElement = 1e-9;
+  /// Slowdown factor applied to kernels whose write patterns must be
+  /// collected by instrumentation (paper Section 11 future work; dynamic
+  /// collection "yields accurate results at the expense of significant
+  /// runtime overhead").
+  static constexpr double kInstrumentationSlowdown = 2.0;
+  /// Enumeration cache bound: retained launch plans per kernel, evicted FIFO.
+  static constexpr std::size_t kEnumerationCachePlansPerKernel = 64;
+  /// Inspection cache bound: retained footprint sets per kernel, evicted
+  /// FIFO.
+  static constexpr std::size_t kInspectionCacheEntriesPerKernel = 8;
+  /// Page size of the H2DDistribution::RoundRobinPages scatter (bytes).
+  static constexpr i64 kH2DPageBytes = 65536;
+
   /// A cached launch plan: the materialized output of every enumerator of a
   /// kernel (indexed like KernelEntry::enumerators) for one EnumerationKey.
   using LaunchPlan = std::vector<codegen::MaterializedRanges>;
@@ -497,7 +503,7 @@ class Runtime {
     std::vector<VirtualBuffer*> lastBuffers;
     std::vector<i64> lastScalars;
     /// Enumeration cache (one plan per launch configuration seen, FIFO
-    /// bounded by RuntimeConfig::enumerationCachePlansPerKernel).
+    /// bounded by kEnumerationCachePlansPerKernel).
     std::unordered_map<codegen::EnumerationKey, LaunchPlan,
                        codegen::EnumerationKeyHash>
         planCache;
@@ -520,8 +526,7 @@ class Runtime {
     /// inspectable arg, so synchronizeReads() skips it while the inspector is
     /// active (the footprint sync replaces it).
     std::vector<char> enumIsMayRead;
-    /// Inspection cache, FIFO bounded by
-    /// RuntimeConfig::inspectionCacheEntriesPerKernel.
+    /// Inspection cache, FIFO bounded by kInspectionCacheEntriesPerKernel.
     std::deque<std::shared_ptr<const InspectedFootprints>> inspections;
   };
 

@@ -222,6 +222,13 @@ class SegmentTrackerT {
     return o;
   }
 
+  /// The bit of `device` in a segment's sharer set, or 0 for ordinals the
+  /// 64-bit bitmap cannot hold (negative or >= 64).  Every sharer-bit test
+  /// goes through here, so no caller shifts by an out-of-range ordinal.
+  static u64 sharerBit(Owner device) {
+    return device >= 0 && device < 64 ? (u64{1} << device) : 0;
+  }
+
   /// Invariant check: segments tile [0, size) without gaps or overlaps, no
   /// two adjacent segments have identical (owner, sharers), and owners are
   /// always members of their own sharer sets.  Used by property tests.
@@ -254,10 +261,6 @@ class SegmentTrackerT {
     /// Devices holding a valid copy (bit per device; owner's bit included).
     u64 sharers = 0;
   };
-
-  static u64 sharerBit(Owner device) {
-    return device >= 0 && device < 64 ? (u64{1} << device) : 0;
-  }
 
   void clamp(i64& begin, i64& end) const {
     begin = std::max<i64>(begin, 0);

@@ -39,8 +39,8 @@ const std::vector<ScheduledTransfer>& TransferPlan::schedule() {
   stats_.recorded = static_cast<i64>(records_.size());
 
   // Group records by buffer, then by (src, dst) link, both in first-seen
-  // order — a pure function of the canonical decision order, so the schedule
-  // is identical no matter which engine recorded the decisions.
+  // order — a pure function of the canonical decision order the single
+  // serial launch path records, so the schedule is deterministic.
   std::vector<VirtualBuffer*> buffers;
   std::unordered_map<VirtualBuffer*, std::size_t> bufferIndex;
   std::vector<LinkTable> bufferLinks;
@@ -61,22 +61,20 @@ const std::vector<ScheduledTransfer>& TransferPlan::schedule() {
   // (a) Per-link range merging: adjacent or overlapping ranges between the
   // same pair of instances carry the same bytes from the same (static during
   // the sync phase) source, so their union moved once is byte-identical.
-  if (opts_.mergeRanges) {
-    for (auto& perLink : ranges) {
-      for (auto& rs : perLink) {
-        std::sort(rs.begin(), rs.end());
-        std::vector<std::pair<i64, i64>> out;
-        for (const auto& [b, e] : rs) {
-          stats_.bytesSaved += e - b;  // minus the merged lengths below
-          if (!out.empty() && b <= out.back().second)
-            out.back().second = std::max(out.back().second, e);
-          else
-            out.emplace_back(b, e);
-        }
-        stats_.merged += static_cast<i64>(rs.size() - out.size());
-        for (const auto& [b, e] : out) stats_.bytesSaved -= e - b;
-        rs = std::move(out);
+  for (auto& perLink : ranges) {
+    for (auto& rs : perLink) {
+      std::sort(rs.begin(), rs.end());
+      std::vector<std::pair<i64, i64>> out;
+      for (const auto& [b, e] : rs) {
+        stats_.bytesSaved += e - b;  // minus the merged lengths below
+        if (!out.empty() && b <= out.back().second)
+          out.back().second = std::max(out.back().second, e);
+        else
+          out.emplace_back(b, e);
       }
+      stats_.merged += static_cast<i64>(rs.size() - out.size());
+      for (const auto& [b, e] : out) stats_.bytesSaved -= e - b;
+      rs = std::move(out);
     }
   }
 
@@ -129,7 +127,7 @@ const std::vector<ScheduledTransfer>& TransferPlan::schedule() {
       auto [src, dst] = bufferLinks[bi].links[li];
       for (const auto& [b, e] : ranges[bi][li]) {
         Group* g = nullptr;
-        if (opts_.chainBroadcasts && oversubscribed(src))
+        if (chainBroadcasts_ && oversubscribed(src))
           for (Group& cand : groups)
             if (cand.src == src && cand.begin == b && cand.end == e) {
               g = &cand;

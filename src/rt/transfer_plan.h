@@ -73,19 +73,13 @@ struct TransferPlanStats {
 
 class TransferPlan {
  public:
-  struct Options {
-    /// Merge adjacent/overlapping same-(src,dst) ranges per buffer.
-    bool mergeRanges = true;
-    /// Chain one-to-many reads through fresh replicas when the source is
-    /// oversubscribed (> 2x the plan's per-device average copy count).  Only
-    /// sound when the runtime records those replicas as sharers
-    /// (trackSharedCopies), the same condition under which the paper-mode
-    /// tracker would reuse them.
-    bool chainBroadcasts = false;
-  };
-
-  TransferPlan();  // defined below: default arguments for nested classes
-  explicit TransferPlan(Options opts);  // with NSDMIs must be out-of-line
+  /// `chainBroadcasts`: chain one-to-many reads through fresh replicas when
+  /// the source is oversubscribed (> 2x the plan's per-device average copy
+  /// count).  Only sound when the runtime records those replicas as sharers
+  /// (trackSharedCopies), the same condition under which the paper-mode
+  /// tracker would reuse them.  Same-link range merging always runs.
+  explicit TransferPlan(bool chainBroadcasts = false)
+      : chainBroadcasts_(chainBroadcasts) {}
 
   /// Records one decision.  Call order must be the canonical serial
   /// resolution order; the schedule is deterministic given that order.
@@ -121,7 +115,7 @@ class TransferPlan {
   void markPrefetch() { prefetch_ = true; }
 
  private:
-  Options opts_;
+  bool chainBroadcasts_ = false;
   bool prefetch_ = false;
   std::vector<double> srcFloors_;
   std::vector<TransferRecord> records_;
@@ -129,8 +123,5 @@ class TransferPlan {
   bool scheduled_valid_ = false;
   TransferPlanStats stats_;
 };
-
-inline TransferPlan::TransferPlan() : TransferPlan(Options{}) {}
-inline TransferPlan::TransferPlan(Options opts) : opts_(opts) {}
 
 }  // namespace polypart::rt

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rt/runtime.h"
 #include "support/error.h"
 
 namespace polypart::rt {
@@ -12,10 +13,6 @@ using codegen::PartitionTuple;
 using ir::Dim3;
 using ir::GridPartition;
 using ir::LaunchConfig;
-
-namespace {
-constexpr i64 kElemBytes = 8;
-}
 
 UvmRuntime::UvmRuntime(UvmConfig config, analysis::ApplicationModel model,
                        const ir::Module& kernels)

@@ -192,6 +192,47 @@ TEST(Checkpoint, RecoveryAdoptsSurvivingReplicasWithoutRestoreCopies) {
   EXPECT_EQ(got, expect);
 }
 
+TEST(Checkpoint, RecoveryBeyondSixtyFourDevices) {
+  // Devices 64 and up have no bit in the tracker's 64-bit sharer bitmap:
+  // checkpoint and recovery must treat their ranges as exclusively owned
+  // (never shift by the ordinal).  4-thread blocks give every one of the 72
+  // devices a partition, so device 70 owns kernel output when it dies.
+  constexpr int kGpus = 72;
+  constexpr int kDead = 70;
+  ir::Module mod = buildWorkload();
+  Runtime rt(baseConfig(kGpus), analysis::analyzeModule(mod), mod);
+  const i64 bytes = kN * 8;
+  std::vector<double> in = makeInput();
+  VirtualBuffer* va = rt.malloc(bytes);
+  VirtualBuffer* vb = rt.malloc(bytes);
+  rt.memcpy(va, in.data(), bytes, MemcpyKind::HostToDevice);
+
+  const ir::Dim3 grid{kN / 4, 1, 1}, block{4, 1, 1};
+  std::vector<LaunchArg> forward = {LaunchArg::ofInt(kN), LaunchArg::ofBuffer(va),
+                                    LaunchArg::ofBuffer(vb)};
+  std::vector<LaunchArg> backward = {LaunchArg::ofInt(kN),
+                                     LaunchArg::ofBuffer(vb),
+                                     LaunchArg::ofBuffer(va)};
+  rt.launch("scale", grid, block, forward);
+  Checkpoint cp = rt.checkpoint();
+  // Every byte of both buffers has exactly one owner.
+  EXPECT_EQ(cp.payloadBytes(), 2 * bytes);
+
+  rt.machine().failDevice(kDead);
+  Partitioning next = Partitioning::even(kGpus);
+  next.weights[kDead] = 0;
+  rt.recoverDevice(kDead, cp, next);
+  EXPECT_EQ(rt.stats().recoveries, 1);
+  EXPECT_GT(rt.stats().bytesRestored, 0);
+
+  rt.launch("scale", grid, block, backward);
+  std::vector<double> got(kN), expect(kN), tmp(kN);
+  rt.memcpy(got.data(), va, bytes, MemcpyKind::DeviceToHost);
+  refScale(in, tmp);
+  refScale(tmp, expect);
+  EXPECT_EQ(got, expect);
+}
+
 TEST(Checkpoint, RecoveryWithoutCoverageThrows) {
   ir::Module mod = buildWorkload();
   Runtime rt(baseConfig(4), analysis::analyzeModule(mod), mod);

@@ -1,6 +1,7 @@
 // Tests for the dynamic fallbacks the paper's conclusion proposes:
-// instrumentation-collected write patterns, conservative whole-array read
-// synchronization, and programmer annotations of access maps.
+// instrumentation-collected write patterns and programmer annotations of
+// access maps, plus the may-access tier that catches the remaining indirect
+// accesses.
 
 #include <gtest/gtest.h>
 
@@ -218,23 +219,22 @@ TEST(Dynamic, LaunchThatThrowsStillSamplesItsCounters) {
   EXPECT_EQ(launchSamples, std::vector<double>{1.0});
 }
 
-TEST(Dynamic, GatherUsesWholeArrayReadFallback) {
+TEST(Dynamic, GatherReadDemotesToWholeExtentMayAccess) {
   KernelPtr k = buildGather();
-  // Default: the indirect read demotes to the may-access tier; strict mode
-  // restores the reject.
-  EXPECT_TRUE(analysis::analyzeKernel(*k).arrayFor(2)->readMayAccess);
+  // Strict mode restores the paper's reject.
   {
     AnalysisOptions strict;
     strict.allowMayAccess = false;
     EXPECT_THROW(analysis::analyzeKernel(*k, strict), UnsupportedKernelError);
   }
 
-  AnalysisOptions opts;
-  opts.allowWholeArrayReadFallback = true;
-  analysis::KernelModel m = analysis::analyzeKernel(*k, opts);
+  // Default: the indirect read demotes to the may-access tier, whose read
+  // map is the array's whole declared extent.
+  analysis::KernelModel m = analysis::analyzeKernel(*k);
   const analysis::ArrayModel* in = m.arrayFor(2);
   ASSERT_NE(in, nullptr);
-  EXPECT_TRUE(in->readWholeArray);
+  EXPECT_TRUE(in->readMayAccess);
+  EXPECT_FALSE(in->mayAccessWhy.empty());
   EXPECT_TRUE(in->hasReads());
   EXPECT_FALSE(in->read.exact());
   // Whatever the partition, the read covers the full array.
@@ -245,13 +245,11 @@ TEST(Dynamic, GatherUsesWholeArrayReadFallback) {
   EXPECT_FALSE(in->read.contains(params, ins, std::vector<i64>{256}));
 }
 
-TEST(Dynamic, GatherExecutesCorrectlyWithFallback) {
+TEST(Dynamic, GatherExecutesCorrectlyOnMayAccessTier) {
   KernelPtr k = buildGather();
   ir::Module mod;
   mod.addKernel(k);
-  AnalysisOptions opts;
-  opts.allowWholeArrayReadFallback = true;
-  ApplicationModel model = analysis::analyzeModule(mod, opts);
+  ApplicationModel model = analysis::analyzeModule(mod);
 
   const i64 n = 384;
   Rng rng(9);
@@ -260,26 +258,30 @@ TEST(Dynamic, GatherExecutesCorrectlyWithFallback) {
   std::vector<double> in(static_cast<std::size_t>(n));
   for (i64 i = 0; i < n; ++i) in[static_cast<std::size_t>(i)] = static_cast<double>(i) * 0.5;
 
-  for (int gpus : {1, 4, 6}) {
-    auto rt = makeRuntime(mod, model, gpus);
-    VirtualBuffer* dIdx = rt->malloc(n * 8);
-    VirtualBuffer* dIn = rt->malloc(n * 8);
-    VirtualBuffer* dOut = rt->malloc(n * 8);
-    rt->memcpy(dIdx, idx.data(), n * 8, MemcpyKind::HostToDevice);
-    rt->memcpy(dIn, in.data(), n * 8, MemcpyKind::HostToDevice);
-    LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofBuffer(dIdx),
-                        LaunchArg::ofBuffer(dIn), LaunchArg::ofBuffer(dOut)};
-    rt->launch("gather", {n / 64, 1, 1}, {64, 1, 1}, args);
-    std::vector<double> out(static_cast<std::size_t>(n), -1.0);
-    rt->memcpy(out.data(), dOut, n * 8, MemcpyKind::DeviceToHost);
-    for (i64 i = 0; i < n; ++i)
-      EXPECT_EQ(out[static_cast<std::size_t>(i)],
-                in[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])])
-          << gpus << " GPUs, element " << i;
-    rt->free(dIdx);
-    rt->free(dIn);
-    rt->free(dOut);
-  }
+  // Inspector off: the whole-extent read map is synchronized.  On: only the
+  // inspected footprints are.
+  for (bool inspector : {false, true})
+    for (int gpus : {1, 4, 6}) {
+      RuntimeConfig cfg;
+      cfg.numGpus = gpus;
+      cfg.inspectorExecutor = inspector;
+      Runtime rt(cfg, model, mod);
+      VirtualBuffer* dIdx = rt.malloc(n * 8);
+      VirtualBuffer* dIn = rt.malloc(n * 8);
+      VirtualBuffer* dOut = rt.malloc(n * 8);
+      rt.memcpy(dIdx, idx.data(), n * 8, MemcpyKind::HostToDevice);
+      rt.memcpy(dIn, in.data(), n * 8, MemcpyKind::HostToDevice);
+      LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofBuffer(dIdx),
+                          LaunchArg::ofBuffer(dIn), LaunchArg::ofBuffer(dOut)};
+      rt.launch("gather", {n / 64, 1, 1}, {64, 1, 1}, args);
+      EXPECT_EQ(rt.stats().inspectorRuns, inspector ? 1 : 0);
+      std::vector<double> out(static_cast<std::size_t>(n), -1.0);
+      rt.memcpy(out.data(), dOut, n * 8, MemcpyKind::DeviceToHost);
+      for (i64 i = 0; i < n; ++i)
+        EXPECT_EQ(out[static_cast<std::size_t>(i)],
+                  in[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])])
+            << gpus << " GPUs, inspector " << inspector << ", element " << i;
+    }
 }
 
 TEST(Dynamic, AnnotationsOverrideExtractedMaps) {

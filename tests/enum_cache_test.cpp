@@ -182,39 +182,48 @@ TEST(EnumCache, SharedCopyTrackingComposesWithCache) {
 }
 
 TEST(EnumCache, BoundedCacheEvictsFifoAndStaysCorrect) {
+  // 20 distinct scalar n at 4 GPUs are 80 plan keys per pass, more than the
+  // 64 plans a kernel retains.  Each launch misses in read sync (inserting
+  // its four plans) and hits them in the tracker update.  Two passes in the
+  // same cyclic order make FIFO eviction drop every key before its reuse, so
+  // every read-sync lookup misses; results must not notice.
   ir::Module mod = apps::buildBenchmarkModule();
   ApplicationModel model = analysis::analyzeModule(mod);
-  const i64 n = 64;  // 4x4 grid: four non-empty partitions on four GPUs
-  const int iters = 6;
-  Rng rng(77);
-  std::vector<double> init(static_cast<std::size_t>(n * n));
-  std::vector<double> power(static_cast<std::size_t>(n * n));
-  for (auto& v : init) v = rng.uniform() * 50.0;
-  for (auto& v : power) v = rng.uniform();
+  const i64 size = 4096;
+  const int distinct = 20;
+  std::vector<double> x(static_cast<std::size_t>(size));
+  std::vector<double> y0(static_cast<std::size_t>(size));
+  for (i64 i = 0; i < size; ++i) {
+    x[static_cast<std::size_t>(i)] = 0.5 * static_cast<double>(i % 13);
+    y0[static_cast<std::size_t>(i)] = static_cast<double>(i % 7);
+  }
 
-  auto run = [&](bool cache, i64 capacity) {
-    RuntimeConfig cfg = cacheCfg(4, cache);
-    cfg.enumerationCachePlansPerKernel = capacity;
-    Runtime rt(cfg, model, mod);
-    std::vector<double> temp = init;
-    apps::runHotspot(rt, n, iters, temp.data(), power.data());
-    return std::make_pair(temp, rt.stats());
+  auto run = [&](bool cache) {
+    Runtime rt(cacheCfg(4, cache), model, mod);
+    VirtualBuffer* dx = rt.malloc(size * 8);
+    VirtualBuffer* dy = rt.malloc(size * 8);
+    rt.memcpy(dx, x.data(), size * 8, MemcpyKind::HostToDevice);
+    rt.memcpy(dy, y0.data(), size * 8, MemcpyKind::HostToDevice);
+    for (int pass = 0; pass < 2; ++pass)
+      for (int k = 0; k < distinct; ++k) {
+        const i64 n = size - 37 * k;
+        LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofFloat(1.5),
+                            LaunchArg::ofBuffer(dx), LaunchArg::ofBuffer(dy)};
+        rt.launch("saxpy", {(n + 127) / 128, 1, 1}, {128, 1, 1}, args);
+      }
+    std::vector<double> y(static_cast<std::size_t>(size));
+    rt.memcpy(y.data(), dy, size * 8, MemcpyKind::DeviceToHost);
+    return std::make_pair(y, rt.stats());
   };
-  auto [tempOff, statsOff] = run(false, 64);
-  // A capacity of 1 cannot hold the four per-partition plans of one launch:
-  // every lookup evicts, so the cache degrades to materialize-and-replay
-  // but must stay functionally identical.
-  auto [tempTiny, statsTiny] = run(true, 1);
-  EXPECT_EQ(tempTiny, tempOff);
-  EXPECT_EQ(statsTiny.peerCopies, statsOff.peerCopies);
-  EXPECT_EQ(statsTiny.rangesResolved, statsOff.rangesResolved);
-  EXPECT_GT(statsTiny.enumCacheEvictions, 0);
-  // A roomy cache holds all plans: misses only on the first launch and no
-  // evictions.
-  auto [tempBig, statsBig] = run(true, 64);
-  EXPECT_EQ(tempBig, tempOff);
-  EXPECT_EQ(statsBig.enumCacheEvictions, 0);
-  EXPECT_EQ(statsBig.enumCacheMisses, 4);
+  auto [yOff, statsOff] = run(false);
+  auto [yOn, statsOn] = run(true);
+  EXPECT_EQ(yOn, yOff);
+  EXPECT_EQ(statsOn.peerCopies, statsOff.peerCopies);
+  EXPECT_EQ(statsOn.rangesResolved, statsOff.rangesResolved);
+  EXPECT_EQ(statsOn.enumCacheMisses, 2 * distinct * 4);
+  EXPECT_EQ(statsOn.enumCacheHits, 2 * distinct * 4);
+  // The per-kernel bound is 64 plans: every miss past the 64th evicts one.
+  EXPECT_EQ(statsOn.enumCacheEvictions, statsOn.enumCacheMisses - 64);
 }
 
 }  // namespace

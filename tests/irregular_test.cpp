@@ -332,6 +332,58 @@ TEST(Irregular, RepeatLaunchHitsInspectionCache) {
   EXPECT_EQ(got, expect);
 }
 
+TEST(Irregular, InspectionCacheEvictsOldestBeyondEightKeys) {
+  // The inspection cache keeps 8 footprint sets per kernel, evicted FIFO.
+  // Output-buffer identity is part of the key, so nine spmv launches into
+  // nine y buffers are nine distinct keys: the ninth evicts the first.
+  Rng rng(417);
+  const i64 n = 192;
+  const int keys = 9;
+  Csr a = makeBandedCsr(n, 3, rng);
+  std::vector<double> x = makeVector(n, rng);
+  std::vector<double> expect(static_cast<std::size_t>(n));
+  apps::refSpmv(a.rowPtr, a.colIdx, a.vals, x, expect);
+
+  Runtime rt(irregularConfig(4, /*inspector=*/true), irregularModel(),
+             irregularModule());
+  VirtualBuffer* dRow = rt.malloc((n + 1) * 8);
+  VirtualBuffer* dCol = rt.malloc(a.nnz() * 8);
+  VirtualBuffer* dVal = rt.malloc(a.nnz() * 8);
+  VirtualBuffer* dX = rt.malloc(n * 8);
+  rt.memcpy(dRow, a.rowPtr.data(), (n + 1) * 8, MemcpyKind::HostToDevice);
+  rt.memcpy(dCol, a.colIdx.data(), a.nnz() * 8, MemcpyKind::HostToDevice);
+  rt.memcpy(dVal, a.vals.data(), a.nnz() * 8, MemcpyKind::HostToDevice);
+  rt.memcpy(dX, x.data(), n * 8, MemcpyKind::HostToDevice);
+  std::vector<VirtualBuffer*> ys;
+  for (int k = 0; k < keys; ++k) ys.push_back(rt.malloc(n * 8));
+  const ir::Dim3 grid{(n + 63) / 64, 1, 1}, block{64, 1, 1};
+  auto launchInto = [&](VirtualBuffer* dY) {
+    LaunchArg args[] = {LaunchArg::ofInt(n),       LaunchArg::ofInt(n),
+                        LaunchArg::ofInt(a.nnz()), LaunchArg::ofBuffer(dRow),
+                        LaunchArg::ofBuffer(dCol), LaunchArg::ofBuffer(dVal),
+                        LaunchArg::ofBuffer(dX),   LaunchArg::ofBuffer(dY)};
+    rt.launch("spmv", grid, block, args);
+  };
+
+  for (VirtualBuffer* dY : ys) launchInto(dY);
+  EXPECT_EQ(rt.stats().inspectorCacheMisses, keys);
+  EXPECT_EQ(rt.stats().inspectorCacheHits, 0);
+
+  // The newest key is still cached; the oldest was evicted and re-inspects.
+  launchInto(ys.back());
+  EXPECT_EQ(rt.stats().inspectorCacheHits, 1);
+  launchInto(ys.front());
+  EXPECT_EQ(rt.stats().inspectorCacheMisses, keys + 1);
+  EXPECT_EQ(rt.stats().inspectorRuns, keys + 1);
+  EXPECT_EQ(rt.stats().inspectorCacheInvalidations, 0);
+
+  for (VirtualBuffer* dY : ys) {
+    std::vector<double> got(static_cast<std::size_t>(n));
+    rt.memcpy(got.data(), dY, n * 8, MemcpyKind::DeviceToHost);
+    EXPECT_EQ(got, expect);
+  }
+}
+
 TEST(Irregular, WriteToIndirectionBufferInvalidatesInspection) {
   Rng rng(416);
   const i64 n = 192;

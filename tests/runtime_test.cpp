@@ -162,26 +162,46 @@ TEST(Runtime, RetiredEngineKnobsMustBeZero) {
   EXPECT_NE(message(depth).find("pipelineDepth"), std::string::npos);
 }
 
-TEST(Runtime, RoundRobinPageSizeMustBePositive) {
-  // A 0-byte page never advances the round-robin scatter and a negative one
-  // walks it backwards, so the constructor rejects both by name before any
-  // host-to-device copy can use them.
-  for (i64 page : {i64{0}, i64{-8}}) {
-    RuntimeConfig cfg;
-    cfg.numGpus = 2;
-    cfg.h2dDistribution = H2DDistribution::RoundRobinPages;
-    cfg.h2dPageBytes = page;
-    std::string what;
-    try {
-      auto rt = makeRuntime(cfg);
-      std::vector<double> host(64, 1.0);
-      VirtualBuffer* vb = rt->malloc(64 * 8);
-      rt->memcpy(vb, host.data(), 64 * 8, MemcpyKind::HostToDevice);
-    } catch (const Error& e) {
-      what = e.what();
-    }
-    EXPECT_NE(what.find("h2dPageBytes"), std::string::npos) << "page " << page;
+TEST(Runtime, RoundRobinPagesMatchLinearAndReference) {
+  // 192 x 192 doubles are 4.5 pages of 64 KiB: the round-robin scatter over
+  // 3 GPUs deals pages 0..4 to devices 0, 1, 2, 0, 1, the last one partial.
+  const i64 n = 192;
+  const i64 bytes = n * n * 8;
+  const int iters = 3;
+  Rng rng(5);
+  std::vector<double> init(static_cast<std::size_t>(n * n));
+  std::vector<double> power(static_cast<std::size_t>(n * n));
+  for (auto& v : init) v = rng.uniform() * 100.0;
+  for (auto& v : power) v = rng.uniform();
+
+  std::vector<double> a = init, b(static_cast<std::size_t>(n * n), 0.0);
+  for (int it = 0; it < iters; ++it) {
+    apps::refHotspotStep(n, 0.175, 0.05, a, power, b);
+    std::swap(a, b);
   }
+
+  RuntimeConfig cfg;
+  cfg.numGpus = 3;
+  std::vector<double> linear = init;
+  apps::runHotspot(*makeRuntime(cfg), n, iters, linear.data(), power.data());
+  EXPECT_EQ(linear, a);
+
+  cfg.h2dDistribution = H2DDistribution::RoundRobinPages;
+  auto rt = makeRuntime(cfg);
+  VirtualBuffer* vb = rt->malloc(bytes);
+  rt->memcpy(vb, init.data(), bytes, MemcpyKind::HostToDevice);
+  const i64 page = 65536;
+  EXPECT_EQ(vb->tracker().segmentCount(), 5u);
+  EXPECT_EQ(vb->tracker().ownerAt(page - 1), 0);
+  EXPECT_EQ(vb->tracker().ownerAt(page), 1);
+  EXPECT_EQ(vb->tracker().ownerAt(3 * page), 0);
+  EXPECT_EQ(vb->tracker().ownerAt(bytes - 1), 1);
+  rt->free(vb);
+
+  std::vector<double> roundRobin = init;
+  apps::runHotspot(*rt, n, iters, roundRobin.data(), power.data());
+  EXPECT_EQ(roundRobin, linear);
+  EXPECT_EQ(roundRobin, a);
 }
 
 TEST(Runtime, LaunchValidatesUnitAxes) {

@@ -90,9 +90,7 @@ TEST_F(TransferPlanUnit, DistinctLinksAndBuffersNeverMerge) {
 }
 
 TEST_F(TransferPlanUnit, ChainsOneToManyReadsThroughFreshReplicas) {
-  TransferPlan::Options opts;
-  opts.chainBroadcasts = true;
-  TransferPlan plan(opts);
+  TransferPlan plan(/*chainBroadcasts=*/true);
   plan.add(vb_, 1, 0, 0, 256);
   plan.add(vb_, 2, 0, 0, 256);
   plan.add(vb_, 3, 0, 0, 256);
@@ -127,9 +125,7 @@ TEST_F(TransferPlanUnit, BalancedAllToAllIsLeftDirect) {
   // Chaining enabled, but every device sends as much as it receives (the
   // matmul panel-exchange shape): the oversubscription gate keeps every
   // copy direct, where a forced chain would only add replica dependencies.
-  TransferPlan::Options opts;
-  opts.chainBroadcasts = true;
-  TransferPlan plan(opts);
+  TransferPlan plan(/*chainBroadcasts=*/true);
   for (int src = 0; src < 4; ++src)
     for (int dst = 0; dst < 4; ++dst)
       if (src != dst) plan.add(vb_, dst, src, src * 256, src * 256 + 256);
@@ -140,7 +136,7 @@ TEST_F(TransferPlanUnit, BalancedAllToAllIsLeftDirect) {
 }
 
 TEST_F(TransferPlanUnit, ChainingOffPullsEverythingFromTheOwner) {
-  TransferPlan plan;  // default options: chainBroadcasts off
+  TransferPlan plan;  // chainBroadcasts off
   plan.add(vb_, 1, 0, 0, 256);
   plan.add(vb_, 2, 0, 0, 256);
   plan.add(vb_, 3, 0, 0, 256);

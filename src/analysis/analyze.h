@@ -27,28 +27,23 @@ namespace polypart::analysis {
 /// behaviour for non-affine subscripts).
 bool defaultAllowMayAccess();
 
-/// Fallback policies for kernels the purely static analysis rejects.
-/// Instrumented writes and annotations implement directions the paper's
-/// conclusion names explicitly: "this limitation can be remedied by using
-/// instrumentation to collect write patterns ... or annotation of the source
-/// code with write patterns".
+/// Fallback policies for kernels the purely static analysis rejects.  The
+/// paper's conclusion names two remedies: "this limitation can be remedied
+/// by using instrumentation to collect write patterns ... or annotation of
+/// the source code with write patterns".  The may-access tier implements the
+/// first for non-affine subscripts and guards (the runtime observes the
+/// written ranges); annotations implement the second and are the only route
+/// for affine writes that are inexact or not provably injective.
 struct AnalysisOptions {
-  /// Writes the polyhedral model cannot capture accurately (non-affine
-  /// indices, non-affine guards, inexact projections, unprovable
-  /// injectivity) mark the array `writeInstrumented` instead of rejecting
-  /// the kernel; the runtime then collects the write pattern by executing
-  /// an instrumented kernel (Functional mode only).
-  bool allowInstrumentedWrites = false;
   /// May-access tier (DESIGN.md "May-access tier & inspector–executor"):
   /// when a subscript is not affine (indirect indexing — x[idx[i]]), demote
   /// the access to a conservative MayAccess record instead of rejecting the
   /// kernel.  May-reads over-approximate to the array's whole declared
   /// extent (readMayAccess); may-writes drop their static map entirely and
   /// the runtime derives the written ranges by observed execution
-  /// (writeMayAccess, Functional mode only).  Checked after the opt-in
-  /// instrumented-write fallback above, so enabling it keeps its behaviour
-  /// for writes.  Scoped to non-affine subscripts: inexact projections and
-  /// unprovable injectivity of otherwise-affine writes still reject.
+  /// (writeMayAccess, Functional mode only).  Scoped to non-affine
+  /// subscripts and guards: inexact projections and unprovable injectivity
+  /// of otherwise-affine writes still reject.
   bool allowMayAccess = defaultAllowMayAccess();
   /// User-supplied access maps overriding the extraction per (kernel
   /// argument); see KernelAnnotations.
@@ -57,9 +52,9 @@ struct AnalysisOptions {
 
 /// Source-level access-pattern annotations (conclusion option 3): exact
 /// read/write maps the programmer asserts for specific array arguments, in
-/// the model's Z^6 -> Z^d space.  Annotated write maps are still checked
-/// for thread-level consistency by the runtime's instrumentation tests, but
-/// are trusted by the analysis.
+/// the model's Z^6 -> Z^d space.  The analysis trusts them: an annotated
+/// access is not extracted, so an annotation also rescues a write the
+/// analysis would reject (strided, or not provably injective).
 class KernelAnnotations {
  public:
   void annotateRead(std::size_t argIndex, pset::Map map) {

@@ -92,8 +92,6 @@ struct Extractor {
   std::vector<RawAccess> accesses;
   std::array<bool, 3> axisUsesBlockIdx{false, false, false};
   std::array<bool, 3> axisUsesThreadIdx{false, false, false};
-  // Arguments that fell back to the dynamic/conservative paths.
-  std::set<std::size_t> instrumentedWriteArgs;
   // Arguments demoted to the may-access tier, with the first demotion
   // diagnostic per argument (ArrayModel::mayAccessWhy).
   std::set<std::size_t> mayReadArgs;
@@ -278,6 +276,11 @@ struct Extractor {
   // -- access collection ------------------------------------------------------
 
   void recordAccess(std::size_t argIndex, bool isWrite, const Expr& flatIndex) {
+    // Annotated accesses are trusted, not extracted (see KernelAnnotations).
+    if (options.annotations &&
+        (isWrite ? options.annotations->writeFor(argIndex)
+                 : options.annotations->readFor(argIndex)))
+      return;
     // Expand the path condition (a stack of DNFs) into its conjunctions and
     // emit one access relation per conjunction.
     std::vector<Conj> pathConjs{{}};
@@ -298,9 +301,8 @@ struct Extractor {
       recordAccessConj(argIndex, isWrite, flatIndex, conj);
   }
 
-  /// Handles an access the polyhedral model cannot represent: route a write
-  /// to the instrumented-write fallback when enabled, then any access to the
-  /// may-access tier, otherwise reject the kernel (the paper's base
+  /// Handles an access the polyhedral model cannot represent: demote it to
+  /// the may-access tier, otherwise reject the kernel (the paper's base
   /// behaviour, restored by POLYPART_STRICT_AFFINE=1).  The diagnostic — in
   /// both the demotion record and the rejection — names the argument and
   /// the offending subscript expression.
@@ -308,10 +310,6 @@ struct Extractor {
                          const std::string& why) {
     const std::string diag =
         why + " on '" + kernel.param(argIndex).name + "'";
-    if (isWrite && options.allowInstrumentedWrites) {
-      instrumentedWriteArgs.insert(argIndex);
-      return;
-    }
     if (options.allowMayAccess &&
         (isWrite || !shapes[argIndex].empty())) {
       // May-reads need a declared shape for the whole-extent box; may-writes
@@ -680,8 +678,7 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
 
     for (const RawAccess& acc : ex.accesses) {
       if (acc.argIndex != argIndex) continue;
-      // Arrays on a fallback path ignore their (partial) static accesses.
-      if (acc.isWrite && ex.instrumentedWriteArgs.count(argIndex)) continue;
+      // Arrays on the may-access tier ignore their (partial) static accesses.
       if (acc.isWrite && ex.mayWriteArgs.count(argIndex)) continue;
       if (!acc.isWrite && ex.mayReadArgs.count(argIndex)) continue;
       // Project out loop dimensions first.
@@ -691,18 +688,11 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
       for (const Constraint& c : p.set.constraints()) aligned.add(c);
       if (p.set.markedEmpty()) continue;
       if (acc.isWrite) {
-        if (!exact) {
-          if (options.allowInstrumentedWrites) {
-            ex.instrumentedWriteArgs.insert(argIndex);
-            writeThread = Map(threadSpace);
-            continue;
-          }
+        if (!exact)
           throw UnsupportedKernelError(
               "kernel '" + kernel.name() + "': write map of '" +
               kernel.param(argIndex).name + "' lost accuracy under projection");
-        }
-        if (!ex.instrumentedWriteArgs.count(argIndex))
-          writeThread.addPart(std::move(aligned));
+        writeThread.addPart(std::move(aligned));
       } else {
         readApprox = readApprox || !exact;
         readThread.addPart(std::move(aligned));
@@ -734,19 +724,12 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
     readThread = pinUnitAxes(readThread);
     writeThread = pinUnitAxes(writeThread);
 
-    if (!writeThread.isEmpty() && !ex.instrumentedWriteArgs.count(argIndex) &&
-        !isThreadInjective(writeThread)) {
-      if (options.allowInstrumentedWrites) {
-        ex.instrumentedWriteArgs.insert(argIndex);
-        writeThread = Map(threadSpace);
-      } else {
-        throw UnsupportedKernelError(
-            "kernel '" + kernel.name() + "': write map of '" +
-            kernel.param(argIndex).name +
-            "' is not injective; write-after-write hazards prohibit "
-            "multi-GPU execution");
-      }
-    }
+    if (!writeThread.isEmpty() && !isThreadInjective(writeThread))
+      throw UnsupportedKernelError(
+          "kernel '" + kernel.name() + "': write map of '" +
+          kernel.param(argIndex).name +
+          "' is not injective; write-after-write hazards prohibit "
+          "multi-GPU execution");
 
     // Eliminate the threadIdx dimensions (Section 4.1).
     auto dropTids = [&](const Map& m, bool isWrite) {
@@ -773,17 +756,7 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
     am.elemType = kernel.param(argIndex).type;
     am.read = dropTids(readThread, false);
     if (readApprox) am.read.markInexact();
-    try {
-      am.write = dropTids(writeThread, true);
-    } catch (const UnsupportedKernelError&) {
-      // Exactness lost while eliminating threadIdx (e.g. strided writes):
-      // fall back to instrumentation when permitted.
-      if (!options.allowInstrumentedWrites) throw;
-      ex.instrumentedWriteArgs.insert(argIndex);
-      am.write = Map(mapSpace);
-    }
-    am.writeInstrumented = ex.instrumentedWriteArgs.count(argIndex) > 0;
-    if (am.writeInstrumented) am.write = Map(mapSpace);
+    am.write = dropTids(writeThread, true);
     am.readMayAccess = ex.mayReadArgs.count(argIndex) > 0;
     am.writeMayAccess = ex.mayWriteArgs.count(argIndex) > 0;
     if (am.writeMayAccess) am.write = Map(mapSpace);
@@ -830,25 +803,22 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
       am.read = std::move(whole);
     }
 
-    // Source annotations override the extracted maps (conclusion option 3).
+    // Source annotations supply the maps of the accesses extraction skipped
+    // (conclusion option 3).
     if (options.annotations) {
       if (const pset::Map* r = options.annotations->readFor(argIndex)) {
         PP_ASSERT_MSG(r->space() == mapSpace,
                       "annotated read map has the wrong space");
         am.read = *r;
-        am.readMayAccess = false;
       }
       if (const pset::Map* w = options.annotations->writeFor(argIndex)) {
         PP_ASSERT_MSG(w->space() == mapSpace,
                       "annotated write map has the wrong space");
         am.write = *w;
-        am.writeInstrumented = false;
-        am.writeMayAccess = false;
       }
     }
 
-    if (am.hasReads() || am.hasWrites() || am.writeInstrumented ||
-        am.writeMayAccess)
+    if (am.hasReads() || am.hasWrites() || am.writeMayAccess)
       model.arrays.push_back(std::move(am));
   }
 

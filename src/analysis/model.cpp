@@ -85,6 +85,21 @@ Map mapFromJson(const json::Value& v, const Space& paramSpace) {
   return m;
 }
 
+bool isArrayFromJson(const json::Value& v) {
+  const std::string& s = v.asString();
+  if (s == "array") return true;
+  if (s == "scalar") return false;
+  throw ModelFormatError("model field \"kind\" has unknown value \"" + s + "\"");
+}
+
+ir::Type typeFromJson(const json::Value& v, const char* field) {
+  const std::string& s = v.asString();
+  if (s == "i64") return ir::Type::I64;
+  if (s == "f64") return ir::Type::F64;
+  throw ModelFormatError(std::string("model field \"") + field +
+                         "\" has unknown value \"" + s + "\"");
+}
+
 }  // namespace
 
 Space modelParamSpace(const ir::Kernel& kernel) {
@@ -148,7 +163,6 @@ json::Value KernelModel::toJson() const {
     av["shape"] = std::move(shape);
     av["read"] = mapToJson(a.read);
     av["write"] = mapToJson(a.write);
-    av["write_instrumented"] = a.writeInstrumented;
     av["read_may_access"] = a.readMayAccess;
     av["write_may_access"] = a.writeMayAccess;
     if (!a.mayAccessWhy.empty()) av["may_access_why"] = a.mayAccessWhy;
@@ -172,8 +186,8 @@ KernelModel KernelModel::fromJson(const json::Value& v) {
   for (const json::Value& pv : v.at("params").asArray()) {
     ParamInfo p;
     p.name = pv.at("name").asString();
-    p.isArray = pv.at("kind").asString() == "array";
-    p.type = pv.at("type").asString() == "i64" ? ir::Type::I64 : ir::Type::F64;
+    p.isArray = isArrayFromJson(pv.at("kind"));
+    p.type = typeFromJson(pv.at("type"), "type");
     if (const json::Value* idx = pv.asObject().find("param_index"))
       p.modelParamIndex = static_cast<std::size_t>(idx->asInt());
     m.params.push_back(std::move(p));
@@ -184,12 +198,19 @@ KernelModel KernelModel::fromJson(const json::Value& v) {
     ArrayModel a;
     a.argIndex = static_cast<std::size_t>(av.at("arg").asInt());
     a.name = av.at("name").asString();
-    a.elemType = av.at("elem").asString() == "i64" ? ir::Type::I64 : ir::Type::F64;
+    a.elemType = typeFromJson(av.at("elem"), "elem");
     for (const json::Value& sv : av.at("shape").asArray())
       a.shape.push_back(rowFromJson(sv, paramSpace.cols()));
     a.read = mapFromJson(av.at("read"), paramSpace);
     a.write = mapFromJson(av.at("write"), paramSpace);
-    a.writeInstrumented = av.at("write_instrumented").asBool();
+    // Files from before the instrumented-write tier was retired carry
+    // "write_instrumented"; `false` is harmless, but `true` marks an array
+    // whose writes nothing would track any more.
+    if (const json::Value* wi = av.asObject().find("write_instrumented");
+        wi != nullptr && wi->asBool())
+      throw ModelFormatError("kernel '" + m.kernel + "', array '" + a.name +
+                             "': write_instrumented models are no longer "
+                             "supported; re-run the analysis");
     // May-access fields are absent in pre-tier model files (still loadable).
     if (const json::Value* rm = av.asObject().find("read_may_access"))
       a.readMayAccess = rm->asBool();

@@ -59,9 +59,6 @@ struct ArrayModel {
   pset::Map read;
   /// Write map Z^6 -> Z^d; guaranteed exact and thread-injective.
   pset::Map write;
-  /// The static model could not capture the writes: the runtime must
-  /// collect them by instrumented execution (paper Section 11).
-  bool writeInstrumented = false;
   /// May-access tier (indirect subscripts, AnalysisOptions::allowMayAccess).
   /// readMayAccess: `read` is the whole-extent over-approximation of an
   /// unprovable read; the runtime may tighten it per launch with the

@@ -71,14 +71,13 @@ using footprint::rebase;
 bool DataflowPlanner::compilePlan() {
   const std::size_t p = cycle_.size();
   edgesByStep_.assign(p, {});
-  // Kernels whose write patterns only instrumentation can observe have no
-  // static write map to compose — the whole cycle stays reactive.  Same for
-  // the may-access tier: its write sets are observed, not modeled, and its
-  // read over-approximations would compile into whole-buffer prefetches that
-  // defeat the inspector's exact footprints.
+  // The may-access tier keeps the whole cycle reactive: its write sets are
+  // observed, not modeled, so there is no static write map to compose, and
+  // its read over-approximations would compile into whole-buffer prefetches
+  // that defeat the inspector's exact footprints.
   for (const Step& st : cycle_)
     for (const ArrayModel& a : st.model->arrays)
-      if (a.writeInstrumented || a.writeMayAccess || a.readMayAccess)
+      if (a.writeMayAccess || a.readMayAccess)
         return false;
 
   for (std::size_t s = 0; s < p; ++s) {

@@ -123,7 +123,7 @@ class DataflowPlanner {
   std::size_t detectPeriod() const;
   /// Compiles the flow edges of `cycle_` (positions the edges by producer
   /// step into edgesByStep_).  Returns false when nothing in the cycle can
-  /// be planned (e.g. instrumented writes) — the plan is not activated.
+  /// be planned (e.g. may-access writes) — the plan is not activated.
   bool compilePlan();
 
   static constexpr std::size_t kMaxPeriod = 8;

@@ -167,7 +167,7 @@ RepartitionResult Runtime::migrateKernel(KernelEntry& ke,
     // May-access writes have no static map (hasWrites() is already false);
     // their bytes stay where the observed-write tracker updates put them and
     // the next launch's reads resolve reactively.
-    if (!wa.hasWrites() || wa.writeInstrumented || wa.writeMayAccess) continue;
+    if (!wa.hasWrites() || wa.writeMayAccess) continue;
     VirtualBuffer* buf = ke.lastBuffers[wa.argIndex];
     if (buf == nullptr) continue;
     std::optional<std::vector<i64>> dims =

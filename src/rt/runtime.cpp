@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <optional>
-#include <tuple>
 
 #include "pset/fm_internal.h"
 #include "rt/checkpoint.h"
@@ -54,6 +52,43 @@ namespace {
 double wallSeconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - since)
       .count();
+}
+
+std::string paramDesc(bool isArray, ir::Type type) {
+  return std::string(isArray ? "array of " : "scalar ") + ir::typeName(type);
+}
+
+/// Models may come from disk (pass 2 of the compiler driver), so the
+/// constructor checks that `km` describes `k` before any launch indexes the
+/// argument list through it.
+void checkModelMatchesKernel(const KernelModel& km, const ir::Kernel& k) {
+  const std::string where = "model of kernel '" + km.kernel + "': ";
+  if (km.params.size() != k.numParams())
+    throw Error(where + "has " + std::to_string(km.params.size()) +
+                " params, the kernel has " + std::to_string(k.numParams()));
+  for (std::size_t i = 0; i < k.numParams(); ++i) {
+    const analysis::ParamInfo& mp = km.params[i];
+    const ir::Param& kp = k.param(i);
+    if (mp.isArray != kp.isArray || mp.type != kp.type)
+      throw Error(where + "argument " + std::to_string(i) + " ('" + kp.name +
+                  "') is a " + paramDesc(mp.isArray, mp.type) +
+                  " in the model but a " + paramDesc(kp.isArray, kp.type) +
+                  " in the kernel");
+  }
+  std::vector<bool> seen(k.numParams(), false);
+  for (const ArrayModel& a : km.arrays) {
+    const std::string arg =
+        "array '" + a.name + "' names argument " + std::to_string(a.argIndex);
+    if (a.argIndex >= k.numParams())
+      throw Error(where + arg + ", but the kernel has " +
+                  std::to_string(k.numParams()) + " arguments");
+    if (!k.param(a.argIndex).isArray)
+      throw Error(where + arg + ", which is the scalar '" +
+                  k.param(a.argIndex).name + "'");
+    if (seen[a.argIndex])
+      throw Error(where + arg + ", which another array entry already names");
+    seen[a.argIndex] = true;
+  }
 }
 
 }  // namespace
@@ -113,7 +148,10 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
   // (Section 6).
   for (const KernelModel& km : model_.kernels) {
     ir::KernelPtr k = kernels.find(km.kernel);
-    PP_ASSERT_MSG(k != nullptr, "model references a kernel missing from the module");
+    if (k == nullptr)
+      throw Error("model references kernel '" + km.kernel +
+                  "', which the module does not define");
+    checkModelMatchesKernel(km, *k);
     KernelEntry ke;
     ke.model = &km;
     ke.partitioned = ir::partitionKernel(*k);
@@ -123,10 +161,9 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
       e.coalesce = config_.coalesceEnumerators;
       e.tier = config_.enumeratorTier;
     }
-    // May-access tier metadata.  An arg is either instrumented or
-    // may-written, never both (the analysis picks instrumented first), and
-    // RMW may-args are excluded from the inspectable set: the pre-partition
-    // gather already moves their whole extent.
+    // May-access tier metadata.  RMW may-args are excluded from the
+    // inspectable set: the pre-partition gather already moves their whole
+    // extent.
     for (const ArrayModel& a : km.arrays) {
       if (a.writeMayAccess) {
         ke.mayWriteArgs.push_back(a.argIndex);
@@ -911,21 +948,16 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
   if (!ke.mayWriteArgs.empty() || !ke.mayReadArgs.empty())
     ++stats_.mayAccessLaunches;
 
-  // Arrays whose write patterns the static model could not capture are
-  // tracked by instrumented execution (paper Section 11: "using
-  // instrumentation to collect write patterns").  May-access writes and the
-  // inspection walk reuse the same machinery, so all three need functional
-  // buffer contents.
-  std::vector<std::size_t> instrumentedArgs;
-  for (const analysis::ArrayModel& a : model.arrays)
-    if (a.writeInstrumented) instrumentedArgs.push_back(a.argIndex);
-  if ((!instrumentedArgs.empty() || !ke.mayWriteArgs.empty() ||
-       inspectorActiveFor(ke)) &&
+  // May-access writes are tracked by instrumented execution (paper
+  // Section 11: "using instrumentation to collect write patterns"), and the
+  // inspection walk reads index buffers: both need functional buffer
+  // contents.
+  if ((!ke.mayWriteArgs.empty() || inspectorActiveFor(ke)) &&
       machine_->mode() != sim::ExecutionMode::Functional)
     throw UnsupportedOperationError(
         "kernel '" + kernelName +
-        "' needs instrumented or may-access write tracking (or an inspection "
-        "walk), which requires Functional execution");
+        "' needs may-access write tracking (or an inspection walk), which "
+        "requires Functional execution");
 
   // (1b) Dataflow planner: record/match this launch against the detected
   // cycle.  A planned launch keeps the reactive resolution (the tracker
@@ -976,19 +1008,6 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
     if (!planned) machine_->synchronizeAll();
   }
 
-  // Args whose writes must be observed during execution: instrumented ones
-  // plus may-access writes.  The two collapse to the same collect-and-fold
-  // machinery; they differ only in the hazard rule below (may-access write
-  // overlaps between partitions are legal and merge in ascending device
-  // order, which reproduces the sequential interpreter's last-write-wins).
-  std::vector<std::size_t> observedArgs = instrumentedArgs;
-  observedArgs.insert(observedArgs.end(), ke.mayWriteArgs.begin(),
-                      ke.mayWriteArgs.end());
-  std::sort(observedArgs.begin(), observedArgs.end());
-
-  // Per instrumented array: (gpu, element range) for conflict detection.
-  std::map<std::size_t, std::vector<std::tuple<i64, i64, int>>> observedRanges;
-
   // (3) Launch each partition on its GPU (Fig. 4, second loop).  The span is
   // reset before phase (4) so kernel dispatch and tracker update appear as
   // sibling phases on the timeline.
@@ -1022,20 +1041,23 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
     for (i64 v : {gp.lo.x, gp.lo.y, gp.lo.z, gp.hi.x, gp.hi.y, gp.hi.z})
       kargs.push_back(sim::KernelArg::ofInt(v));
 
-    if (observedArgs.empty()) {
+    if (ke.mayWriteArgs.empty()) {
       double done = machine_->launchKernel(gpu, *ke.partitioned, partCfg, kargs);
       if (planned) kernelDone[static_cast<std::size_t>(gpu)] = done;
       continue;
     }
 
-    // Instrumented launch: observe the writes of this partition, then fold
-    // them into the trackers as coalesced element ranges.
+    // Instrumented launch: observe the may-writes of this partition, then
+    // fold them into the trackers as coalesced element ranges.  Partitions
+    // may overlap; folding in ascending device order makes the highest
+    // device's write win, which reproduces the sequential interpreter's
+    // last-write-wins.
     std::map<std::size_t, std::vector<i64>> writes;
     ir::AccessObserver observer = [&](std::size_t arg, bool isWrite, i64 flat,
                                       std::span<const i64, 12>) {
       if (!isWrite) return;
-      if (std::find(observedArgs.begin(), observedArgs.end(), arg) !=
-          observedArgs.end())
+      if (std::find(ke.mayWriteArgs.begin(), ke.mayWriteArgs.end(), arg) !=
+          ke.mayWriteArgs.end())
         writes[arg].push_back(flat);
     };
     sim::LaunchOptions opts;
@@ -1048,19 +1070,12 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
       flats.erase(std::unique(flats.begin(), flats.end()), flats.end());
       VirtualBuffer* vb = args[arg].buffer;
       PP_ASSERT(vb != nullptr);
-      // WAW detection applies to instrumented args only: the static model
-      // claimed their writes were disjoint.  May-access args made no such
-      // claim — overlapping partitions are expected there.
-      const bool checkWaw =
-          std::find(instrumentedArgs.begin(), instrumentedArgs.end(), arg) !=
-          instrumentedArgs.end();
       std::size_t i = 0;
       while (i < flats.size()) {
         std::size_t j = i;
         while (j + 1 < flats.size() && flats[j + 1] == flats[j] + 1) ++j;
         i64 begin = flats[i], end = flats[j] + 1;
         vb->tracker_.update(begin * kElemBytes, end * kElemBytes, gpu);
-        if (checkWaw) observedRanges[arg].emplace_back(begin, end, gpu);
         stats_.rangesResolved += 1;
         i = j + 1;
       }
@@ -1070,25 +1085,6 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
       machine_->advanceHost(cost);
       trace::simSpan(config_.tracer, "sim.pattern", "instrumented-writes",
                      sim::kSimHostTrack, simStart, cost, {{"gpu", gpu}});
-    }
-  }
-
-  // Write-after-write detection across partitions: instrumentation gives the
-  // exact write sets, so overlapping ranges from different GPUs are the
-  // hazard the static analysis would have rejected (Section 4.1).
-  for (auto& [arg, ranges] : observedRanges) {
-    std::sort(ranges.begin(), ranges.end());
-    i64 frontierEnd = std::numeric_limits<i64>::min();
-    int frontierGpu = -1;
-    for (const auto& [b, e, g] : ranges) {
-      if (b < frontierEnd && g != frontierGpu)
-        throw Error("kernel '" + kernelName + "': instrumentation detected a "
-                    "write-after-write hazard between GPUs " +
-                    std::to_string(frontierGpu) + " and " + std::to_string(g));
-      if (e > frontierEnd) {
-        frontierEnd = e;
-        frontierGpu = g;
-      }
     }
   }
 

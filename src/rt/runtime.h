@@ -235,11 +235,11 @@ struct RuntimeConfig {
   /// Launch-pipeline tracer (support/trace.h).  When set, the runtime and the
   /// machine model record structured events — launch/sync/update spans,
   /// plan-cache hit/miss/evict, per-transfer src/dst/bytes, virtual-time
-  /// engine spans — exportable as a Chrome trace.  Must outlive the Runtime.  Null (the default) disables tracing;
-  /// results, modeled timing, RuntimeStats, and MachineStats are identical
-  /// with tracing on or off (tests/trace_test.cpp).  Examples and benches
-  /// wire this to the POLYPART_TRACE=<path> environment hook
-  /// (trace::EnvTraceSession).
+  /// engine spans — exportable as a Chrome trace.  Must outlive the
+  /// Runtime.  Null (the default) disables tracing; results, modeled
+  /// timing, RuntimeStats, and MachineStats are identical with tracing on or
+  /// off (tests/trace_test.cpp).  Examples and benches wire this to the
+  /// POLYPART_TRACE=<path> environment hook (trace::EnvTraceSession).
   trace::Tracer* tracer = nullptr;
 };
 
@@ -454,10 +454,10 @@ class Runtime {
   /// (charged on cache misses only; the walk re-executes the kernel's
   /// address arithmetic on the host).
   static constexpr double kInspectorCostPerElement = 1e-9;
-  /// Slowdown factor applied to kernels whose write patterns must be
-  /// collected by instrumentation (paper Section 11 future work; dynamic
-  /// collection "yields accurate results at the expense of significant
-  /// runtime overhead").
+  /// Slowdown factor applied to kernels with may-access writes, whose
+  /// written ranges the runtime collects by instrumented execution (paper
+  /// Section 11 future work; dynamic collection "yields accurate results at
+  /// the expense of significant runtime overhead").
   static constexpr double kInstrumentationSlowdown = 2.0;
   /// Enumeration cache bound: retained launch plans per kernel, evicted FIFO.
   static constexpr std::size_t kEnumerationCachePlansPerKernel = 64;
@@ -510,9 +510,10 @@ class Runtime {
     std::deque<codegen::EnumerationKey> planCacheOrder;
     /// May-access tier metadata, precomputed at construction.
     /// Args whose writes left the static model (ArrayModel::writeMayAccess):
-    /// executeLaunch() observes their stores like instrumented writes, but
-    /// overlaps between partitions are legal (merged in ascending device
-    /// order, which reproduces the sequential interpreter's last-write-wins).
+    /// executeLaunch() observes their stores and folds them into the
+    /// trackers.  Overlaps between partitions are legal: they merge in
+    /// ascending device order, which reproduces the sequential interpreter's
+    /// last-write-wins.
     std::vector<std::size_t> mayWriteArgs;
     /// May-written args the kernel also reads (read-modify-write): every
     /// partition must see its predecessors' merged writes, so the runtime

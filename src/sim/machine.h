@@ -51,10 +51,10 @@ struct KernelArg {
 
 /// Options for one simulated kernel launch.
 struct LaunchOptions {
-  /// Invoked on every global access during Functional execution (used by
-  /// the instrumented-write fallback, paper Section 11 future work).
+  /// Invoked on every global access during Functional execution (used to
+  /// collect may-access writes, paper Section 11 future work).
   const ir::AccessObserver* observer = nullptr;
-  /// Scales the modeled kernel duration (instrumented kernels pay the
+  /// Scales the modeled kernel duration (observed launches pay the
   /// "significant runtime overhead" the paper attributes to dynamic
   /// write-pattern collection).
   double costMultiplier = 1.0;

@@ -1,8 +1,10 @@
 // Additional analysis tests: 3-D grids, transposed writes, strategy
-// heuristics, scalar parameter plumbing, grid-dimension uses, and
-// model-space conventions.
+// heuristics, scalar parameter plumbing, grid-dimension uses, model-space
+// conventions, and the model's disk format.
 
 #include <gtest/gtest.h>
+
+#include <functional>
 
 #include "analysis/analyze.h"
 #include "apps/kernels.h"
@@ -171,13 +173,32 @@ TEST(AnalysisMore, MultipleWritersSameArray) {
     b.store(out, i * iconst(2) + iconst(1), fconst(2.0));  // ...and odd slots
   });
   // Each store alone is strided (inexact under projection); the kernel must
-  // be rejected without fallbacks, accepted with instrumentation.
+  // be rejected unless the programmer annotates the union, which is the
+  // contiguous 2*box <= a0 < 2*(box + bdx), a0 < 2n.
   KernelPtr k = b.build();
   EXPECT_THROW(analyzeKernel(*k), UnsupportedKernelError);
+
+  pset::Space space = accessMapSpace(modelParamSpace(*k), 1);
+  pset::LinExpr a0 = pset::LinExpr::dim(space, pset::DimId::out(0));
+  pset::LinExpr box = pset::LinExpr::dim(space, pset::DimId::in(0));
+  pset::LinExpr bdx = pset::LinExpr::dim(space, pset::DimId::param(0));
+  pset::LinExpr nn = pset::LinExpr::dim(space, pset::DimId::param(6));
+  pset::LinExpr one = pset::LinExpr::constant(space, 1);
+  pset::BasicSet bs(space);
+  bs.addGe(a0);
+  bs.addGe(a0 - box * 2);
+  bs.addGe(box * 2 + bdx * 2 - a0 - one);
+  bs.addGe(nn * 2 - a0 - one);
+  pset::Map evenOdd(space);
+  evenOdd.addPart(std::move(bs));
+  KernelAnnotations ann;
+  ann.annotateWrite(1, evenOdd);
   AnalysisOptions opts;
-  opts.allowInstrumentedWrites = true;
+  opts.annotations = &ann;
   KernelModel m = analyzeKernel(*k, opts);
-  EXPECT_TRUE(m.arrayFor(1)->writeInstrumented);
+  ASSERT_NE(m.arrayFor(1), nullptr);
+  EXPECT_TRUE(m.arrayFor(1)->hasWrites());
+  EXPECT_FALSE(m.arrayFor(1)->writeMayAccess);
 }
 
 TEST(AnalysisMore, BenchmarkModelsRoundTripThroughDiskFormat) {
@@ -194,6 +215,56 @@ TEST(AnalysisMore, BenchmarkModelsRoundTripThroughDiskFormat) {
       EXPECT_EQ(re.arrays[i].shape.size(), km.arrays[i].shape.size());
     }
   }
+}
+
+TEST(AnalysisMore, ModelFormatRejectsUnknownAndRetiredValues) {
+  // Model files are outside input (pass 2 loads them from disk): unknown
+  // enum strings and retired tiers must fail to load, naming what is wrong.
+  const std::string good = analyzeKernel(*apps::buildSaxpy()).toJson().dump();
+  auto load = [&](const std::function<void(json::Value&)>& edit) {
+    json::Value v = json::Value::parse(good);
+    edit(v);
+    return KernelModel::fromJson(v);
+  };
+  auto message = [&](const std::function<void(json::Value&)>& edit) {
+    try {
+      load(edit);
+    } catch (const ModelFormatError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  auto contains = [](const std::string& s, const std::string& part) {
+    return s.find(part) != std::string::npos;
+  };
+
+  // Files written before the instrumented-write tier was retired carry
+  // "write_instrumented"; `false` loads like the key's absence.
+  const KernelModel current = load([](json::Value&) {});
+  const KernelModel legacy = load([](json::Value& v) {
+    for (json::Value& a : v["arrays"].asArray()) a["write_instrumented"] = false;
+  });
+  ASSERT_EQ(legacy.arrays.size(), current.arrays.size());
+  for (std::size_t i = 0; i < current.arrays.size(); ++i) {
+    EXPECT_EQ(legacy.arrays[i].write.str(), current.arrays[i].write.str());
+    EXPECT_EQ(legacy.arrays[i].read.str(), current.arrays[i].read.str());
+  }
+
+  const std::string retired = message([](json::Value& v) {
+    v["arrays"].asArray()[0]["write_instrumented"] = true;
+  });
+  EXPECT_TRUE(contains(retired, "'saxpy'")) << retired;
+  EXPECT_TRUE(contains(retired, "'" + current.arrays[0].name + "'")) << retired;
+
+  const std::string kind =
+      message([](json::Value& v) { v["params"].asArray()[2]["kind"] = "arrya"; });
+  EXPECT_TRUE(contains(kind, "\"kind\"") && contains(kind, "\"arrya\"")) << kind;
+  const std::string type =
+      message([](json::Value& v) { v["params"].asArray()[0]["type"] = "i32"; });
+  EXPECT_TRUE(contains(type, "\"type\"") && contains(type, "\"i32\"")) << type;
+  const std::string elem =
+      message([](json::Value& v) { v["arrays"].asArray()[0]["elem"] = "f32"; });
+  EXPECT_TRUE(contains(elem, "\"elem\"") && contains(elem, "\"f32\"")) << elem;
 }
 
 }  // namespace

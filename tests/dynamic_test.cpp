@@ -1,10 +1,10 @@
-// Tests for the dynamic fallbacks the paper's conclusion proposes:
-// instrumentation-collected write patterns and programmer annotations of
-// access maps, plus the may-access tier that catches the remaining indirect
-// accesses.
+// Tests for the fallbacks the paper's conclusion proposes: the may-access
+// tier, whose writes the runtime collects by instrumented execution, and
+// programmer annotations of access maps.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -74,7 +74,6 @@ TEST(Dynamic, ScatterDemotesToMayWriteByDefault) {
   ASSERT_NE(out, nullptr);
   EXPECT_TRUE(out->writeMayAccess);
   EXPECT_FALSE(out->hasWrites());
-  EXPECT_FALSE(out->writeInstrumented);
   EXPECT_NE(out->mayAccessWhy.find("out"), std::string::npos)
       << out->mayAccessWhy;
 
@@ -83,28 +82,40 @@ TEST(Dynamic, ScatterDemotesToMayWriteByDefault) {
   EXPECT_THROW(analysis::analyzeKernel(*k, strict), UnsupportedKernelError);
 }
 
-TEST(Dynamic, ScatterModelMarksInstrumentedWrite) {
-  KernelPtr k = buildScatter();
-  AnalysisOptions opts;
-  opts.allowInstrumentedWrites = true;
-  analysis::KernelModel m = analysis::analyzeKernel(*k, opts);
-  const analysis::ArrayModel* out = m.arrayFor(3);
-  ASSERT_NE(out, nullptr);
-  EXPECT_TRUE(out->writeInstrumented);
-  EXPECT_FALSE(out->hasWrites());
-  // The serialized model round-trips the flag (pass 1 -> disk -> pass 2).
-  analysis::KernelModel re = analysis::KernelModel::fromJson(
-      json::Value::parse(m.toJson().dump()));
-  EXPECT_TRUE(re.arrayFor(3)->writeInstrumented);
+TEST(Dynamic, ModelRoundTripsMayAccessFlags) {
+  // Pass 1 writes the model to disk and pass 2 reads it back: the tier
+  // flags, their diagnostic and the whole-extent read map must survive.
+  auto roundTrip = [](const KernelPtr& k) {
+    analysis::KernelModel m = analysis::analyzeKernel(*k);
+    analysis::KernelModel re = analysis::KernelModel::fromJson(
+        json::Value::parse(m.toJson().dump()));
+    EXPECT_EQ(re.arrays.size(), m.arrays.size()) << k->name();
+    for (std::size_t i = 0; i < std::min(m.arrays.size(), re.arrays.size()); ++i) {
+      const analysis::ArrayModel& a = m.arrays[i];
+      const analysis::ArrayModel& b = re.arrays[i];
+      EXPECT_EQ(b.readMayAccess, a.readMayAccess) << k->name() << " " << a.name;
+      EXPECT_EQ(b.writeMayAccess, a.writeMayAccess) << k->name() << " " << a.name;
+      EXPECT_EQ(b.mayAccessWhy, a.mayAccessWhy) << k->name() << " " << a.name;
+      EXPECT_EQ(b.read.str(), a.read.str()) << k->name() << " " << a.name;
+      EXPECT_EQ(b.write.str(), a.write.str()) << k->name() << " " << a.name;
+    }
+    return re;
+  };
+  analysis::KernelModel scatter = roundTrip(buildScatter());
+  EXPECT_TRUE(scatter.arrayFor(3)->writeMayAccess);
+  EXPECT_FALSE(scatter.arrayFor(3)->mayAccessWhy.empty());
+  analysis::KernelModel gather = roundTrip(buildGather());
+  EXPECT_TRUE(gather.arrayFor(2)->readMayAccess);
+  EXPECT_FALSE(gather.arrayFor(2)->read.exact());
+  EXPECT_FALSE(gather.arrayFor(2)->mayAccessWhy.empty());
 }
 
-TEST(Dynamic, ScatterExecutesCorrectlyWithInstrumentation) {
+TEST(Dynamic, ScatterExecutesCorrectlyOnMayAccessTier) {
   KernelPtr k = buildScatter();
   ir::Module mod;
   mod.addKernel(k);
-  AnalysisOptions opts;
-  opts.allowInstrumentedWrites = true;
-  ApplicationModel model = analysis::analyzeModule(mod, opts);
+  ApplicationModel model = analysis::analyzeModule(mod);
+  ASSERT_TRUE(model.kernels[0].arrayFor(3)->writeMayAccess);
 
   const i64 n = 512;
   Rng rng(17);
@@ -139,59 +150,61 @@ TEST(Dynamic, ScatterExecutesCorrectlyWithInstrumentation) {
   }
 }
 
-TEST(Dynamic, InstrumentationDetectsWriteAfterWriteHazard) {
+TEST(Dynamic, OverlappingMayWritesAreLastWriteWins) {
+  // Many threads scatter into the same elements, across partitions.  The
+  // runtime folds the observed writes in ascending device order, so each
+  // element ends up with its highest-index writer's value, as in a
+  // sequential run.
   KernelPtr k = buildScatter();
   ir::Module mod;
   mod.addKernel(k);
-  AnalysisOptions opts;
-  opts.allowInstrumentedWrites = true;
-  ApplicationModel model = analysis::analyzeModule(mod, opts);
+  ApplicationModel model = analysis::analyzeModule(mod);
 
-  const i64 n = 256;
-  // All threads write element 0: partitions collide.
-  std::vector<i64> idx(static_cast<std::size_t>(n), 0);
-  std::vector<double> in(static_cast<std::size_t>(n), 1.0);
-  auto rt = makeRuntime(mod, model, 4);
-  VirtualBuffer* dIdx = rt->malloc(n * 8);
-  VirtualBuffer* dIn = rt->malloc(n * 8);
-  VirtualBuffer* dOut = rt->malloc(n * 8);
-  rt->memcpy(dIdx, idx.data(), n * 8, MemcpyKind::HostToDevice);
-  rt->memcpy(dIn, in.data(), n * 8, MemcpyKind::HostToDevice);
-  LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofBuffer(dIdx),
-                      LaunchArg::ofBuffer(dIn), LaunchArg::ofBuffer(dOut)};
-  EXPECT_THROW(rt->launch("scatter", {n / 64, 1, 1}, {64, 1, 1}, args), Error);
-}
+  const i64 n = 512;
+  std::vector<double> in(static_cast<std::size_t>(n));
+  for (i64 i = 0; i < n; ++i) in[static_cast<std::size_t>(i)] = 100.0 + static_cast<double>(i);
+  Rng rng(23);
+  std::vector<i64> manyToOne(static_cast<std::size_t>(n));
+  for (auto& v : manyToOne) v = rng.range(0, n / 8 - 1);  // ~8 writers each
+  std::vector<i64> allZero(static_cast<std::size_t>(n), 0);
 
-TEST(Dynamic, InstrumentationRequiresFunctionalMode) {
-  KernelPtr k = buildScatter();
-  ir::Module mod;
-  mod.addKernel(k);
-  AnalysisOptions opts;
-  opts.allowInstrumentedWrites = true;
-  ApplicationModel model = analysis::analyzeModule(mod, opts);
-  RuntimeConfig cfg;
-  cfg.numGpus = 2;
-  cfg.mode = sim::ExecutionMode::TimingOnly;
-  Runtime rt(cfg, model, mod);
-  VirtualBuffer* dIdx = rt.malloc(256 * 8);
-  VirtualBuffer* dIn = rt.malloc(256 * 8);
-  VirtualBuffer* dOut = rt.malloc(256 * 8);
-  LaunchArg args[] = {LaunchArg::ofInt(256), LaunchArg::ofBuffer(dIdx),
-                      LaunchArg::ofBuffer(dIn), LaunchArg::ofBuffer(dOut)};
-  EXPECT_THROW(rt.launch("scatter", {4, 1, 1}, {64, 1, 1}, args),
-               UnsupportedOperationError);
+  for (std::vector<i64>* idx : {&allZero, &manyToOne}) {
+    std::vector<double> expect(static_cast<std::size_t>(n), -1.0);
+    for (i64 i = 0; i < n; ++i)
+      expect[static_cast<std::size_t>((*idx)[static_cast<std::size_t>(i)])] =
+          in[static_cast<std::size_t>(i)];
+    for (int gpus : {1, 3, 8}) {
+      auto rt = makeRuntime(mod, model, gpus);
+      VirtualBuffer* dIdx = rt->malloc(n * 8);
+      VirtualBuffer* dIn = rt->malloc(n * 8);
+      VirtualBuffer* dOut = rt->malloc(n * 8);
+      std::vector<double> out(static_cast<std::size_t>(n), -1.0);
+      rt->memcpy(dIdx, idx->data(), n * 8, MemcpyKind::HostToDevice);
+      rt->memcpy(dIn, in.data(), n * 8, MemcpyKind::HostToDevice);
+      rt->memcpy(dOut, out.data(), n * 8, MemcpyKind::HostToDevice);
+      LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofBuffer(dIdx),
+                          LaunchArg::ofBuffer(dIn), LaunchArg::ofBuffer(dOut)};
+      EXPECT_NO_THROW(rt->launch("scatter", {n / 64, 1, 1}, {64, 1, 1}, args));
+      rt->memcpy(out.data(), dOut, n * 8, MemcpyKind::DeviceToHost);
+      EXPECT_EQ(out, expect) << gpus << " GPUs, "
+                             << (idx == &allZero ? "all-zero" : "many-to-one")
+                             << " idx";
+      rt->free(dIdx);
+      rt->free(dIn);
+      rt->free(dOut);
+    }
+  }
 }
 
 TEST(Dynamic, LaunchThatThrowsStillSamplesItsCounters) {
-  // The instrumented scatter passes validation and throws from inside the
-  // launch, after counting it: the launch guard must still sample the
-  // counters it moved onto their trace tracks.
+  // The may-write scatter passes validation and throws from inside the
+  // launch, because observing its writes needs Functional execution, after
+  // counting it: the launch guard must still sample the counters it moved
+  // onto their trace tracks.
   KernelPtr k = buildScatter();
   ir::Module mod;
   mod.addKernel(k);
-  AnalysisOptions opts;
-  opts.allowInstrumentedWrites = true;
-  ApplicationModel model = analysis::analyzeModule(mod, opts);
+  ApplicationModel model = analysis::analyzeModule(mod);
   trace::Tracer tracer;
   RuntimeConfig cfg;
   cfg.numGpus = 2;
@@ -299,7 +312,7 @@ TEST(Dynamic, AnnotationsOverrideExtractedMaps) {
   analysis::KernelModel annotated = analysis::analyzeKernel(*k, opts);
   const analysis::ArrayModel* tout2 = annotated.arrayFor(5);
   ASSERT_NE(tout2, nullptr);
-  EXPECT_FALSE(tout2->writeInstrumented);
+  EXPECT_FALSE(tout2->writeMayAccess);
   std::vector<i64> params = {4, 4, 1, 4, 4, 1, 16};
   std::vector<i64> ins = {0, 4, 0, 0, 1, 0};
   EXPECT_TRUE(tout2->write.contains(params, ins, std::vector<i64>{4, 0}));
@@ -308,14 +321,9 @@ TEST(Dynamic, AnnotationsOverrideExtractedMaps) {
 
 TEST(Dynamic, AnnotationRescuesScatterWithKnownPattern) {
   // A "scatter" whose index buffer the programmer knows is the identity can
-  // be annotated with the identity write map, avoiding instrumentation.
+  // be annotated with the identity write map, avoiding the may-access tier.
   KernelPtr k = buildScatter();
-  analysis::KernelModel base;
-  {
-    AnalysisOptions opts;
-    opts.allowInstrumentedWrites = true;
-    base = analysis::analyzeKernel(*k, opts);
-  }
+  analysis::KernelModel base = analysis::analyzeKernel(*k);
   // Identity map: out dim a0 == box + tx projected => box <= a0 < box+bdx,
   // bounded by n.  Reuse saxpy's write map shape by building it directly.
   pset::Space space = analysis::accessMapSpace(base.paramSpace(), 1);
@@ -334,10 +342,9 @@ TEST(Dynamic, AnnotationRescuesScatterWithKnownPattern) {
   analysis::KernelAnnotations ann;
   ann.annotateWrite(3, identity);
   AnalysisOptions opts;
-  opts.allowInstrumentedWrites = true;
   opts.annotations = &ann;
   analysis::KernelModel m = analysis::analyzeKernel(*k, opts);
-  EXPECT_FALSE(m.arrayFor(3)->writeInstrumented);
+  EXPECT_FALSE(m.arrayFor(3)->writeMayAccess);
   EXPECT_TRUE(m.arrayFor(3)->hasWrites());
 }
 

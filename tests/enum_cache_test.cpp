@@ -99,8 +99,8 @@ TEST(EnumCache, MatmulMatchesReferenceWithCache) {
   }
 }
 
-TEST(EnumCache, InstrumentedScatterIsUnaffectedByCache) {
-  // Instrumented writes bypass the enumerators entirely; the static read
+TEST(EnumCache, MayWriteScatterIsUnaffectedByCache) {
+  // May-access writes bypass the enumerators entirely; the static read
   // maps (idx, in) still go through the cache.
   ir::KernelBuilder kb("scatter");
   auto n = kb.scalar("n", ir::Type::I64);
@@ -111,9 +111,8 @@ TEST(EnumCache, InstrumentedScatterIsUnaffectedByCache) {
   kb.iff(ir::lt(i, n), [&] { kb.store(out, kb.load(idx, i), kb.load(in, i)); });
   ir::Module mod;
   mod.addKernel(kb.build());
-  analysis::AnalysisOptions opts;
-  opts.allowInstrumentedWrites = true;
-  ApplicationModel model = analysis::analyzeModule(mod, opts);
+  ApplicationModel model = analysis::analyzeModule(mod);
+  ASSERT_TRUE(model.kernels[0].arrayFor(3)->writeMayAccess);
 
   const i64 count = 512;
   Rng rng(17);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "apps/reference.h"
 #include "rt/cuda_api.h"
 #include "rt/runtime.h"
+#include "support/json.h"
 #include "support/rng.h"
 
 namespace polypart::rt {
@@ -160,6 +162,49 @@ TEST(Runtime, RetiredEngineKnobsMustBeZero) {
   RuntimeConfig depth;
   depth.pipelineDepth = 1;
   EXPECT_NE(message(depth).find("pipelineDepth"), std::string::npos);
+}
+
+TEST(Runtime, RejectsModelThatDoesNotMatchModule) {
+  // Pass 2 loads models from disk.  A model that does not describe the
+  // module's kernel is rejected at construction, naming the kernel and the
+  // argument, before a launch could index the argument list through it.
+  ir::Module mod;
+  mod.addKernel(apps::buildSaxpy());  // (n: i64, a: f64, x: f64[], y: f64[])
+  const std::string good = analysis::analyzeModule(mod).toJson().dump();
+  auto message = [&](const std::function<void(analysis::KernelModel&)>& edit) {
+    ApplicationModel model = ApplicationModel::fromJson(json::Value::parse(good));
+    edit(model.kernels[0]);
+    // Through the disk format, as pass 2 would see the edited file.
+    model = ApplicationModel::fromJson(json::Value::parse(model.toJson().dump()));
+    try {
+      Runtime rt(RuntimeConfig{}, std::move(model), mod);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  auto says = [](const std::string& msg, std::initializer_list<const char*> parts) {
+    for (const char* p : parts)
+      if (msg.find(p) == std::string::npos) return false;
+    return true;
+  };
+  using analysis::KernelModel;
+  EXPECT_EQ(message([](KernelModel&) {}), "");
+
+  std::string m = message([](KernelModel& km) { km.kernel = "saxpi"; });
+  EXPECT_TRUE(says(m, {"'saxpi'"})) << m;
+  m = message([](KernelModel& km) { km.params.pop_back(); });
+  EXPECT_TRUE(says(m, {"'saxpy'", "3 params", "has 4"})) << m;
+  m = message([](KernelModel& km) { km.params[2].isArray = false; });
+  EXPECT_TRUE(says(m, {"'saxpy'", "argument 2 ('x')"})) << m;
+  m = message([](KernelModel& km) { km.params[3].type = ir::Type::I64; });
+  EXPECT_TRUE(says(m, {"'saxpy'", "argument 3 ('y')"})) << m;
+  m = message([](KernelModel& km) { km.arrays[0].argIndex = 9; });
+  EXPECT_TRUE(says(m, {"'saxpy'", "argument 9"})) << m;
+  m = message([](KernelModel& km) { km.arrays[0].argIndex = 1; });
+  EXPECT_TRUE(says(m, {"'saxpy'", "argument 1", "scalar 'a'"})) << m;
+  m = message([](KernelModel& km) { km.arrays[1].argIndex = km.arrays[0].argIndex; });
+  EXPECT_TRUE(says(m, {"'saxpy'", "already names"})) << m;
 }
 
 TEST(Runtime, RoundRobinPagesMatchLinearAndReference) {

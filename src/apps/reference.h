@@ -2,7 +2,7 @@
 
 // Plain CPU reference implementations of the benchmark computations.  The
 // integration tests compare multi-GPU partitioned execution against these
-// bit-for-bit (the IR interpreter and these loops perform the same double
+// bit-for-bit (the IR engine and these loops perform the same double
 // arithmetic in the same order per element).
 
 #include <span>

@@ -1,9 +1,12 @@
 #include "rt/runtime.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 #include "pset/fm_internal.h"
 #include "rt/checkpoint.h"
@@ -90,6 +93,63 @@ void checkModelMatchesKernel(const KernelModel& km, const ir::Kernel& k) {
     seen[a.argIndex] = true;
   }
 }
+
+/// The distinct element indices one argument's observed accesses touched,
+/// kept in a bit vector over its extent: the raw access stream is
+/// deduplicated as it arrives, and the runs come out in ascending order
+/// without sorting it.  Shared by the inspection walk and the may-write
+/// fold.
+class Footprint {
+ public:
+  explicit Footprint(i64 extent)
+      : words_(static_cast<std::size_t>((extent + 63) / 64), 0), extent_(extent) {}
+
+  /// Records element `flat`.  An index outside the extent is skipped: the
+  /// bounds check that follows the observer throws on it.
+  void add(i64 flat) {
+    if (flat < 0 || flat >= extent_) return;
+    const std::size_t w = static_cast<std::size_t>(flat >> 6);
+    words_[w] |= u64{1} << (flat & 63);
+    lo_ = std::min(lo_, w);
+    hi_ = std::max(hi_, w + 1);
+  }
+
+  /// Appends the maximal runs of recorded elements to `out` as half-open
+  /// ranges in ascending order, returns how many distinct elements were
+  /// recorded, and clears the set.
+  i64 drain(std::vector<std::pair<i64, i64>>& out) {
+    i64 distinct = 0;
+    i64 open = -1;  // first element of the run in progress
+    for (std::size_t w = lo_; w < hi_; ++w) {
+      const u64 bits = std::exchange(words_[w], 0);
+      distinct += std::popcount(bits);
+      const i64 base = static_cast<i64>(w) * 64;
+      int pos = 0;
+      while (pos < 64) {
+        if (open < 0) {
+          if ((bits >> pos) == 0) break;
+          pos += std::countr_zero(bits >> pos);
+          open = base + pos;
+        } else {
+          const u64 gaps = ~bits >> pos;
+          if (gaps == 0) break;
+          pos += std::countr_zero(gaps);
+          out.emplace_back(open, base + pos);
+          open = -1;
+        }
+      }
+    }
+    if (open >= 0) out.emplace_back(open, static_cast<i64>(hi_) * 64);
+    lo_ = SIZE_MAX;
+    hi_ = 0;
+    return distinct;
+  }
+
+ private:
+  std::vector<u64> words_;
+  i64 extent_;
+  std::size_t lo_ = SIZE_MAX, hi_ = 0;  // words that may hold set bits
+};
 
 }  // namespace
 
@@ -744,34 +804,42 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
   }
   ++stats_.inspectorCacheMisses;
 
-  // Host mirrors of every array argument, gathered segment-wise from the
-  // owning device instances (undefined segments stay zero).  The walk runs
-  // all partitions on these *shared* mirrors in ascending device order, so
+  // The walk runs the kernel's address slice (ir::Program::slice): the
+  // inspected reads plus what their indices, branches and loop bounds depend
+  // on.  Host mirrors are gathered segment-wise from the owning device
+  // instances (undefined segments stay zero), and only for the arrays whose
+  // contents the slice reads or writes; the others pass their extent alone,
+  // which the observed reads' bounds checks need.  The walk runs all
+  // partitions on these *shared* mirrors in ascending device order, so
   // stores of earlier partitions are visible to later ones — the same
-  // sequential-interpreter semantics the launch itself reproduces.
-  std::vector<std::vector<i64>> mirrors(bufs.size());
+  // sequential single-device semantics the launch itself reproduces.
+  const ir::Program walk =
+      ir::Program::compile(*ke.partitioned).slice(ke.mayReadArgs);
+  std::vector<std::vector<i64>> mirrors(args.size());
   std::vector<ir::ArgValue> argvals;
   argvals.reserve(args.size() + 6);
-  {
-    std::size_t bi = 0;
-    for (const LaunchArg& a : args) {
-      if (a.buffer == nullptr) {
-        argvals.push_back(ir::ArgValue{a.scalar, nullptr, 0});
-        continue;
-      }
-      std::vector<i64>& m = mirrors[bi++];
-      m.assign(static_cast<std::size_t>(a.buffer->bytes() / kElemBytes), 0);
-      a.buffer->tracker().query(0, a.buffer->bytes(), [&](i64 b, i64 e,
-                                                          Owner owner) {
-        if (owner < 0) return;
-        const char* src = static_cast<const char*>(machine_->bufferData(
-            a.buffer->instances_[static_cast<std::size_t>(owner)]));
-        std::memcpy(reinterpret_cast<char*>(m.data()) + b, src + b,
-                    static_cast<std::size_t>(e - b));
-      });
-      argvals.push_back(
-          ir::ArgValue::ofBuffer(m.data(), static_cast<i64>(m.size())));
+  for (std::size_t ai = 0; ai < args.size(); ++ai) {
+    const LaunchArg& a = args[ai];
+    if (a.buffer == nullptr) {
+      argvals.push_back(ir::ArgValue{a.scalar, nullptr, 0});
+      continue;
     }
+    const i64 extent = a.buffer->bytes() / kElemBytes;
+    if (!walk.accessesData(ai)) {
+      argvals.push_back(ir::ArgValue{ir::Value{}, nullptr, extent});
+      continue;
+    }
+    std::vector<i64>& m = mirrors[ai];
+    m.assign(static_cast<std::size_t>(extent), 0);
+    a.buffer->tracker().query(0, a.buffer->bytes(), [&](i64 b, i64 e,
+                                                        Owner owner) {
+      if (owner < 0) return;
+      const char* src = static_cast<const char*>(machine_->bufferData(
+          a.buffer->instances_[static_cast<std::size_t>(owner)]));
+      std::memcpy(reinterpret_cast<char*>(m.data()) + b, src + b,
+                  static_cast<std::size_t>(e - b));
+    });
+    argvals.push_back(ir::ArgValue::ofBuffer(m.data(), extent));
   }
 
   auto fp = std::make_shared<InspectedFootprints>();
@@ -786,10 +854,19 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
           static_cast<std::size_t>(config_.numGpus)));
 
   std::vector<int> slotOf(args.size(), -1);
-  for (std::size_t i = 0; i < ke.mayReadArgs.size(); ++i)
+  std::vector<Footprint> seen;
+  for (std::size_t i = 0; i < ke.mayReadArgs.size(); ++i) {
     slotOf[ke.mayReadArgs[i]] = static_cast<int>(i);
+    seen.emplace_back(argvals[ke.mayReadArgs[i]].numElements);
+  }
 
   i64 accesses = 0;
+  ir::AccessObserver observer = [&](std::size_t arg, bool isWrite, i64 flat,
+                                    std::span<const i64, 12>) {
+    if (isWrite || slotOf[arg] < 0) return;
+    ++accesses;
+    seen[static_cast<std::size_t>(slotOf[arg])].add(flat);
+  };
   for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
     GridPartition gp = partitionFor(*ke.model, cfg.grid, gpu);
     if (gp.blockCount() == 0) continue;
@@ -798,27 +875,9 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
     std::vector<ir::ArgValue> pargs = argvals;
     for (i64 v : {gp.lo.x, gp.lo.y, gp.lo.z, gp.hi.x, gp.hi.y, gp.hi.z})
       pargs.push_back(ir::ArgValue::ofInt(v));
-    std::vector<std::vector<i64>> flats(ke.mayReadArgs.size());
-    ir::AccessObserver observer = [&](std::size_t arg, bool isWrite, i64 flat,
-                                      std::span<const i64, 12>) {
-      if (isWrite || slotOf[arg] < 0) return;
-      ++accesses;
-      flats[static_cast<std::size_t>(slotOf[arg])].push_back(flat);
-    };
-    ir::execute(*ke.partitioned, partCfg, pargs, observer);
-    for (std::size_t si = 0; si < flats.size(); ++si) {
-      std::vector<i64>& fs = flats[si];
-      std::sort(fs.begin(), fs.end());
-      fs.erase(std::unique(fs.begin(), fs.end()), fs.end());
-      auto& out = fp->ranges[si][static_cast<std::size_t>(gpu)];
-      std::size_t i = 0;
-      while (i < fs.size()) {
-        std::size_t j = i;
-        while (j + 1 < fs.size() && fs[j + 1] == fs[j] + 1) ++j;
-        out.emplace_back(fs[i], fs[j] + 1);
-        i = j + 1;
-      }
-    }
+    walk.run(partCfg, pargs, observer);
+    for (std::size_t si = 0; si < seen.size(); ++si)
+      seen[si].drain(fp->ranges[si][static_cast<std::size_t>(gpu)]);
   }
 
   ++stats_.inspectorRuns;
@@ -874,7 +933,7 @@ void Runtime::gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
                                int gpu) {
   // Read-modify-write may-args carry no static read map, and each partition
   // must observe the merged writes of every earlier one (sequential
-  // interpreter semantics): gather the whole buffer to this device right
+  // single-device semantics): gather the whole buffer to this device right
   // before its partition launches.  The leading barrier also orders this
   // partition behind its predecessor, whose writes fold into the tracker
   // only after its kernel returns.
@@ -1018,6 +1077,16 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
   // passes them as the earliest-start floors of eagerly issued flow copies.
   std::vector<double> kernelDone;
   if (planned) kernelDone.assign(static_cast<std::size_t>(config_.numGpus), 0.0);
+  // May-write observation state, indexed by argument like the inspection
+  // walk's slotOf (left empty for kernels without may-writes).
+  std::vector<int> writeSlot;
+  std::vector<Footprint> written;
+  std::vector<std::pair<i64, i64>> ranges;
+  if (!ke.mayWriteArgs.empty()) writeSlot.assign(args.size(), -1);
+  for (std::size_t arg : ke.mayWriteArgs) {
+    writeSlot[arg] = static_cast<int>(written.size());
+    written.emplace_back(args[arg].buffer->bytes() / kElemBytes);
+  }
   for (int gpu = 0; gpu < config_.numGpus; ++gpu) {
     GridPartition gp = partitionFor(model, grid, gpu);
     if (gp.blockCount() == 0) continue;
@@ -1050,37 +1119,31 @@ void Runtime::executeLaunch(const PreparedLaunch& pl) {
     // Instrumented launch: observe the may-writes of this partition, then
     // fold them into the trackers as coalesced element ranges.  Partitions
     // may overlap; folding in ascending device order makes the highest
-    // device's write win, which reproduces the sequential interpreter's
+    // device's write win, which reproduces sequential single-device
     // last-write-wins.
-    std::map<std::size_t, std::vector<i64>> writes;
     ir::AccessObserver observer = [&](std::size_t arg, bool isWrite, i64 flat,
                                       std::span<const i64, 12>) {
-      if (!isWrite) return;
-      if (std::find(ke.mayWriteArgs.begin(), ke.mayWriteArgs.end(), arg) !=
-          ke.mayWriteArgs.end())
-        writes[arg].push_back(flat);
+      if (isWrite && writeSlot[arg] >= 0)
+        written[static_cast<std::size_t>(writeSlot[arg])].add(flat);
     };
     sim::LaunchOptions opts;
     opts.observer = &observer;
     opts.costMultiplier = kInstrumentationSlowdown;
     machine_->launchKernel(gpu, *ke.partitioned, partCfg, kargs, opts);
 
-    for (auto& [arg, flats] : writes) {
-      std::sort(flats.begin(), flats.end());
-      flats.erase(std::unique(flats.begin(), flats.end()), flats.end());
+    for (std::size_t arg = 0; arg < args.size(); ++arg) {
+      if (writeSlot[arg] < 0) continue;
+      ranges.clear();
+      const i64 distinct =
+          written[static_cast<std::size_t>(writeSlot[arg])].drain(ranges);
+      if (distinct == 0) continue;
       VirtualBuffer* vb = args[arg].buffer;
       PP_ASSERT(vb != nullptr);
-      std::size_t i = 0;
-      while (i < flats.size()) {
-        std::size_t j = i;
-        while (j + 1 < flats.size() && flats[j + 1] == flats[j] + 1) ++j;
-        i64 begin = flats[i], end = flats[j] + 1;
+      for (const auto& [begin, end] : ranges)
         vb->tracker_.update(begin * kElemBytes, end * kElemBytes, gpu);
-        stats_.rangesResolved += 1;
-        i = j + 1;
-      }
+      stats_.rangesResolved += static_cast<i64>(ranges.size());
       double cost = kResolutionCostPerArray +
-                    kResolutionCostPerRow * static_cast<double>(flats.size());
+                    kResolutionCostPerRow * static_cast<double>(distinct);
       double simStart = machine_->now();
       machine_->advanceHost(cost);
       trace::simSpan(config_.tracer, "sim.pattern", "instrumented-writes",

@@ -207,8 +207,8 @@ struct RuntimeConfig {
   /// analysis demoted to the may-access tier synchronize the whole declared
   /// extent of the array (conservative whole-buffer sharing).  On: before
   /// the read synchronization, the runtime runs a host-side inspection walk
-  /// of the partitioned kernel over mirrors of the current buffer contents
-  /// and records the exact per-device element footprints of every
+  /// (the partitioned kernel's address slice) over mirrors of the current
+  /// buffer contents and records the exact per-device element footprints of every
   /// may-access read, then synchronizes only those.  Footprints are cached
   /// per kernel, keyed by (launch geometry, scalars, buffer identities,
   /// buffer content versions, partitioning) and invalidated when any
@@ -512,7 +512,7 @@ class Runtime {
     /// Args whose writes left the static model (ArrayModel::writeMayAccess):
     /// executeLaunch() observes their stores and folds them into the
     /// trackers.  Overlaps between partitions are legal: they merge in
-    /// ascending device order, which reproduces the sequential interpreter's
+    /// ascending device order, which reproduces sequential single-device
     /// last-write-wins.
     std::vector<std::size_t> mayWriteArgs;
     /// May-written args the kernel also reads (read-modify-write): every
@@ -580,10 +580,10 @@ class Runtime {
   /// on and the kernel has inspectable may-access reads.
   bool inspectorActiveFor(const KernelEntry& ke) const;
   /// Returns the (possibly cached) inspection of this launch: a host-side
-  /// walk of the partitioned kernel over mirrors of the current buffer
-  /// contents that records the exact per-device element footprint of every
-  /// inspectable may-access read.  Functional mode only (the walk needs the
-  /// buffer bytes).
+  /// run of the partitioned kernel's address slice (ir::Program::slice) over
+  /// mirrors of the buffers the slice reads, which records the exact
+  /// per-device element footprint of every inspectable may-access read.
+  /// Functional mode only (the walk needs the buffer bytes).
   std::shared_ptr<const InspectedFootprints> inspectFootprints(
       KernelEntry& ke, const ir::LaunchConfig& cfg,
       std::span<const LaunchArg> args, std::span<const i64> scalars);
@@ -597,7 +597,7 @@ class Runtime {
   /// The pre-partition gather for read-modify-write may-access args: before
   /// partition `gpu` launches, every byte of each rmwMayArgs buffer owned
   /// elsewhere is copied to `gpu` so the partition observes its
-  /// predecessors' merged writes (sequential interpreter semantics).
+  /// predecessors' merged writes (sequential single-device semantics).
   void gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
                         int gpu);
   /// Returns the per-launch plan for the read-sync phase when

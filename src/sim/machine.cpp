@@ -268,7 +268,7 @@ double Machine::launchKernel(int device, const ir::Kernel& kernel,
   chargeApiCall();
   ++stats_.kernelLaunches;
 
-  // Bind arguments for the interpreter / cost model.
+  // Bind arguments for execution / the cost model.
   std::vector<ir::ArgValue> bound;
   bound.reserve(args.size());
   for (const KernelArg& a : args) {

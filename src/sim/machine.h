@@ -129,7 +129,7 @@ class Machine {
   // -- kernels ----------------------------------------------------------------
   /// Launches `kernel` asynchronously on `device`.  Buffer args must live on
   /// that device.  Timing uses the static cost model; Functional mode also
-  /// interprets the kernel against device storage.  Returns the modeled
+  /// executes the kernel (ir::execute) against device storage.  Returns the modeled
   /// completion time of the kernel (the dataflow planner passes it as the
   /// `notBefore` floor of eagerly issued downstream copies).
   double launchKernel(int device, const ir::Kernel& kernel,

@@ -7,8 +7,6 @@
 // tracker operations, and (b) the *real* wall-clock cost of dependency
 // resolution per kernel launch.
 
-#include <chrono>
-
 #include "bench/bench_util.h"
 
 int main() {
@@ -34,13 +32,10 @@ int main() {
         // Measure the per-launch enumeration itself, not cached replays.
         rc.enableEnumerationCache = false;
         rt::Runtime rt(rc, model(), module());
-        auto t0 = std::chrono::steady_clock::now();
         if (b == apps::Benchmark::Hotspot)
           apps::runHotspot(rt, cfg.problemSize, iters, nullptr, nullptr);
         else
           apps::runMatmul(rt, cfg.problemSize, nullptr, nullptr, nullptr);
-        double wall = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0).count();
         i64 launches = rt.stats().launches;
         std::printf("  %-8s %-7s %4d %10s  %12.1f  %14.1f  %14.3f\n",
                     apps::benchmarkName(b), apps::problemSizeName(cfg.size), g,

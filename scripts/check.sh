@@ -33,7 +33,9 @@ for stage in "${stages[@]}"; do
   case "$stage" in
     tier1)
       # The seed's build/ tree uses Unix Makefiles; never pass -G here.
-      run cmake -B build -S .
+      # Warnings are errors here (CMake's built-in switch), so a new one
+      # fails the stage instead of scrolling past in the build log.
+      run cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
       run cmake --build build -j "$jobs"
       run ctest --test-dir build -j "$jobs" --output-on-failure
       # Fastest end-to-end smoke of the whole pipeline, with tracing live:

@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <unordered_map>
 
@@ -17,105 +19,218 @@ namespace {
 /// patterns stay far below this, so hitting it indicates a degenerate input.
 constexpr std::size_t kMaxRows = 4096;
 
+enum class RowKind { Normal, Trivial, Contradiction };
+
+/// Per-column multipliers of the coefficient hash (SplitMix64 outputs).
+constexpr std::array<u64, 64> kColumnKeys = [] {
+  std::array<u64, 64> keys{};
+  u64 z = 0;
+  for (u64& k : keys) {
+    z += 0x9E3779B97F4A7C15ull;
+    u64 x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    k = (x ^ (x >> 31)) | 1;
+  }
+  return keys;
+}();
+
+u64 columnKey(std::size_t col) { return kColumnKeys[col % kColumnKeys.size()]; }
+
+/// Linear hash of a row's non-constant coefficients, sum(row[k] * key[k])
+/// mod 2^64.  The opposite row's sum is the negation, so one sum per row
+/// serves both the duplicate and the opposite-pair lookup.
+u64 coeffSum(const Constraint& c) {
+  const auto& row = c.expr.row();
+  u64 sum = 0;
+  for (std::size_t k = 1; k < row.size(); ++k)
+    sum += static_cast<u64>(row[k]) * columnKey(k);
+  return sum;
+}
+
 /// Divides an inequality/equality row by the gcd of its non-constant
-/// coefficients, tightening integer bounds.  Returns false when the row is a
-/// contradiction.
-bool normalizeRow(Constraint& c) {
+/// coefficients, tightening integer bounds, and gives equalities a positive
+/// leading coefficient; `sum` receives the normalized row's coeffSum.  A
+/// constant row is Trivial (always true, dropped) or a Contradiction.  The
+/// gcd scan skips zeros and stops at 1, but every coefficient is still
+/// checked for INT64_MIN, whose magnitude overflows.
+RowKind normalizeRow(Constraint& c, u64& sum) {
   auto& row = c.expr.row();
+  const std::size_t n = row.size();
   i64 g = 0;
-  for (std::size_t i = 1; i < row.size(); ++i) g = gcd(g, row[i]);
+  i64 lead = 0;  // first nonzero coefficient
+  sum = 0;
+  for (std::size_t k = 1; k < n; ++k) {
+    const i64 v = row[k];
+    sum += static_cast<u64>(v) * columnKey(k);
+    if (v == 0) continue;
+    if (v == INT64_MIN) throw OverflowError("abs overflow");
+    if (lead == 0) lead = v;
+    if (g == 1) continue;
+    i64 b = v < 0 ? -v : v;
+    while (b != 0) {
+      const i64 t = g % b;
+      g = b;
+      b = t;
+    }
+  }
   if (g == 0) {
     // Constant row: `const == 0` or `const >= 0`.
-    if (c.isEquality ? row[0] != 0 : row[0] < 0) return false;
-    // Trivially true; normalize to the canonical `0 >= 0` so dedup drops it.
-    row.assign(row.size(), 0);
-    return true;
+    if (c.isEquality ? row[0] != 0 : row[0] < 0) return RowKind::Contradiction;
+    return RowKind::Trivial;
   }
   if (g > 1) {
-    for (std::size_t i = 1; i < row.size(); ++i) row[i] /= g;
+    for (std::size_t k = 1; k < n; ++k) row[k] /= g;
     if (c.isEquality) {
-      if (row[0] % g != 0) return false;  // no integer solutions
+      if (row[0] % g != 0) return RowKind::Contradiction;  // no integer solutions
       row[0] /= g;
     } else {
       row[0] = floorDiv(row[0], g);
     }
+    sum = coeffSum(c);
   }
-  if (c.isEquality) {
+  if (c.isEquality && lead < 0) {
     // Canonical sign: first nonzero coefficient positive.
-    for (std::size_t i = 1; i < row.size(); ++i) {
-      if (row[i] == 0) continue;
-      if (row[i] < 0)
-        for (auto& v : row) v = checkedNeg(v);
-      break;
-    }
+    for (auto& v : row) v = checkedNeg(v);
+    sum = 0 - sum;
   }
+  return RowKind::Normal;
+}
+
+/// True when b's non-constant coefficients equal a's (or their negation).
+bool sameCoeffs(const Constraint& a, const Constraint& b, bool negate) {
+  const auto& x = a.expr.row();
+  const auto& y = b.expr.row();
+  for (std::size_t i = 1; i < x.size(); ++i)
+    if (y[i] != (negate ? -x[i] : x[i])) return false;
   return true;
 }
 
-std::vector<i64> coeffKey(const Constraint& c) {
-  std::vector<i64> key(c.expr.row().begin() + 1, c.expr.row().end());
-  return key;
+/// Lexicographic order of the non-constant coefficients.
+bool coeffsLess(const Constraint& a, const Constraint& b) {
+  const auto& x = a.expr.row();
+  const auto& y = b.expr.row();
+  return std::lexicographical_compare(x.begin() + 1, x.end(), y.begin() + 1,
+                                      y.end());
 }
+
+/// Open-addressing index over the rows simplifyRows keeps, keyed by
+/// (kind, coefficients) and compared in place against the rows themselves.
+/// Per-thread so the steady state allocates nothing.
+struct RowIndex {
+  std::vector<std::uint32_t> slots;  // kept-row index + 1; 0 marks a free slot
+  std::vector<u64> sums;  // coeffSum of each kept row
+  std::size_t mask = 0;
+  int shift = 0;
+
+  void reset(std::size_t rows) {
+    std::size_t cap = 16;
+    shift = 60;
+    while (cap < 2 * rows) {
+      cap *= 2;
+      --shift;
+    }
+    if (slots.size() < cap) slots.resize(cap);
+    std::fill_n(slots.begin(), cap, 0u);
+    if (sums.size() < rows) sums.resize(rows);
+    mask = cap - 1;
+  }
+
+  /// First probe slot of a (kind, coefficient sum) key.
+  std::size_t home(bool isEquality, u64 sum) const {
+    return static_cast<std::size_t>(
+        ((sum + (isEquality ? 0x243F6A8885A308D3ull : 0)) * 0x9E3779B97F4A7C15ull) >>
+        shift);
+  }
+};
+
+thread_local RowIndex rowIndex;  // NOLINT
 
 }  // namespace
 
 void simplifyRows(Rows& r) {
-  std::vector<Constraint> out;
-  out.reserve(r.rows.size());
-  // Strongest inequality per coefficient vector: expr0 + c >= 0 is strongest
-  // for the smallest c.  Equalities keyed separately.
-  std::map<std::vector<i64>, std::size_t> geIndex;
-  std::map<std::vector<i64>, std::size_t> eqIndex;
+  auto& rows = r.rows;
+  RowIndex& index = rowIndex;
+  index.reset(rows.size());
 
-  for (Constraint& c : r.rows) {
-    if (!normalizeRow(c)) {
+  // Strongest inequality per coefficient vector: expr0 + c >= 0 is strongest
+  // for the smallest c.  Equalities are keyed separately.  Kept rows are
+  // compacted to the front of `rows` in first-seen order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    Constraint& c = rows[i];
+    u64 sum = 0;
+    const RowKind kind = normalizeRow(c, sum);
+    if (kind == RowKind::Contradiction) {
       r.empty = true;
       return;
     }
-    std::vector<i64> key = coeffKey(c);
-    bool allZero = std::all_of(key.begin(), key.end(), [](i64 v) { return v == 0; });
-    if (allZero) continue;  // trivially true after normalization
-    if (c.isEquality) {
-      auto [it, inserted] = eqIndex.try_emplace(key, out.size());
-      if (inserted) {
-        out.push_back(c);
-      } else if (out[it->second].expr.constantTerm() != c.expr.constantTerm()) {
-        r.empty = true;  // e = c1 and e = c2 with c1 != c2
-        return;
+    if (kind == RowKind::Trivial) continue;
+    for (std::size_t s = index.home(c.isEquality, sum);; s = (s + 1) & index.mask) {
+      const std::uint32_t slot = index.slots[s];
+      if (slot == 0) {
+        index.slots[s] = static_cast<std::uint32_t>(kept + 1);
+        index.sums[kept] = sum;
+        if (kept != i) rows[kept] = std::move(c);
+        ++kept;
+        break;
       }
-    } else {
-      auto [it, inserted] = geIndex.try_emplace(key, out.size());
-      if (inserted) {
-        out.push_back(c);
+      Constraint& prev = rows[slot - 1];
+      if (index.sums[slot - 1] != sum || prev.isEquality != c.isEquality ||
+          !sameCoeffs(prev, c, false))
+        continue;
+      if (c.isEquality) {
+        if (prev.expr.constantTerm() != c.expr.constantTerm()) {
+          r.empty = true;  // e = c1 and e = c2 with c1 != c2
+          return;
+        }
       } else {
-        Constraint& prev = out[it->second];
         prev.expr.row()[0] = std::min(prev.expr.constantTerm(), c.expr.constantTerm());
       }
+      break;
     }
   }
+  rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(kept), rows.end());
 
   // Promote opposite inequality pairs to equalities and detect empty bands:
   //   e + a >= 0 and -e + b >= 0  mean  -a <= e <= b.
-  for (auto& [key, idx] : geIndex) {
-    std::vector<i64> negKey(key.size());
-    for (std::size_t i = 0; i < key.size(); ++i) negKey[i] = checkedNeg(key[i]);
-    auto it = geIndex.find(negKey);
-    if (it == geIndex.end() || it->second <= idx) continue;  // visit each pair once
-    i64 a = out[idx].expr.constantTerm();
-    i64 b = out[it->second].expr.constantTerm();
-    i64 width = checkedAdd(a, b);
-    if (width < 0) {
-      r.empty = true;
-      return;
+  // Each pair is visited from its earlier row.  When several pairs are
+  // empty or overflow, the outcome is the one of the pair whose earlier row
+  // has the lexicographically smallest coefficients (the order the pairs
+  // were first defined in).
+  std::size_t firstBad = kept;
+  bool firstBadOverflows = false;
+  for (std::size_t i = 0; i < kept; ++i) {
+    if (rows[i].isEquality) continue;
+    const u64 sum = 0 - index.sums[i];
+    std::size_t twin = kept;
+    for (std::size_t s = index.home(false, sum); index.slots[s] != 0;
+         s = (s + 1) & index.mask) {
+      const std::size_t j = index.slots[s] - 1;
+      if (index.sums[j] == sum && !rows[j].isEquality &&
+          sameCoeffs(rows[i], rows[j], true)) {
+        twin = j;
+        break;
+      }
     }
-    if (width == 0) {
-      out[idx].isEquality = true;
-      // Keep the twin; the dedup pass below would be needed to drop it, but a
-      // redundant inequality is harmless and the equality now dominates.
+    if (twin == kept || twin < i) continue;
+    i64 width = 0;
+    const bool overflows = __builtin_add_overflow(
+        rows[i].expr.constantTerm(), rows[twin].expr.constantTerm(), &width);
+    if (overflows || width < 0) {
+      if (firstBad == kept || coeffsLess(rows[i], rows[firstBad])) {
+        firstBad = i;
+        firstBadOverflows = overflows;
+      }
+    } else if (width == 0) {
+      // Keep the twin: a redundant inequality is harmless and the equality
+      // now dominates.
+      rows[i].isEquality = true;
     }
   }
-
-  r.rows = std::move(out);
+  if (firstBad != kept) {
+    if (firstBadOverflows) throw OverflowError("add overflow");
+    r.empty = true;
+  }
 }
 
 i64 evalRow(const LinExpr& e, const std::vector<i64>& values) {
@@ -128,73 +243,96 @@ i64 evalRow(const LinExpr& e, const std::vector<i64>& values) {
 
 namespace {
 
-/// Eliminates a single column from normalized rows.  Returns false (empty)
-/// when a contradiction is found.
+/// Rewrites `c` to `c*cf - o*of` (`sub`) or `c*cf + o*of` in place.  Throws
+/// OverflowError like the equivalent LinExpr expression would: "mul
+/// overflow" when any product overflows, else "add"/"sub overflow".
+void combineInPlace(Constraint& c, i64 cf, const Constraint& o, i64 of, bool sub) {
+  auto& x = c.expr.row();
+  const auto& y = o.expr.row();
+  bool mulOverflow = false;
+  bool sumOverflow = false;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    i64 p = 0;
+    i64 q = 0;
+    mulOverflow |= __builtin_mul_overflow(x[k], cf, &p);
+    mulOverflow |= __builtin_mul_overflow(y[k], of, &q);
+    sumOverflow |= sub ? __builtin_sub_overflow(p, q, &x[k])
+                       : __builtin_add_overflow(p, q, &x[k]);
+  }
+  if (mulOverflow) throw OverflowError("mul overflow");
+  if (sumOverflow) throw OverflowError(sub ? "sub overflow" : "add overflow");
+}
+
+/// Eliminates a single column from normalized rows in place; sets `r.empty`
+/// when a contradiction is found.  Rows without the column keep their
+/// position; rewritten rows keep theirs (equality substitution) or are
+/// replaced by the lower x upper combinations appended at the end.
 void eliminateOne(Rows& r, std::size_t col, bool& exact) {
+  auto& rows = r.rows;
   // Prefer an equality substitution; pick the smallest |coefficient|.
   std::size_t eqIdx = static_cast<std::size_t>(-1);
   i64 eqCoef = 0;
-  for (std::size_t i = 0; i < r.rows.size(); ++i) {
-    const Constraint& c = r.rows[i];
+  std::size_t lowers = 0;
+  std::size_t uppers = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Constraint& c = rows[i];
     i64 a = c.expr[col];
-    if (!c.isEquality || a == 0) continue;
+    if (a == 0) continue;
+    if (a > 0) ++lowers;
+    else ++uppers;
+    if (!c.isEquality) continue;
     if (eqIdx == static_cast<std::size_t>(-1) || std::abs(a) < std::abs(eqCoef)) {
       eqIdx = i;
       eqCoef = a;
     }
   }
 
-  std::vector<Constraint> next;
   if (eqIdx != static_cast<std::size_t>(-1)) {
     // Substitute using the equality E: eqCoef * x + rest == 0.
-    const Constraint E = r.rows[eqIdx];
+    const Constraint E = std::move(rows[eqIdx]);
+    rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(eqIdx));
     const i64 mag = std::abs(eqCoef);
     const i64 sign = eqCoef > 0 ? 1 : -1;
     if (mag != 1) exact = false;  // divisibility of `rest` by eqCoef is lost
-    for (std::size_t i = 0; i < r.rows.size(); ++i) {
-      if (i == eqIdx) continue;
-      Constraint c = r.rows[i];
+    for (Constraint& c : rows) {
       i64 a = c.expr[col];
-      if (a != 0) {
-        // c*mag - E*(a*sign) cancels x and preserves inequality direction.
-        LinExpr scaled = c.expr * mag;
-        LinExpr corr = E.expr * checkedMul(a, sign);
-        c.expr = scaled - corr;
-        PP_ASSERT(c.expr[col] == 0);
-      }
-      next.push_back(std::move(c));
+      if (a == 0) continue;
+      // c*mag - E*(a*sign) cancels x and preserves inequality direction.
+      combineInPlace(c, mag, E, checkedMul(a, sign), /*sub=*/true);
+      PP_ASSERT(c.expr[col] == 0);
     }
-  } else {
-    std::vector<const Constraint*> lowers, uppers;
-    for (const Constraint& c : r.rows) {
-      i64 a = c.expr[col];
-      if (a == 0) {
-        next.push_back(c);
-      } else if (a > 0) {
-        lowers.push_back(&c);
-      } else {
-        uppers.push_back(&c);
-      }
-    }
+  } else if (lowers == 0 || uppers == 0) {
     // One-sided bounds project away exactly.
-    if (!lowers.empty() && !uppers.empty()) {
-      if (next.size() + lowers.size() * uppers.size() > kMaxRows)
-        throw OverflowError("Fourier-Motzkin constraint blowup");
-      for (const Constraint* l : lowers) {
-        for (const Constraint* u : uppers) {
-          i64 a = l->expr[col];        // a > 0
-          i64 b = checkedNeg(u->expr[col]);  // b > 0
-          // Real shadow: b*L + a*U >= 0.  Exact over Z when a==1 or b==1
-          // (Omega test exact-shadow condition).
-          if (a != 1 && b != 1) exact = false;
-          LinExpr combined = l->expr * b + u->expr * a;
-          PP_ASSERT(combined[col] == 0);
-          next.push_back(Constraint::ge(std::move(combined)));
-        }
+    if (lowers + uppers != 0)
+      std::erase_if(rows, [col](const Constraint& c) { return c.expr[col] != 0; });
+  } else {
+    std::vector<Constraint> bounds;
+    bounds.reserve(lowers + uppers);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i].expr[col] != 0) bounds.push_back(std::move(rows[i]));
+      else if (kept++ != i) rows[kept - 1] = std::move(rows[i]);
+    }
+    rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(kept), rows.end());
+    if (rows.size() + lowers * uppers > kMaxRows)
+      throw OverflowError("Fourier-Motzkin constraint blowup");
+    rows.reserve(rows.size() + lowers * uppers);
+    for (const Constraint& l : bounds) {
+      const i64 a = l.expr[col];  // a > 0
+      if (a < 0) continue;
+      for (const Constraint& u : bounds) {
+        if (u.expr[col] > 0) continue;
+        const i64 b = checkedNeg(u.expr[col]);  // b > 0
+        // Real shadow: b*L + a*U >= 0.  Exact over Z when a==1 or b==1
+        // (Omega test exact-shadow condition).
+        if (a != 1 && b != 1) exact = false;
+        Constraint combined = Constraint::ge(l.expr);
+        combineInPlace(combined, b, u, a, /*sub=*/false);
+        PP_ASSERT(combined.expr[col] == 0);
+        rows.push_back(std::move(combined));
       }
     }
   }
-  r.rows = std::move(next);
   simplifyRows(r);
 }
 
@@ -209,25 +347,19 @@ void eliminateOne(Rows& r, std::size_t col, bool& exact) {
 // mutex guards it; entries are evicted FIFO.
 
 struct MemoKey {
+  u64 hash = 0;  // of `words`; compared first
   std::vector<i64> words;
   bool operator==(const MemoKey&) const = default;
 };
 
 struct MemoKeyHash {
-  std::size_t operator()(const MemoKey& k) const {
-    u64 h = 1469598103934665603ull;
-    for (i64 w : k.words) {
-      h ^= static_cast<u64>(w);
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
+  std::size_t operator()(const MemoKey& k) const { return static_cast<std::size_t>(k.hash); }
 };
 
 constexpr std::size_t kMemoEntries = 512;
 std::mutex memoMutex;
 std::unordered_map<MemoKey, ElimResult, MemoKeyHash> memoTable;  // NOLINT
-std::deque<MemoKey> memoOrder;                                   // NOLINT
+std::deque<const MemoKey*> memoOrder;  // keys of memoTable, oldest first; NOLINT
 
 // Observational counters (see FmMemoCounters in fm_internal.h); relaxed
 // atomics because only monotonicity matters, not ordering.
@@ -246,6 +378,16 @@ MemoKey memoKeyFor(const std::vector<Constraint>& rows,
     k.words.push_back(c.isEquality ? 1 : 0);
     for (i64 v : c.expr.row()) k.words.push_back(v);
   }
+  // Four independent multiply chains instead of one serial chain over the
+  // whole key, folded together at the end.
+  u64 lanes[4] = {0x243F6A8885A308D3ull, 0x13198A2E03707344ull,
+                  0xA4093822299F31D0ull, 0x082EFA98EC4E6C89ull};
+  const std::size_t n = k.words.size();
+  for (std::size_t i = 0; i < n; ++i)
+    lanes[i % 4] = (lanes[i % 4] ^ static_cast<u64>(k.words[i])) * 0x100000001B3ull;
+  u64 h = 0;
+  for (u64 lane : lanes) h = (h ^ lane ^ (lane >> 29)) * 0x9E3779B97F4A7C15ull;
+  k.hash = h;
   return k;
 }
 
@@ -261,21 +403,25 @@ ElimResult eliminateColumnsImpl(std::vector<Constraint> rows,
 
   while (!r.empty && !pending.empty()) {
     // Greedy order: eliminate the column with the smallest lower*upper
-    // product to limit growth.
+    // product to limit growth.  A column with an equality, or bounded on
+    // one side only, scores 0; the first such column wins outright.
     std::size_t bestPos = 0;
     long bestScore = -1;
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-      std::size_t col = pending[p];
+    for (std::size_t p = 0; p < pending.size() && bestScore != 0; ++p) {
+      const std::size_t col = pending[p];
       long lo = 0, hi = 0;
       bool hasEq = false;
       for (const Constraint& c : r.rows) {
-        i64 a = c.expr[col];
+        const i64 a = c.expr[col];
         if (a == 0) continue;
-        if (c.isEquality) hasEq = true;
-        else if (a > 0) ++lo;
+        if (c.isEquality) {
+          hasEq = true;
+          break;
+        }
+        if (a > 0) ++lo;
         else ++hi;
       }
-      long score = hasEq ? 0 : lo * hi;
+      const long score = hasEq ? 0 : lo * hi;
       if (bestScore < 0 || score < bestScore) {
         bestScore = score;
         bestPos = p;
@@ -316,14 +462,16 @@ ElimResult eliminateColumns(std::vector<Constraint> rows,
   std::lock_guard<std::mutex> lock(memoMutex);
   auto [it, inserted] = memoTable.try_emplace(std::move(key), res);
   if (inserted) {
-    memoOrder.push_back(it->first);
+    // Element addresses are stable across rehashing, so the FIFO can point
+    // at the table's own keys instead of copying them.
+    memoOrder.push_back(&it->first);
     while (memoOrder.size() > kMemoEntries) {
-      memoTable.erase(memoOrder.front());
+      memoTable.erase(memoTable.find(*memoOrder.front()));
       memoOrder.pop_front();
       memoEvictions.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  return it->second;
+  return res;  // equal to any entry another thread inserted meanwhile
 }
 
 }  // namespace polypart::pset::detail

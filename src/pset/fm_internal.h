@@ -16,7 +16,7 @@ struct Rows {
 
 /// Normalizes rows in place: gcd tightening, constant-row elimination,
 /// duplicate/parallel-bound merging, opposite-inequality -> equality
-/// promotion.  Sets `empty` on contradiction.
+/// promotion.  Sets `empty` on contradiction, leaving `rows` unspecified.
 void simplifyRows(Rows& r);
 
 struct ElimResult {

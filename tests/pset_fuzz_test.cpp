@@ -18,6 +18,10 @@
 //   - Map::isInjective(): definite answers must match the oracle's
 //     two-inputs-one-output conflict scan.
 //   - Map::range(): sound always, equal to the oracle image when exact.
+//   - detail::simplifyRows()/eliminateColumns(): the same rows in the same
+//     order, the same exact/empty flags, and the same OverflowError (or
+//     none) as the row oracle (tests/fm_oracle.h), on raw random systems with
+//     +-1, large, extreme and zero coefficients and planted contradictions.
 //
 // Seeds follow tests/fuzz_util.h: each case prints its own seed on failure
 // and replays alone via POLYPART_FUZZ_SEED.
@@ -25,10 +29,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "fm_oracle.h"
 #include "fuzz_util.h"
 #include "pset/lex.h"
 #include "pset/map.h"
@@ -614,6 +621,155 @@ TEST(PsetFuzz, MapsMatchPointEnumerationOracle) {
       }
     }
     if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// -- Fourier-Motzkin rows against the row oracle ------------------------------
+
+/// A random coefficient at the given magnitude level: 0 keeps values small
+/// (zeros and +-1 dominate, so eliminations combine and cancel), 1 adds
+/// large values, 2 adds values at the edge of the i64 range, where the
+/// checked arithmetic and the INT64_MIN guard fire.
+i64 randomCoeff(Rng& rng, int level) {
+  static constexpr i64 kExtreme[] = {INT64_MIN, INT64_MIN + 1, INT64_MAX,
+                                     INT64_MAX - 1, i64{1} << 62,
+                                     -(i64{1} << 62), 3037000499, -3037000499};
+  switch (rng.range(0, 9)) {
+    case 0: case 1: case 2: return 0;
+    case 3: return 1;
+    case 4: return -1;
+    case 5: case 6: return rng.range(-6, 6);
+    case 7: return level >= 1 ? rng.range(-(i64{1} << 40), i64{1} << 40)
+                              : rng.range(-12, 12);
+    case 8: return level >= 2 ? kExtreme[rng.range(0, 7)] : rng.range(-3, 3);
+    default: return level >= 1 ? rng.range(-100000, 100000) : rng.range(-2, 2);
+  }
+}
+
+std::vector<Constraint> randomSystem(Rng& rng, std::size_t cols) {
+  const int level = rng.chance(0.6) ? 0 : rng.chance(0.6) ? 1 : 2;
+  const std::size_t n = static_cast<std::size_t>(rng.range(0, 14));
+  std::vector<Constraint> rows;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (!rows.empty() && rng.chance(0.25)) {
+      // Derive from an earlier row: a duplicate, a scaled copy (gcd
+      // tightening), or the opposite bound / a conflicting equality with a
+      // constant chosen to make the band empty, a single point, or wide.
+      Constraint c = rows[static_cast<std::size_t>(
+          rng.range(0, static_cast<i64>(rows.size()) - 1))];
+      switch (rng.range(0, 4)) {
+        case 0: break;
+        case 1: {
+          const i64 f = rng.range(2, 4);
+          for (auto& v : c.expr.row())
+            if (v > INT64_MIN / 4 && v < INT64_MAX / 4) v *= f;
+          break;
+        }
+        case 2:
+        case 3:
+          for (std::size_t k = 1; k < cols; ++k)
+            if (c.expr[k] != INT64_MIN) c.expr[k] = -c.expr[k];
+          if (rng.chance(0.5)) {
+            // Band width a + b that overflows unless a has the other sign.
+            c.expr[0] = rng.chance(0.5) ? INT64_MAX : INT64_MIN;
+          } else if (c.expr[0] > INT64_MIN + 4 && c.expr[0] < INT64_MAX - 4) {
+            c.expr[0] = rng.range(-2, 2) - c.expr[0];  // band width -2..2
+          }
+          break;
+        default:
+          if (c.expr[0] < INT64_MAX) c.expr[0] += 1;
+          break;
+      }
+      rows.push_back(std::move(c));
+      continue;
+    }
+    LinExpr e;
+    e.row().assign(cols, 0);
+    for (std::size_t k = 0; k < cols; ++k) e[k] = randomCoeff(rng, level);
+    rows.push_back({std::move(e), rng.chance(0.3)});
+  }
+  return rows;
+}
+
+std::string describe(const std::vector<Constraint>& rows,
+                     const std::vector<bool>& elim) {
+  std::string out = "eliminate {";
+  for (std::size_t k = 1; k < elim.size(); ++k)
+    if (elim[k]) out += " " + std::to_string(k);
+  out += " } from\n";
+  for (const Constraint& c : rows) {
+    out += "  [";
+    for (i64 v : c.expr.row()) out += " " + std::to_string(v);
+    out += c.isEquality ? " ] == 0\n" : " ] >= 0\n";
+  }
+  return out;
+}
+
+/// A call's result, or the message of the OverflowError it threw.
+template <typename T>
+struct Outcome {
+  std::optional<T> value;
+  std::string overflow;
+};
+
+template <typename Fn>
+auto outcomeOf(Fn&& fn) -> Outcome<decltype(fn())> {
+  try {
+    return {fn(), ""};
+  } catch (const OverflowError& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+TEST(PsetFuzz, EliminationMatchesRowOracle) {
+  int overflows = 0, empties = 0, inexact = 0, exact = 0;
+  for (int i = 0; i < fuzz::caseCount(5000); ++i) {
+    fuzz::SeededRng rng(fuzz::seedFor(16, i));
+    SCOPED_TRACE(rng.replay());
+    const std::size_t cols = static_cast<std::size_t>(rng.range(2, 8));
+    const std::vector<Constraint> rows = randomSystem(rng, cols);
+    std::vector<bool> elim(cols, false);
+    const bool all = rng.chance(0.3);
+    for (std::size_t k = 1; k < cols; ++k) elim[k] = all || rng.chance(0.5);
+    SCOPED_TRACE(describe(rows, elim));
+
+    auto simplified = [&](auto simplify) {
+      return outcomeOf([&] {
+        detail::Rows r{rows, false};
+        simplify(r);
+        if (r.empty) r.rows.clear();  // rows are unspecified once empty
+        return r;
+      });
+    };
+    auto got = simplified([](detail::Rows& r) { detail::simplifyRows(r); });
+    auto want = simplified([](detail::Rows& r) { oracle::simplifyRows(r); });
+    ASSERT_EQ(got.overflow, want.overflow) << "simplifyRows OverflowError";
+    if (got.value) {
+      EXPECT_EQ(got.value->empty, want.value->empty);
+      EXPECT_TRUE(got.value->rows == want.value->rows) << "simplifyRows rows differ";
+    }
+
+    auto res = outcomeOf([&] { return detail::eliminateColumns(rows, elim); });
+    auto ref = outcomeOf([&] { return oracle::eliminateColumns(rows, elim); });
+    ASSERT_EQ(res.overflow, ref.overflow) << "eliminateColumns OverflowError";
+    if (!res.value) {
+      ++overflows;
+      continue;
+    }
+    EXPECT_EQ(res.value->empty, ref.value->empty);
+    EXPECT_EQ(res.value->exact, ref.value->exact);
+    EXPECT_TRUE(res.value->rows == ref.value->rows) << "eliminateColumns rows differ";
+    if (::testing::Test::HasFailure()) return;
+    if (res.value->empty) ++empties;
+    else if (res.value->exact) ++exact;
+    else ++inexact;
+  }
+  if (!fuzz::seedPinned()) {
+    // The sweep must reach every outcome, or it proves less than it claims.
+    EXPECT_GT(overflows, 0);
+    EXPECT_GT(empties, 0);
+    EXPECT_GT(inexact, 0);
+    EXPECT_GT(exact, 0);
   }
 }
 

@@ -89,6 +89,25 @@ TEST(BasicSetMore, OverflowInEliminationThrows) {
   EXPECT_THROW((void)bs.projectOut(DimKind::In, 0, 1), OverflowError);
 }
 
+TEST(BasicSetMore, MinInt64CoefficientAfterUnitCoefficientThrows) {
+  // The gcd scan of row normalization stops once the gcd reaches 1; the
+  // INT64_MIN check (|INT64_MIN| overflows) must still see every later
+  // coefficient, for inequalities and equalities alike.
+  Space s = Space::set({}, {"x", "y", "z"});
+  for (i64 unit : {i64{1}, i64{-1}}) {
+    for (bool isEquality : {false, true}) {
+      LinExpr e(s);
+      e.setCoef(s, DimId::in(0), unit);
+      e.setCoef(s, DimId::in(2), INT64_MIN);
+      BasicSet bs(s);
+      if (isEquality) bs.addEq(e);
+      else bs.addGe(e);
+      EXPECT_THROW((void)bs.feasibility(), OverflowError) << unit << " " << isEquality;
+      EXPECT_THROW(bs.simplify(), OverflowError) << unit << " " << isEquality;
+    }
+  }
+}
+
 TEST(SetMore, IntersectAndPrune) {
   Space s = Space::set({}, {"i"});
   BasicSet lowHalf(s);
@@ -297,8 +316,11 @@ TEST(ProjectionProperty, RangeMatchesImage) {
     for (i64 v = -10; v < 30; ++v) {
       i64 outs[] = {v};
       bool inRange = r.containsPoint({}, outs);
-      if (truth.count(v)) EXPECT_TRUE(inRange) << "scale " << scale;
-      else if (r.exact()) EXPECT_FALSE(inRange) << "scale " << scale << " v " << v;
+      if (truth.count(v)) {
+        EXPECT_TRUE(inRange) << "scale " << scale;
+      } else if (r.exact()) {
+        EXPECT_FALSE(inRange) << "scale " << scale << " v " << v;
+      }
     }
   }
 }

@@ -300,7 +300,9 @@ TEST(Runtime, HotspotMatchesReferenceAcrossIterations) {
     apps::runHotspot(*rt, n, iters, temp.data(), power.data());
     EXPECT_EQ(temp, a) << gpus << " GPUs";
     // Halo exchange must have happened for gpus > 1 and iters > 1.
-    if (gpus > 1) EXPECT_GT(rt->stats().peerCopies, 0) << gpus;
+    if (gpus > 1) {
+      EXPECT_GT(rt->stats().peerCopies, 0) << gpus;
+    }
   }
 }
 

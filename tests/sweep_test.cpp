@@ -109,7 +109,9 @@ TEST_P(EndToEndSweep, MatchesCpuReferenceBitForBit) {
   EXPECT_GT(rt->stats().launches, 0);
   EXPECT_GT(rt->stats().rangesResolved, 0);
   EXPECT_GT(rt->elapsedSeconds(), 0.0);
-  if (p.gpus == 1) EXPECT_EQ(rt->stats().peerCopies, 0);
+  if (p.gpus == 1) {
+    EXPECT_EQ(rt->stats().peerCopies, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,7 +10,7 @@
 #   scripts/check.sh dataflow   # sanitizer tree re-run with dataflow planning on
 #   scripts/check.sh repartition # sanitizer tree re-run with repartitioning allowed
 #   scripts/check.sh irregular  # sanitizer tree re-run with the inspector-executor on
-#   scripts/check.sh figures    # paper figure/table benches diffed against bench_results/
+#   scripts/check.sh figures    # figure/table and extension benches diffed against bench_results/
 #   scripts/check.sh perf       # benchmark self-tests (perfbench/run.py --selftest)
 #
 # Each configuration uses its own build tree (build/, build-asan/,
@@ -127,13 +127,15 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
         ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
       ;;
     figures)
-      # Paper-figure reproductions: the five figure/table benches must print
-      # exactly what bench_results/ holds (modeled numbers only, so any
-      # difference is a behaviour change).  Each bench runs from a scratch
-      # directory because it writes BENCH_<name>.json to the working
-      # directory.  Reuses the tier-1 build tree.
+      # Paper-figure reproductions and the two modeled-only extension benches
+      # (dataflow planning, repartitioning): each must print exactly what
+      # bench_results/ holds (modeled numbers only, so any difference is a
+      # behaviour change).  Each bench runs from a scratch directory because
+      # it writes BENCH_<name>.json to the working directory.  Reuses the
+      # tier-1 build tree.
       figure_benches=(fig6_speedup:fig6 fig7_breakdown:fig7 fig8_overhead:fig8
-                      single_gpu_overhead:single_gpu table1_configs:table1)
+                      single_gpu_overhead:single_gpu table1_configs:table1
+                      dataflow_plan:dataflow_plan repartition:repartition)
       run cmake -B build -S .
       run cmake --build build -j "$jobs" --target "${figure_benches[@]%%:*}"
       root=$(pwd)

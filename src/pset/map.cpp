@@ -47,43 +47,6 @@ Set Map::range() const {
   return out;
 }
 
-Set Map::rangeUnderBox(std::span<const i64> paramValues,
-                       std::span<const i64> boxLo,
-                       std::span<const i64> boxHi) const {
-  const std::size_t nParams = space_.numParams();
-  const std::size_t nIn = space_.numIn();
-  PP_ASSERT(paramValues.size() == nParams);
-  PP_ASSERT(boxLo.size() == nIn && boxHi.size() == nIn);
-  Set out(Space::set({}, space_.outNames()));
-  if (!exact_) out.markInexact();
-  for (const BasicSet& part : parts_) {
-    BasicSet c = part;
-    for (std::size_t p = 0; p < nParams; ++p)
-      c.fixDim(DimId::param(p), paramValues[p]);
-    for (std::size_t i = 0; i < nIn; ++i)
-      c.addBounds(DimId::in(i), LinExpr::constant(space_, boxLo[i]),
-                  LinExpr::constant(space_, boxHi[i]));
-    c.simplify();
-    if (c.markedEmpty()) continue;
-    Proj pin = c.projectOut(DimKind::In, 0, nIn);
-    if (!pin.exact) out.markInexact();
-    if (pin.set.markedEmpty()) continue;
-    // Parameters are pinned by equalities, so eliminating them is pure
-    // substitution (always exact in practice; track the flag regardless).
-    Proj pall = pin.set.projectOut(DimKind::Param, 0, nParams);
-    if (!pall.exact) out.markInexact();
-    if (pall.set.markedEmpty()) continue;
-    // The projected space has no parameters and no inputs left; its column
-    // layout matches the canonical parameter-free set space, so constraints
-    // carry over verbatim (same trick as range()).
-    BasicSet aligned(out.space());
-    for (const Constraint& cc : pall.set.constraints()) aligned.add(cc);
-    aligned.simplify();
-    if (!aligned.markedEmpty()) out.addPart(std::move(aligned));
-  }
-  return out;
-}
-
 Set Map::domain() const {
   Set out(space_.domainSpace());
   if (!exact_) out.markInexact();

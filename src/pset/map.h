@@ -36,19 +36,6 @@ class Map {
   /// yielding a Set over the output (array) dimensions.
   Set range() const;
 
-  /// The concrete image of a partition box: pins every parameter to
-  /// `paramValues`, restricts each input dimension i to
-  /// [boxLo[i], boxHi[i]), and Fourier-Motzkin-projects inputs and
-  /// parameters away.  The result is a parameter-free Set over the output
-  /// (array) dimensions — the exact element footprint one device touches,
-  /// directly intersectable/subtractable against another kernel's footprint
-  /// of the same array.  This is the flow-set primitive of the cross-launch
-  /// dataflow planner: producer writes composed with consumer reads reduce
-  /// to intersections of these concrete ranges.
-  Set rangeUnderBox(std::span<const i64> paramValues,
-                    std::span<const i64> boxLo,
-                    std::span<const i64> boxHi) const;
-
   /// The domain as a Set over the input dimensions.
   Set domain() const;
 

@@ -1,29 +1,72 @@
 #include "rt/dataflow_plan.h"
 
 #include <algorithm>
-#include <optional>
-#include <string>
+#include <iterator>
 #include <utility>
 
-#include "codegen/enumerator.h"
-#include "pset/ast.h"
-#include "rt/footprint.h"
 #include "rt/runtime.h"
-#include "support/arith.h"
 
 namespace polypart::rt {
 
 using analysis::ArrayModel;
 using analysis::KernelModel;
-using codegen::PartitionTuple;
-using pset::BasicSet;
-using pset::Constraint;
-using pset::Set;
-using pset::Space;
 
-DataflowPlanner::DataflowPlanner(int numGpus, PartitionFn partitionFor)
-    : numGpus_(numGpus), partitionFor_(std::move(partitionFor)) {
-  PP_ASSERT(numGpus_ >= 1 && partitionFor_ != nullptr);
+namespace {
+
+ElemRanges intersectRanges(const ElemRanges& a, const ElemRanges& b) {
+  ElemRanges out;
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    const i64 lo = std::max(a[i].first, b[j].first);
+    const i64 hi = std::min(a[i].second, b[j].second);
+    if (lo < hi) out.emplace_back(lo, hi);
+    if (a[i].second < b[j].second)
+      ++i;
+    else
+      ++j;
+  }
+  return out;
+}
+
+ElemRanges unionRanges(const ElemRanges& a, const ElemRanges& b) {
+  ElemRanges all;
+  all.reserve(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(all));
+  ElemRanges out;
+  for (const auto& [lo, hi] : all) {
+    if (!out.empty() && lo <= out.back().second)
+      out.back().second = std::max(out.back().second, hi);
+    else
+      out.emplace_back(lo, hi);
+  }
+  return out;
+}
+
+}  // namespace
+
+ElemRanges subtractRanges(const ElemRanges& a, const ElemRanges& b) {
+  ElemRanges out;
+  std::size_t j = 0;
+  for (auto [lo, hi] : a) {
+    while (j < b.size() && b[j].second <= lo) ++j;
+    for (std::size_t k = j; k < b.size() && b[k].first < hi && lo < hi; ++k) {
+      if (b[k].first > lo) out.emplace_back(lo, b[k].first);
+      lo = std::max(lo, b[k].second);
+    }
+    if (lo < hi) out.emplace_back(lo, hi);
+  }
+  return out;
+}
+
+i64 countElements(const ElemRanges& r) {
+  i64 n = 0;
+  for (const auto& [lo, hi] : r) n += hi - lo;
+  return n;
+}
+
+DataflowPlanner::DataflowPlanner(int numGpus, FootprintFn footprints)
+    : numGpus_(numGpus), footprints_(std::move(footprints)) {
+  PP_ASSERT(numGpus_ >= 1 && footprints_ != nullptr);
 }
 
 DataflowPlanner::~DataflowPlanner() = default;
@@ -59,15 +102,6 @@ std::size_t DataflowPlanner::detectPeriod() const {
   return 0;
 }
 
-// The concrete-footprint helpers (paramVec/canonSpace/rebase/evalShape/
-// flatten) live in rt/footprint.h, shared with runtime repartitioning.
-using footprint::canonSpace;
-using footprint::evalShape;
-using footprint::flatten;
-using footprint::Flattened;
-using footprint::paramVec;
-using footprint::rebase;
-
 bool DataflowPlanner::compilePlan() {
   const std::size_t p = cycle_.size();
   edgesByStep_.assign(p, {});
@@ -80,121 +114,63 @@ bool DataflowPlanner::compilePlan() {
       if (a.writeMayAccess || a.readMayAccess)
         return false;
 
+  // Every step's per-device footprints, enumerated once per plan.
+  std::vector<std::vector<AccessFootprint>> fps;
+  fps.reserve(p);
+  for (const Step& st : cycle_)
+    fps.push_back(
+        footprints_(*st.model, ir::LaunchConfig{st.grid, st.block}, st.scalars));
+
   for (std::size_t s = 0; s < p; ++s) {
     const Step& prod = cycle_[s];
-    const std::vector<i64> prodParams =
-        paramVec(prod.grid, prod.block, prod.scalars);
-    for (const ArrayModel& wa : prod.model->arrays) {
-      if (!wa.hasWrites()) continue;
-      VirtualBuffer* buf = prod.buffers[wa.argIndex];
+    for (const AccessFootprint& w : fps[s]) {
+      if (!w.isWrite) continue;
+      VirtualBuffer* buf = prod.buffers[w.argIndex];
       if (buf == nullptr) continue;
-      std::optional<std::vector<i64>> prodDims =
-          evalShape(wa, prodParams, buf->bytes(), kElemBytes);
-      if (!prodDims) continue;
-      i64 totalElems = 1;
-      try {
-        for (i64 d : *prodDims) totalElems = checkedMul(totalElems, d);
-      } catch (...) {
-        continue;
-      }
-      totalElems = std::min(totalElems, buf->bytes() / kElemBytes);
-      const Space canon = canonSpace(prodDims->size());
-
-      // This step's concrete write set per producing device.
-      std::vector<Set> wsets;
-      wsets.reserve(static_cast<std::size_t>(numGpus_));
-      for (int g = 0; g < numGpus_; ++g) {
-        ir::GridPartition gp = partitionFor_(*prod.model, prod.grid, g);
-        if (gp.blockCount() == 0) {
-          wsets.emplace_back(canon);
-          continue;
-        }
-        PartitionTuple t = PartitionTuple::fromBlocks(gp, prod.block);
-        wsets.push_back(
-            rebase(wa.write.rangeUnderBox(prodParams, t.lo, t.hi), canon));
-      }
 
       // Walk the downstream steps cyclically.  Reads at distance d consume
       // against the writes accumulated at distances 1..d-1 (the kill set);
       // d == p wraps to the producer's own next iteration (its re-reads are
       // flow too; its writes are this step's own, not a kill).
-      Set kill(canon);
+      ElemRanges kill;
       for (std::size_t d = 1; d <= p; ++d) {
         const std::size_t c = (s + d) % p;
         const Step& cons = cycle_[c];
-        const std::vector<i64> consParams =
-            paramVec(cons.grid, cons.block, cons.scalars);
-
-        for (const ArrayModel& ra : cons.model->arrays) {
-          if (!ra.hasReads()) continue;
-          if (cons.buffers[ra.argIndex] != buf) continue;
-          std::optional<std::vector<i64>> consDims =
-              evalShape(ra, consParams, buf->bytes(), kElemBytes);
-          // Incompatible flattening geometries cannot be related statically;
-          // skip the edge (the reactive path still moves the bytes).
-          if (!consDims || *consDims != *prodDims) continue;
-
+        for (const AccessFootprint& r : fps[c]) {
+          if (r.isWrite || cons.buffers[r.argIndex] != buf) continue;
           FlowEdge edge;
           edge.producerStep = s;
           edge.consumerStep = c;
-          edge.argIndex = wa.argIndex;
-          bool ok = true;
-          for (int gDst = 0; gDst < numGpus_ && gDst < 64 && ok; ++gDst) {
-            ir::GridPartition gp = partitionFor_(*cons.model, cons.grid, gDst);
-            if (gp.blockCount() == 0) continue;
-            PartitionTuple t = PartitionTuple::fromBlocks(gp, cons.block);
-            Set rset =
-                rebase(ra.read.rangeUnderBox(consParams, t.lo, t.hi), canon);
-            if (rset.parts().empty()) continue;
-            for (int gSrc = 0; gSrc < numGpus_ && ok; ++gSrc) {
+          edge.argIndex = w.argIndex;
+          for (int gDst = 0; gDst < numGpus_ && gDst < 64; ++gDst) {
+            const ElemRanges& reads = r.perGpu[static_cast<std::size_t>(gDst)];
+            if (reads.empty()) continue;
+            for (int gSrc = 0; gSrc < numGpus_; ++gSrc) {
               if (gSrc == gDst) continue;
-              Set flow = wsets[static_cast<std::size_t>(gSrc)].intersect(rset);
-              flow.pruneEmptyParts();
-              if (flow.parts().empty()) continue;
-              Set live = flow.subtract(kill);
-              live.pruneEmptyParts();
-              std::optional<Flattened> flowFlat =
-                  flatten(flow, *prodDims, totalElems, kMaxRangesPerEdge);
-              std::optional<Flattened> liveFlat =
-                  flatten(live, *prodDims, totalElems, kMaxRangesPerEdge);
-              if (!flowFlat || !liveFlat) {
-                ok = false;
-                break;
-              }
+              const ElemRanges flow = intersectRanges(
+                  w.perGpu[static_cast<std::size_t>(gSrc)], reads);
+              if (flow.empty()) continue;
+              const ElemRanges live = subtractRanges(flow, kill);
               edge.elidedBytes +=
-                  (flowFlat->elems - liveFlat->elems) * kElemBytes;
-              if (!liveFlat->ranges.empty()) {
-                PlannedTransfer pt;
-                pt.src = gSrc;
-                pt.dst = gDst;
-                pt.byteRanges.reserve(liveFlat->ranges.size());
-                for (const auto& [b, e] : liveFlat->ranges)
-                  pt.byteRanges.emplace_back(b * kElemBytes, e * kElemBytes);
-                edge.transfers.push_back(std::move(pt));
-              }
+                  (countElements(flow) - countElements(live)) * kElemBytes;
+              if (live.empty()) continue;
+              PlannedTransfer pt;
+              pt.src = gSrc;
+              pt.dst = gDst;
+              pt.byteRanges.reserve(live.size());
+              for (const auto& [b, e] : live)
+                pt.byteRanges.emplace_back(b * kElemBytes, e * kElemBytes);
+              edge.transfers.push_back(std::move(pt));
             }
           }
-          if (ok && (!edge.transfers.empty() || edge.elidedBytes > 0))
+          if (!edge.transfers.empty() || edge.elidedBytes > 0)
             edgesByStep_[s].push_back(std::move(edge));
         }
 
         if (d == p) break;
-        for (const ArrayModel& wa2 : cons.model->arrays) {
-          if (!wa2.hasWrites()) continue;
-          if (cons.buffers[wa2.argIndex] != buf) continue;
-          std::optional<std::vector<i64>> killDims =
-              evalShape(wa2, consParams, buf->bytes(), kElemBytes);
-          // A write we cannot relate to the producer's geometry is simply
-          // not subtracted — elision only ever under-fires (safe: the
-          // tracker clip at issue time discards any stale prefetch).
-          if (!killDims || *killDims != *prodDims) continue;
-          for (int g = 0; g < numGpus_; ++g) {
-            ir::GridPartition gp = partitionFor_(*cons.model, cons.grid, g);
-            if (gp.blockCount() == 0) continue;
-            PartitionTuple t = PartitionTuple::fromBlocks(gp, cons.block);
-            kill = kill.unionWith(
-                rebase(wa2.write.rangeUnderBox(consParams, t.lo, t.hi), canon));
-          }
+        for (const AccessFootprint& k : fps[c]) {
+          if (!k.isWrite || cons.buffers[k.argIndex] != buf) continue;
+          for (const ElemRanges& g : k.perGpu) kill = unionRanges(kill, g);
         }
       }
     }

@@ -11,15 +11,18 @@
 // before the consumer ever launches.  The planner
 //   1. records launch signatures (kernel, grid, block, i64 scalars, buffer
 //      identities) and detects the smallest repeating cycle,
-//   2. composes each producer partition's concrete write set with every
-//      downstream consumer partition's concrete read set in `pset`
-//      (Map::rangeUnderBox + intersection) to derive the exact per-device
-//      flow sets of one cycle,
+//   2. asks the runtime for every cycle step's per-device footprints — the
+//      element ranges the kernel's own enumerators (Section 6) yield, so a
+//      planned read covers exactly what the launch's read sync would pull,
+//      read hulls included — and intersects each producer's write ranges
+//      with every downstream consumer's read ranges into per-device flows,
 //   3. subtracts ranges overwritten before their next read (dead-transfer
-//      elision, a Set::subtract of the accumulated kill set), and
+//      elision against the accumulated kill ranges), and
 //   4. emits per-cycle-step FlowEdges whose copies the runtime issues
 //      *eagerly* — floored at the producing kernel's modeled completion on
 //      its device — instead of waiting for the consumer's launch.
+// Footprints are sorted, disjoint element ranges of one buffer, so the flow
+// algebra is a linear sweep over range lists.
 //
 // The planner never becomes the source of truth: the runtime clips every
 // planned range against the live tracker before copying, records the
@@ -29,18 +32,36 @@
 // host write, an owner other than the planned source — degrades to the paper's reactive path,
 // so functional results are byte-identical with planning on or off.
 
-#include <array>
 #include <cstddef>
 #include <functional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/model.h"
 #include "ir/interp.h"
-#include "ir/transform.h"
 
 namespace polypart::rt {
 
 class VirtualBuffer;
+
+/// Sorted, disjoint, non-adjacent half-open element ranges of one buffer
+/// (the shape Enumerator::materialize emits).
+using ElemRanges = std::vector<std::pair<i64, i64>>;
+
+/// The elements of `a` not in `b` (dead-transfer elision here, the
+/// repartition transition set in repartition.cpp).
+ElemRanges subtractRanges(const ElemRanges& a, const ElemRanges& b);
+/// Total number of elements in `r`.
+i64 countElements(const ElemRanges& r);
+
+/// One enumerator's footprint for one launch: the element ranges each
+/// device's partition reads or writes through argument `argIndex`.
+struct AccessFootprint {
+  std::size_t argIndex = 0;
+  bool isWrite = false;
+  std::vector<ElemRanges> perGpu;  // indexed by device; empty when idle
+};
 
 /// One planned copy: element ranges (already scaled to byte ranges) that
 /// flow from device `src`'s instance to device `dst`'s instance.
@@ -66,12 +87,15 @@ struct FlowEdge {
 /// calls it only from launch(), on the calling thread.
 class DataflowPlanner {
  public:
-  /// Partition oracle: the runtime's partitionFor (kept as a callback so the
-  /// planner does not depend on the Runtime type).
-  using PartitionFn = std::function<ir::GridPartition(
-      const analysis::KernelModel&, const ir::Dim3&, int)>;
+  /// Footprint oracle: every access footprint of one launch of `model`, in
+  /// the runtime's enumerator order (arrays in model order, reads before
+  /// writes).  Kept as a callback so the planner does not depend on the
+  /// Runtime type.
+  using FootprintFn = std::function<std::vector<AccessFootprint>(
+      const analysis::KernelModel&, const ir::LaunchConfig&,
+      std::span<const i64> scalars)>;
 
-  DataflowPlanner(int numGpus, PartitionFn partitionFor);
+  DataflowPlanner(int numGpus, FootprintFn footprints);
   ~DataflowPlanner();
 
   /// What observe() decided for one committed launch.
@@ -128,13 +152,9 @@ class DataflowPlanner {
 
   static constexpr std::size_t kMaxPeriod = 8;
   static constexpr std::size_t kMaxHistory = 64;
-  /// Flattened-range explosion guard per edge: an edge whose live flow set
-  /// scans to more ranges than this is dropped (no prefetch — the reactive
-  /// path still moves the bytes).
-  static constexpr std::size_t kMaxRangesPerEdge = 65536;
 
   int numGpus_ = 1;
-  PartitionFn partitionFor_;
+  FootprintFn footprints_;
 
   std::vector<Step> history_;  // recording mode; cleared on activation
   std::vector<Step> cycle_;    // active plan's launch cycle

@@ -3,24 +3,22 @@
 //
 // The paper fixes the grid partitioning at construction.  repartition()
 // changes a kernel's per-device weights between launches and migrates only
-// the *transition set*: per destination device, the pset difference of its
-// new and old write footprints under the kernel's last launch signature,
-// clipped against live tracker ownership.  Correctness never depends on the
-// migration — reads resolve against the tracker, so launches under the new
-// geometry are byte-identical whether or not the transition bytes moved
-// ahead of time — migration is what keeps the *first* post-transition launch
-// from re-pulling a device's whole new share reactively.
+// the *transition set*: per destination device, its new write ranges minus
+// its old ones, both from the kernel's own write enumerators under its last
+// launch signature, clipped against live tracker ownership.  Correctness
+// never depends on the migration — reads resolve against the tracker, so
+// launches under the new geometry are byte-identical whether or not the
+// transition bytes moved ahead of time — migration is what keeps the
+// *first* post-transition launch from re-pulling a device's whole new share
+// reactively.
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "codegen/enumerator.h"
 #include "rt/dataflow_plan.h"
-#include "rt/footprint.h"
 #include "rt/runtime.h"
 #include "rt/transfer_plan.h"
 #include "support/error.h"
@@ -28,16 +26,7 @@
 
 namespace polypart::rt {
 
-using analysis::ArrayModel;
-using codegen::PartitionTuple;
-using ir::GridPartition;
-
 namespace {
-
-/// Flattened-range explosion guard per (array, device) footprint; beyond it
-/// the migration falls back to the device's full new footprint (still
-/// clipped against the tracker, so only a cost, never a correctness issue).
-constexpr std::size_t kMaxTransitionRanges = 4096;
 
 /// Weights and totals are bounded so partitionWith's extent * (pre + w)
 /// products keep the same overflow envelope as the seed's extent * numGpus.
@@ -81,7 +70,7 @@ RepartitionResult Runtime::repartition(const std::string& kernelName,
   KernelEntry& ke = entry(kernelName);
   validatePartitioning(next);
   // A geometry change invalidates the compiled dataflow cycle: its flow
-  // edges were composed under partitionFor() of the *old* weights.
+  // edges were enumerated under the *old* weights.
   if (planner_ != nullptr) planner_->reset();
   if (ke.partitioning == next) return {};  // no-op: weights unchanged
   trace::Span span(config_.tracer, "runtime", "repartition");
@@ -145,9 +134,6 @@ RepartitionResult Runtime::migrateKernel(KernelEntry& ke,
   if (!ke.hasLastLaunch) return res;
   machine_->synchronizeAll();  // writers of the migrating bytes must land
 
-  const std::vector<i64> params =
-      footprint::paramVec(ke.lastCfg.grid, ke.lastCfg.block, ke.lastScalars);
-
   // Collected first, applied after: copies read pre-transition owners, and
   // tracker updates must not mutate segment maps a query is still walking.
   struct Move {
@@ -163,57 +149,24 @@ RepartitionResult Runtime::migrateKernel(KernelEntry& ke,
   std::vector<Move> moves;
   std::vector<Assign> flips;
 
-  for (const ArrayModel& wa : ke.model->arrays) {
-    // May-access writes have no static map (hasWrites() is already false);
-    // their bytes stay where the observed-write tracker updates put them and
-    // the next launch's reads resolve reactively.
-    if (!wa.hasWrites() || wa.writeMayAccess) continue;
-    VirtualBuffer* buf = ke.lastBuffers[wa.argIndex];
+  // May-access writes have no write enumerator; their bytes stay where the
+  // observed-write tracker updates put them and the next launch's reads
+  // resolve reactively.
+  for (const codegen::Enumerator& writer : ke.enumerators) {
+    if (!writer.isWrite()) continue;
+    VirtualBuffer* buf = ke.lastBuffers[writer.argIndex()];
     if (buf == nullptr) continue;
-    std::optional<std::vector<i64>> dims =
-        footprint::evalShape(wa, params, buf->bytes(), kElemBytes);
-    if (!dims) continue;
-    i64 totalElems = 1;
-    try {
-      for (i64 d : *dims) totalElems = checkedMul(totalElems, d);
-    } catch (...) {
-      continue;
-    }
-    totalElems = std::min(totalElems, buf->bytes() / kElemBytes);
-    const pset::Space canon = footprint::canonSpace(dims->size());
-
     for (int d = 0; d < config_.numGpus; ++d) {
-      GridPartition gpNew = partitionWith(*ke.model, ke.lastCfg.grid, d, next);
-      if (gpNew.blockCount() == 0) continue;  // no new share: nothing arrives
-      PartitionTuple tn = PartitionTuple::fromBlocks(gpNew, ke.lastCfg.block);
-      pset::Set newSet = footprint::rebase(
-          wa.write.rangeUnderBox(params, tn.lo, tn.hi), canon);
-      std::optional<footprint::Flattened> newFlat =
-          footprint::flatten(newSet, *dims, totalElems, kMaxTransitionRanges);
-      res.bytesFootprint +=
-          (newFlat ? newFlat->elems : totalElems) * kElemBytes;
-
+      const ElemRanges now =
+          footprintOn(ke, writer, ke.lastCfg, ke.lastScalars, d, next);
+      if (now.empty()) continue;  // no new share: nothing arrives
+      res.bytesFootprint += countElements(now) * kElemBytes;
       // Transition set: what the device will own under `next` but did not
-      // own under `prev`.  The subtraction is an over-approximation-safe
-      // upper bound on what must arrive; the tracker clip below discards
-      // ranges the device already holds.
-      GridPartition gpOld = partitionWith(*ke.model, ke.lastCfg.grid, d, prev);
-      pset::Set diff = newSet;
-      if (gpOld.blockCount() != 0) {
-        PartitionTuple to = PartitionTuple::fromBlocks(gpOld, ke.lastCfg.block);
-        diff = newSet.subtract(footprint::rebase(
-            wa.write.rangeUnderBox(params, to.lo, to.hi), canon));
-        diff.pruneEmptyParts();
-      }
-      std::optional<footprint::Flattened> diffFlat =
-          footprint::flatten(diff, *dims, totalElems, kMaxTransitionRanges);
-      // Fall back to the full new footprint (or the whole array) when the
-      // difference cannot be flattened — conservative, never wrong.
-      const std::vector<std::pair<i64, i64>> whole{{i64{0}, totalElems}};
-      const std::vector<std::pair<i64, i64>>& ranges =
-          diffFlat ? diffFlat->ranges : (newFlat ? newFlat->ranges : whole);
-
-      for (const auto& [rb, re] : ranges) {
+      // own under `prev`.  The tracker clip below discards ranges the
+      // device already holds.
+      const ElemRanges diff = subtractRanges(
+          now, footprintOn(ke, writer, ke.lastCfg, ke.lastScalars, d, prev));
+      for (const auto& [rb, re] : diff) {
         buf->tracker_.querySharers(
             rb * kElemBytes, re * kElemBytes,
             [&](i64 b, i64 e, Owner owner, u64 sharers) {

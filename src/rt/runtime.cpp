@@ -198,9 +198,20 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
   if (config_.dataflowPlanning && config_.enableDependencyResolution &&
       config_.enableTransfers)
     planner_ = std::make_unique<DataflowPlanner>(
-        config_.numGpus,
-        [this](const KernelModel& m, const Dim3& g, int gpu) {
-          return partitionFor(m, g, gpu);
+        config_.numGpus, [this](const KernelModel& m, const LaunchConfig& cfg,
+                                std::span<const i64> scalars) {
+          const KernelEntry& ke = entry(m.kernel);
+          std::vector<AccessFootprint> out;
+          out.reserve(ke.enumerators.size());
+          for (const Enumerator& e : ke.enumerators) {
+            AccessFootprint& f = out.emplace_back();
+            f.argIndex = e.argIndex();
+            f.isWrite = e.isWrite();
+            for (int gpu = 0; gpu < config_.numGpus; ++gpu)
+              f.perGpu.push_back(
+                  footprintOn(ke, e, cfg, scalars, gpu, ke.partitioning));
+          }
+          return out;
         });
   machine_->setTracer(config_.tracer);
 
@@ -289,6 +300,15 @@ const Runtime::LaunchPlan* Runtime::resolvePlan(KernelEntry& ke,
   PP_ASSERT(inserted);
   ke.planCacheOrder.push_back(pos->first);
   return &pos->second;
+}
+
+std::vector<std::pair<i64, i64>> Runtime::footprintOn(
+    const KernelEntry& ke, const Enumerator& e, const LaunchConfig& cfg,
+    std::span<const i64> scalars, int gpu, const Partitioning& part) const {
+  GridPartition gp = partitionWith(*ke.model, cfg.grid, gpu, part);
+  if (gp.blockCount() == 0) return {};
+  return e.materialize(PartitionTuple::fromBlocks(gp, cfg.block), cfg, scalars)
+      .ranges;
 }
 
 const ir::Kernel& Runtime::partitionedKernel(const std::string& name) const {

@@ -52,7 +52,7 @@ class TransferPlan;
 
 /// Storage element size: virtual buffers hold 8-byte elements
 /// (ir::Type::I64/F64).  Host mirrors, tracker walks, the H2D split and the
-/// footprint flattening all work in whole elements of this size.
+/// planner's footprint ranges all work in whole elements of this size.
 inline constexpr i64 kElemBytes = 8;
 
 /// Host-to-device distribution pattern (Section 8.2: "data is distributed
@@ -392,10 +392,11 @@ class Runtime {
   /// The current weighted partitioning of `kernelName` (even at start).
   const Partitioning& partitioning(const std::string& kernelName) const;
   /// Changes `kernelName`'s partitioning to `next` between launches,
-  /// migrating only the difference of the old and new write footprints (a per-device pset subtraction over the kernel's last
-  /// launch signature, clipped against live tracker ownership) and updates
-  /// the trackers, so subsequent launches resolve against the new layout
-  /// with byte-identical results.  Invalidates the dataflow plan.
+  /// migrating only the difference of the old and new write footprints (a
+  /// per-device range subtraction of the kernel's write enumerators under
+  /// its last launch signature, clipped against live tracker ownership) and
+  /// updates the trackers, so subsequent launches resolve against the new
+  /// layout with byte-identical results.  Invalidates the dataflow plan.
   /// Throws Error when repartitioning is disabled or `next` is invalid
   /// (wrong arity, negative weights, zero total, weight on a failed device).
   RepartitionResult repartition(const std::string& kernelName,
@@ -554,6 +555,17 @@ class Runtime {
   /// Validates arity/range/total of `next` against this runtime's devices
   /// (failed devices must have weight 0); throws Error otherwise.
   void validatePartitioning(const Partitioning& next) const;
+  /// The element ranges enumerator `e` of `ke` touches on `gpu` for a
+  /// launch of `cfg` under `part`; empty when the device gets no blocks.
+  /// The footprint engine of the dataflow planner and of repartitioning:
+  /// materializes directly instead of going through resolvePlan(), so the
+  /// enumeration-cache counters describe launches only.
+  std::vector<std::pair<i64, i64>> footprintOn(const KernelEntry& ke,
+                                               const codegen::Enumerator& e,
+                                               const ir::LaunchConfig& cfg,
+                                               std::span<const i64> scalars,
+                                               int gpu,
+                                               const Partitioning& part) const;
   /// The footprint-difference migration of one kernel's transition
   /// prev -> next (repartition.cpp).  Caller has validated `next`.
   RepartitionResult migrateKernel(KernelEntry& ke, const Partitioning& prev,

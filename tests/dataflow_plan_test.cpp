@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/analyze.h"
+#include "apps/kernels.h"
 #include "fuzz_util.h"
 #include "ir/builder.h"
+#include "rt/dataflow_plan.h"
 #include "rt/runtime.h"
 #include "support/rng.h"
 
@@ -397,6 +400,117 @@ TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {
   // both sides of the transition.
   EXPECT_GE(on.stats.planActivations, 2);
   EXPECT_GT(on.stats.plannedLaunches, 0);
+}
+
+TEST(DataflowPlan, SubtractRangesMatchesElementOracle) {
+  // Elision and the repartition transition set both subtract sorted range
+  // lists; compare against per-element membership on random lists.
+  static constexpr i64 kSpan = 64;
+  auto randomRanges = [](fuzz::SeededRng& rng) {
+    ElemRanges r;
+    for (i64 at = rng.range(0, 4); at < kSpan; at += rng.range(1, 6)) {
+      const i64 end = std::min(kSpan, at + rng.range(1, 8));
+      r.emplace_back(at, end);
+      at = end;
+    }
+    return r;
+  };
+  auto members = [](const ElemRanges& r) {
+    std::vector<bool> in(static_cast<std::size_t>(kSpan), false);
+    for (const auto& [lo, hi] : r)
+      for (i64 x = lo; x < hi; ++x) in[static_cast<std::size_t>(x)] = true;
+    return in;
+  };
+  for (int c = 0; c < fuzz::caseCount(200); ++c) {
+    fuzz::SeededRng rng(fuzz::seedFor(24, c));
+    SCOPED_TRACE(rng.replay());
+    const ElemRanges a = randomRanges(rng), b = randomRanges(rng);
+    const ElemRanges d = subtractRanges(a, b);
+    const std::vector<bool> ina = members(a), inb = members(b), ind = members(d);
+    for (std::size_t x = 0; x < ina.size(); ++x)
+      ASSERT_EQ(ind[x], ina[x] && !inb[x]) << "element " << x;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      ASSERT_LT(d[i].first, d[i].second);
+      if (i > 0) {
+        ASSERT_LT(d[i - 1].second, d[i].first);  // sorted, with gaps between
+      }
+    }
+    EXPECT_EQ(countElements(d),
+              static_cast<i64>(std::count(ind.begin(), ind.end(), true)));
+  }
+}
+
+TEST(DataflowPlan, HotspotPingPongPrefetchesTheWholeHalo) {
+  // Hotspot's ping-pong cycle (tin -> tout, then tout -> tin) on 4 devices.
+  // Its read enumerator walks the rectangular hull of the five stencil
+  // disjuncts, so the reactive sync pulls each neighbour's full boundary row,
+  // corner elements included.  The plan must prefetch that same row: once
+  // the plan is warm no launch may issue a reactive peer copy, and every
+  // cycle must still prefetch the halo.  Bytes match the reactive path.
+  ir::Module mod;
+  mod.addKernel(apps::buildHotspot());
+  const analysis::ApplicationModel model = analysis::analyzeModule(mod);
+  constexpr i64 n = 64;  // 4 block rows of 16: one per device
+  constexpr int kCycles = 8;
+  const i64 bytes = n * n * 8;
+  std::vector<double> t0(static_cast<std::size_t>(n * n)),
+      power(static_cast<std::size_t>(n * n));
+  Rng rng(24);
+  for (double& v : t0) v = rng.uniform() * 100.0;
+  for (double& v : power) v = rng.uniform();
+
+  struct Out {
+    std::vector<double> temp;
+    std::vector<RuntimeStats> perCycle;  // stats after each cycle
+  };
+  auto runWith = [&](bool planning) {
+    RuntimeConfig cfg;
+    cfg.numGpus = 4;
+    cfg.mode = sim::ExecutionMode::Functional;
+    cfg.dataflowPlanning = planning;
+    Runtime rt(cfg, model, mod);
+    VirtualBuffer* va = rt.malloc(bytes);
+    VirtualBuffer* vb = rt.malloc(bytes);
+    VirtualBuffer* vp = rt.malloc(bytes);
+    rt.memcpy(va, t0.data(), bytes, MemcpyKind::HostToDevice);
+    rt.memcpy(vb, t0.data(), bytes, MemcpyKind::HostToDevice);
+    rt.memcpy(vp, power.data(), bytes, MemcpyKind::HostToDevice);
+    const ir::Dim3 grid{n / 16, n / 16, 1}, block{16, 16, 1};
+    Out out;
+    for (int c = 0; c < kCycles; ++c) {
+      for (auto [src, dst] : {std::pair{va, vb}, std::pair{vb, va}}) {
+        LaunchArg args[] = {LaunchArg::ofInt(n),       LaunchArg::ofFloat(0.175),
+                            LaunchArg::ofFloat(0.05),  LaunchArg::ofBuffer(src),
+                            LaunchArg::ofBuffer(vp),   LaunchArg::ofBuffer(dst)};
+        rt.launch("hotspot", grid, block, args);
+      }
+      out.perCycle.push_back(rt.stats());
+    }
+    out.temp.assign(static_cast<std::size_t>(n * n), -1.0);
+    rt.memcpy(out.temp.data(), va, bytes, MemcpyKind::DeviceToHost);
+    return out;
+  };
+
+  const Out off = runWith(false);
+  const Out on = runWith(true);
+  EXPECT_EQ(on.temp, off.temp);
+  EXPECT_GT(on.perCycle.back().plannedLaunches, 0);
+  EXPECT_EQ(on.perCycle.back().planDivergences, 0);
+  // Plan compilation enumerates outside the enumeration cache.
+  EXPECT_EQ(on.perCycle.back().enumCacheHits, off.perCycle.back().enumCacheHits);
+  EXPECT_EQ(on.perCycle.back().enumCacheMisses,
+            off.perCycle.back().enumCacheMisses);
+  // Cycles 0-1 record the period and the launch that ends cycle 1
+  // activates the plan.  Cycle 2 is the first planned one; its first launch
+  // still reads what the unplanned activating launch wrote.  From the
+  // second planned cycle (index 3) on, every halo byte is prefetched.
+  for (int c = 3; c < kCycles; ++c) {
+    SCOPED_TRACE(c);
+    const RuntimeStats& prev = on.perCycle[static_cast<std::size_t>(c - 1)];
+    const RuntimeStats& cur = on.perCycle[static_cast<std::size_t>(c)];
+    EXPECT_EQ(cur.peerCopies, prev.peerCopies);
+    EXPECT_GT(cur.prefetchCopies, prev.prefetchCopies);
+  }
 }
 
 }  // namespace

@@ -260,31 +260,6 @@ TEST(Set, SubtractDisjointAndCovering) {
   EXPECT_FALSE(d2.containsPoint({}, p4));
 }
 
-TEST(Map, RangeUnderBoxOfStencilMap) {
-  // { [i] -> [a] : i-1 <= a <= i+1 and 0 <= i < N } restricted to the box
-  // i in [4, 8) with N = 100 touches exactly a in [3, 8].
-  Space s = Space::map({"N"}, {"i"}, {"a"});
-  Map m(s);
-  BasicSet bs(s);
-  LinExpr i = LinExpr::dim(s, DimId::in(0));
-  LinExpr a = LinExpr::dim(s, DimId::out(0));
-  bs.addGe(a - i + LinExpr::constant(s, 1));   // a >= i - 1
-  bs.addGe(i - a + LinExpr::constant(s, 1));   // a <= i + 1
-  bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::dim(s, DimId::param(0)));
-  m.addPart(bs);
-  i64 params[] = {100};
-  i64 lo[] = {4}, hi[] = {8};
-  Set fp = m.rangeUnderBox(params, lo, hi);
-  EXPECT_TRUE(fp.exact());
-  for (i64 v = 0; v < 12; ++v) {
-    i64 pt[] = {v};
-    EXPECT_EQ(fp.containsPoint({}, pt), v >= 3 && v <= 8) << "a=" << v;
-  }
-  // An empty box has an empty footprint.
-  i64 eLo[] = {5}, eHi[] = {5};
-  EXPECT_NE(m.rangeUnderBox(params, eLo, eHi).emptiness(), Tri::No);
-}
-
 TEST(Map, RangeOfShiftMap) {
   // { [i] -> [a] : a == i + 3 and 0 <= i < 7 } has range { [a] : 3 <= a < 10 }.
   Space s = Space::map({}, {"i"}, {"a"});

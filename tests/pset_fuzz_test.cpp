@@ -446,71 +446,6 @@ MapOracle enumerateMap(const GenMap& g) {
   return oracle;
 }
 
-TEST(PsetFuzz, RangeUnderBoxMatchesPointEnumerationOracle) {
-  // Map::rangeUnderBox is the flow-set primitive of the dataflow planner:
-  // the concrete footprint of a partition box.  Sound always (no reachable
-  // output may be lost — the planner would skip prefetching live bytes);
-  // when exact, nothing unreachable may appear.
-  for (int i = 0; i < fuzz::caseCount(200); ++i) {
-    fuzz::SeededRng rng(fuzz::seedFor(15, i));
-    SCOPED_TRACE(rng.replay());
-    const auto nIn = static_cast<std::size_t>(rng.range(1, 2));
-    const auto nOut = static_cast<std::size_t>(rng.range(1, 2));
-    GenMap g = generateMap(rng, nIn, nOut);
-    MapOracle oracle = enumerateMap(g);
-
-    // A random sub-box of the input box, half-open on the high side (the
-    // shape GridPartition tiles have).  Sometimes empty on purpose.
-    std::vector<i64> boxLo(nIn), boxHi(nIn);
-    for (std::size_t d = 0; d < nIn; ++d) {
-      boxLo[d] = g.inBox.lo[d] + rng.range(0, 2);
-      boxHi[d] = boxLo[d] + rng.range(0, 4);
-    }
-    Set fp = g.map.rangeUnderBox({}, boxLo, boxHi);
-
-    std::set<std::vector<i64>> image;
-    for (const auto& [in, out] : oracle.pairs) {
-      bool inside = true;
-      for (std::size_t d = 0; d < nIn; ++d)
-        inside = inside && in[d] >= boxLo[d] && in[d] < boxHi[d];
-      if (inside) image.insert(out);
-    }
-
-    for (const std::vector<i64>& out : image) {
-      EXPECT_TRUE(fp.containsPoint({}, out))
-          << "rangeUnderBox dropped a reachable output\n"
-          << g.map.str() << "\n-> " << fp.str();
-      if (::testing::Test::HasFailure()) return;
-    }
-    if (fp.exact()) {
-      if (image.empty()) {
-        EXPECT_NE(fp.emptiness(), Tri::No)
-            << "exact footprint of an empty box claims non-emptiness\n"
-            << g.map.str() << "\n-> " << fp.str();
-      } else {
-        Box hull;
-        for (std::size_t o = 0; o < nOut; ++o) {
-          i64 lo = image.begin()->at(o), hi = lo;
-          for (const std::vector<i64>& out : image) {
-            lo = std::min(lo, out[o]);
-            hi = std::max(hi, out[o]);
-          }
-          hull.lo.push_back(lo - 2);
-          hull.hi.push_back(hi + 2);
-        }
-        hull.forEach([&](const std::vector<i64>& out) {
-          if (fp.containsPoint({}, out)) {
-            EXPECT_TRUE(image.count(out))
-                << "exact rangeUnderBox contains an unreachable output\n"
-                << g.map.str() << "\n-> " << fp.str();
-          }
-        });
-      }
-    }
-    if (::testing::Test::HasFailure()) return;
-  }
-}
-
 TEST(PsetFuzz, MapsMatchPointEnumerationOracle) {
   for (int i = 0; i < fuzz::caseCount(256); ++i) {
     fuzz::SeededRng rng(fuzz::seedFor(13, i));

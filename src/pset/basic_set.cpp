@@ -29,7 +29,10 @@ void BasicSet::addBounds(DimId d, const LinExpr& lo, const LinExpr& hi) {
 }
 
 void BasicSet::simplify() {
-  detail::Rows r{std::move(constraints_), markedEmpty_};
+  // simplifyRows rewrites rows in place and may throw OverflowError midway;
+  // working on a copy leaves the set unchanged when it does (moving the rows
+  // out would leave no constraints behind, i.e. the universe).
+  detail::Rows r{constraints_, markedEmpty_};
   detail::simplifyRows(r);
   constraints_ = std::move(r.rows);
   markedEmpty_ = r.empty;

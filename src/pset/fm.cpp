@@ -484,4 +484,10 @@ FmMemoCounters fmMemoCounters() {
           detail::memoEvictions.load(std::memory_order_relaxed)};
 }
 
+void clearFmMemo() {
+  std::lock_guard<std::mutex> lock(detail::memoMutex);
+  detail::memoOrder.clear();
+  detail::memoTable.clear();
+}
+
 }  // namespace polypart::pset

@@ -54,4 +54,8 @@ struct FmMemoCounters {
 
 FmMemoCounters fmMemoCounters();
 
+/// Empties the projection memo table so the next projections start cold, as
+/// in a fresh process.  Leaves the monotone counters untouched.
+void clearFmMemo();
+
 }  // namespace polypart::pset

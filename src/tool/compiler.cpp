@@ -5,6 +5,7 @@
 #include "ir/optimize.h"
 #include "ir/transform.h"
 #include "ir/verify.h"
+#include "pset/fm_internal.h"
 
 namespace polypart::tool {
 
@@ -45,8 +46,11 @@ CompiledApplication Compiler::compile(const ir::Module& deviceCode,
   // one gpucc run (front-end + middle-end with the analysis pass registered
   // + back-end) is the unit of work that gets duplicated; here the
   // polyhedral analysis dominates that pipeline, so the reference runs it
-  // once just as a single gpucc invocation would.
+  // once just as a single gpucc invocation would.  Each of the three
+  // analyses below stands for a separate compiler process, so each starts
+  // with a cold projection memo.
   {
+    pset::clearFmMemo();
     auto t0 = Clock::now();
     baselineCompile(deviceCode);
     analysis::analyzeModule(deviceCode);
@@ -56,6 +60,7 @@ CompiledApplication Compiler::compile(const ir::Module& deviceCode,
   // Pass 1: compile + analyze; only the application model survives
   // (Section 3: "other results, e.g. object files, are discarded").
   {
+    pset::clearFmMemo();
     auto t0 = Clock::now();
     baselineCompile(deviceCode);
     app.model_ = analysis::analyzeModule(deviceCode);
@@ -77,6 +82,7 @@ CompiledApplication Compiler::compile(const ir::Module& deviceCode,
   // overhead) — then clone + partition the kernels (Section 7) and generate
   // the enumerators from the reloaded model (Section 6).
   {
+    pset::clearFmMemo();
     auto t0 = Clock::now();
     baselineCompile(deviceCode);
     analysis::analyzeModule(deviceCode);

@@ -127,15 +127,18 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
         ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
       ;;
     figures)
-      # Paper-figure reproductions and the two modeled-only extension benches
-      # (dataflow planning, repartitioning): each must print exactly what
+      # Paper-figure reproductions, the modeled-only extension benches
+      # (dataflow planning, repartitioning, shared-copy tracking) and the
+      # page-migration comparator: each must print exactly what
       # bench_results/ holds (modeled numbers only, so any difference is a
       # behaviour change).  Each bench runs from a scratch directory because
       # it writes BENCH_<name>.json to the working directory.  Reuses the
       # tier-1 build tree.
       figure_benches=(fig6_speedup:fig6 fig7_breakdown:fig7 fig8_overhead:fig8
                       single_gpu_overhead:single_gpu table1_configs:table1
-                      dataflow_plan:dataflow_plan repartition:repartition)
+                      dataflow_plan:dataflow_plan repartition:repartition
+                      ablation_shared_copies:ablation_shared_copies
+                      baseline_uvm:baseline_uvm)
       run cmake -B build -S .
       run cmake --build build -j "$jobs" --target "${figure_benches[@]%%:*}"
       root=$(pwd)

@@ -92,24 +92,12 @@ Proj BasicSet::projectOut(DimKind kind, std::size_t first,
   return {std::move(out), er.exact};
 }
 
-Proj BasicSet::projectOutAllDims() const {
-  Proj p = projectOut(DimKind::Out, 0, space_.numOut());
-  Proj q = p.set.projectOut(DimKind::In, 0, p.set.space().numIn());
-  return {std::move(q.set), p.exact && q.exact};
-}
-
 BasicSet::Feas BasicSet::feasibility() const {
   std::vector<bool> elim(space_.cols(), false);
   for (std::size_t c = 1; c < space_.cols(); ++c) elim[c] = true;
   detail::ElimResult er = detail::eliminateColumns(constraints_, elim);
   if (er.empty) return Feas::Empty;
   return er.exact ? Feas::NonEmpty : Feas::Unknown;
-}
-
-void BasicSet::fixDim(DimId d, i64 value) {
-  LinExpr e = LinExpr::dim(space_, d);
-  e.addConstant(checkedNeg(value));
-  addEq(std::move(e));
 }
 
 bool BasicSet::containsPoint(std::span<const i64> params,

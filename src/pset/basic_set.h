@@ -61,19 +61,12 @@ class BasicSet {
   /// `first`.  The dimensions are removed from the resulting space.
   Proj projectOut(DimKind kind, std::size_t first, std::size_t count) const;
 
-  /// Projects away *all* input and output dimensions, keeping parameters.
-  Proj projectOutAllDims() const;
-
   enum class Feas { Empty, NonEmpty, Unknown };
 
   /// Decides feasibility over the integers where possible.  `Empty` and
   /// `NonEmpty` are definite; `Unknown` means rationally feasible but the
   /// elimination lost integer exactness.
   Feas feasibility() const;
-
-  /// Substitutes dimension `d := value` (a constant) and removes nothing;
-  /// the dimension keeps existing but is pinned by an equality.
-  void fixDim(DimId d, i64 value);
 
   /// Evaluates membership of a concrete point (test/verification helper).
   bool containsPoint(std::span<const i64> params, std::span<const i64> ins,

@@ -26,24 +26,9 @@ class Map {
 
   void addPart(BasicSet bs);
 
-  Map unionWith(const Map& o) const;
-
   /// Intersects every disjunct with extra constraints (e.g. a partition box
   /// over the input dimensions, or a parameter context).
   Map intersect(const BasicSet& bs) const;
-
-  /// The image of the map's domain: projects out the input dimensions,
-  /// yielding a Set over the output (array) dimensions.
-  Set range() const;
-
-  /// The domain as a Set over the input dimensions.
-  Set domain() const;
-
-  /// Checks that no two distinct domain points map to the same range point
-  /// (required for write maps, paper Section 4.1).  `context` constrains the
-  /// parameters (e.g. positive sizes); pass a universe set when unneeded.
-  /// Conservative: `Unknown` must be treated as "not injective".
-  Tri isInjective(const BasicSet& context) const;
 
   /// Membership test for a concrete (params, in, out) triple.
   bool contains(std::span<const i64> params, std::span<const i64> ins,

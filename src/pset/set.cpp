@@ -10,59 +10,6 @@ void Set::addPart(BasicSet bs) {
   parts_.push_back(std::move(bs));
 }
 
-Set Set::unionWith(const Set& o) const {
-  PP_ASSERT(space_ == o.space_);
-  Set out = *this;
-  out.parts_.insert(out.parts_.end(), o.parts_.begin(), o.parts_.end());
-  out.exact_ = exact_ && o.exact_;
-  return out;
-}
-
-Set Set::intersect(const Set& o) const {
-  PP_ASSERT(space_ == o.space_);
-  Set out(space_);
-  out.exact_ = exact_ && o.exact_;
-  for (const BasicSet& a : parts_)
-    for (const BasicSet& b : o.parts_) {
-      BasicSet c = a.intersect(b);
-      c.simplify();
-      if (!c.markedEmpty()) out.parts_.push_back(std::move(c));
-    }
-  return out;
-}
-
-Set Set::intersect(const BasicSet& bs) const {
-  Set out(space_);
-  out.exact_ = exact_;
-  for (const BasicSet& a : parts_) {
-    BasicSet c = a.intersect(bs);
-    c.simplify();
-    if (!c.markedEmpty()) out.parts_.push_back(std::move(c));
-  }
-  return out;
-}
-
-Set Set::projectOut(DimKind kind, std::size_t first, std::size_t count) const {
-  Set out;
-  out.exact_ = exact_;
-  bool spaceSet = false;
-  for (const BasicSet& part : parts_) {
-    Proj p = part.projectOut(kind, first, count);
-    if (!spaceSet) {
-      out.space_ = p.set.space();
-      spaceSet = true;
-    }
-    out.exact_ = out.exact_ && p.exact;
-    if (!p.set.markedEmpty()) out.parts_.push_back(std::move(p.set));
-  }
-  if (!spaceSet) {
-    // No disjuncts: still compute the reduced space from an empty part.
-    Proj p = BasicSet(space_).projectOut(kind, first, count);
-    out.space_ = p.set.space();
-  }
-  return out;
-}
-
 Set Set::subtract(const Set& o) const {
   PP_ASSERT(space_ == o.space_);
   // Complement splitting multiplies disjuncts; past this cap the subtrahend

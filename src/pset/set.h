@@ -1,8 +1,8 @@
 #pragma once
 
 // A Set is a union of BasicSets over a common space (paper Section 2.4:
-// "unions of Z-Polyhedra").  Exactness is tracked through projections so
-// clients can distinguish precise results from sound over-approximations.
+// "unions of Z-Polyhedra").  Exactness is tracked so clients can
+// distinguish precise results from sound over-approximations.
 
 #include <string>
 #include <vector>
@@ -32,25 +32,16 @@ class Set {
 
   void addPart(BasicSet bs);
 
-  /// Union (concatenation of disjuncts).
-  Set unionWith(const Set& o) const;
-
-  /// Pairwise intersection of disjuncts.
-  Set intersect(const Set& o) const;
-  Set intersect(const BasicSet& bs) const;
-
-  /// Projects the given dimensions out of every disjunct.
-  Set projectOut(DimKind kind, std::size_t first, std::size_t count) const;
-
   /// Set difference `this \ o` by exact complement splitting: every
   /// subtrahend disjunct with constraints c_0..c_{k-1} splits each remaining
   /// disjunct A into the pairwise-disjoint pieces
   /// A ∩ c_0 ∩ .. ∩ c_{j-1} ∩ ¬c_j (over the integers ¬(e >= 0) is
   /// -e - 1 >= 0; an equality contributes both of its inequalities).  The
   /// disjunct count is capped; past the cap the offending subtrahend part is
-  /// skipped and the result marked inexact — a sound *over*-approximation,
-  /// which is the safe direction for dead-transfer elision (clients prefetch
-  /// a superset of the live flow).
+  /// skipped and the result marked inexact — a sound *over*-approximation.
+  /// The enumerator's convex-union proof (convexUnionNest in
+  /// codegen/enumerator.cpp) needs an exactly empty difference, so it reads
+  /// an inexact result as "not proven".
   Set subtract(const Set& o) const;
 
   /// Empty (definitely), NonEmpty (definitely over Z), or Unknown.

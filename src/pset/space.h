@@ -124,22 +124,6 @@ class Space {
     return s;
   }
 
-  /// Returns the set space over this map's output dimensions (same params).
-  Space rangeSpace() const {
-    Space s;
-    s.params_ = params_;
-    s.ins_ = outs_;
-    return s;
-  }
-
-  /// Returns the set space over this map's input dimensions (same params).
-  Space domainSpace() const {
-    Space s;
-    s.params_ = params_;
-    s.ins_ = ins_;
-    return s;
-  }
-
   bool operator==(const Space&) const = default;
 
  private:

@@ -7,8 +7,6 @@
 // data structure: internal nodes route by key, all entries live in leaves,
 // and leaves are linked for in-order traversal — exactly the access pattern
 // the tracker needs (predecessor search, then a short ordered walk).
-//
-// bench/ablation_tracker compares it against a std::map-backed tracker.
 
 #include <array>
 #include <memory>

@@ -21,7 +21,7 @@ Checkpoint Runtime::checkpoint() {
   for (const std::unique_ptr<VirtualBuffer>& buf : buffers_) {
     Checkpoint::BufferImage image;
     image.buf = buf.get();
-    buf->tracker_.querySharers(
+    buf->tracker_.query(
         0, buf->bytes(), [&](i64 b, i64 e, Owner owner, u64 sharers) {
           if (owner < 0) return;  // never written: nothing to lose
           // A range with a second valid replica survives any single device
@@ -92,7 +92,7 @@ void Runtime::recoverDevice(int device, const Checkpoint& cp,
       int adopt = -1;  // surviving sharer to re-own the range, -1 = restore
     };
     std::vector<Lost> lost;
-    buf->tracker_.querySharers(
+    buf->tracker_.query(
         0, buf->bytes(), [&](i64 b, i64 e, Owner owner, u64 sharers) {
           if (owner != device) return;
           Lost l{b, e, -1};

@@ -167,7 +167,7 @@ RepartitionResult Runtime::migrateKernel(KernelEntry& ke,
       const ElemRanges diff = subtractRanges(
           now, footprintOn(ke, writer, ke.lastCfg, ke.lastScalars, d, prev));
       for (const auto& [rb, re] : diff) {
-        buf->tracker_.querySharers(
+        buf->tracker_.query(
             rb * kElemBytes, re * kElemBytes,
             [&](i64 b, i64 e, Owner owner, u64 sharers) {
               ++stats_.trackerSegmentsVisited;

@@ -152,7 +152,7 @@ TEST(Tracker, UpdateAndQuery) {
   t.update(200, 300, 1);
   EXPECT_TRUE(t.checkInvariants());
   std::vector<std::tuple<i64, i64, Owner>> segs;
-  t.query(50, 350, [&](i64 b, i64 e, Owner o) { segs.emplace_back(b, e, o); });
+  t.query(50, 350, [&](i64 b, i64 e, Owner o, u64) { segs.emplace_back(b, e, o); });
   ASSERT_EQ(segs.size(), 4u);
   EXPECT_EQ(segs[0], (std::tuple<i64, i64, Owner>{50, 100, kOwnerUndefined}));
   EXPECT_EQ(segs[1], (std::tuple<i64, i64, Owner>{100, 200, 0}));
@@ -193,17 +193,15 @@ TEST(Tracker, ClampsOutOfRange) {
   EXPECT_EQ(t.ownerAt(0), 3);
   EXPECT_EQ(t.ownerAt(99), 3);
   int calls = 0;
-  t.query(200, 300, [&](i64, i64, Owner) { ++calls; });
+  t.query(200, 300, [&](i64, i64, Owner, u64) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
-/// Property: tracker behaviour matches a flat per-byte ownership array, for
-/// both map back-ends.
-template <typename Tracker>
+/// Property: tracker behaviour matches a flat per-byte ownership array.
 void randomTrackerCheck(unsigned seed) {
   Rng rng(seed);
   const i64 size = 512;
-  Tracker t(size);
+  SegmentTracker t(size);
   std::vector<Owner> ref(static_cast<std::size_t>(size), kOwnerUndefined);
   for (int step = 0; step < 3000; ++step) {
     i64 b = rng.range(0, size - 1);
@@ -217,7 +215,7 @@ void randomTrackerCheck(unsigned seed) {
       std::vector<Owner> got(static_cast<std::size_t>(e - b), kOwnerUndefined);
       i64 covered = 0;
       i64 prevEnd = b;
-      t.query(b, e, [&](i64 sb, i64 se, Owner o) {
+      t.query(b, e, [&](i64 sb, i64 se, Owner o, u64) {
         ASSERT_EQ(sb, prevEnd) << "query gap";
         prevEnd = se;
         covered += se - sb;
@@ -231,8 +229,7 @@ void randomTrackerCheck(unsigned seed) {
   }
 }
 
-TEST(Tracker, RandomizedBTreeBackend) { randomTrackerCheck<SegmentTracker>(7); }
-TEST(Tracker, RandomizedStdMapBackend) { randomTrackerCheck<SegmentTrackerStdMap>(8); }
+TEST(Tracker, RandomizedBTreeBackend) { randomTrackerCheck(7); }
 
 TEST(Tracker, SharedCopiesRecordedAndInvalidated) {
   SegmentTracker t(1000);
@@ -241,7 +238,7 @@ TEST(Tracker, SharedCopiesRecordedAndInvalidated) {
   t.addSharer(400, 800, 2);
   EXPECT_TRUE(t.checkInvariants());
   std::vector<std::tuple<i64, i64, Owner, u64>> segs;
-  t.querySharers(0, 1000, [&](i64 b, i64 e, Owner o, u64 s) {
+  t.query(0, 1000, [&](i64 b, i64 e, Owner o, u64 s) {
     segs.emplace_back(b, e, o, s);
   });
   ASSERT_EQ(segs.size(), 5u);
@@ -254,7 +251,7 @@ TEST(Tracker, SharedCopiesRecordedAndInvalidated) {
   // A write by device 3 invalidates the replicas in its range.
   t.update(300, 700, 3);
   EXPECT_TRUE(t.checkInvariants());
-  t.querySharers(300, 700, [&](i64, i64, Owner o, u64 s) {
+  t.query(300, 700, [&](i64, i64, Owner o, u64 s) {
     EXPECT_EQ(o, 3);
     EXPECT_EQ(s, u64{0b1000});
   });
@@ -293,7 +290,7 @@ TEST(Tracker, SharerPropertyAgainstReference) {
       t.addSharer(b, e, d);
       for (i64 i = b; i < e; ++i) refSharers[static_cast<std::size_t>(i)] |= u64{1} << d;
     } else {
-      t.querySharers(b, e, [&](i64 sb, i64 se, Owner o, u64 s) {
+      t.query(b, e, [&](i64 sb, i64 se, Owner o, u64 s) {
         for (i64 i = sb; i < se; ++i) {
           ASSERT_EQ(o, refOwner[static_cast<std::size_t>(i)]) << "pos " << i;
           ASSERT_EQ(s, refSharers[static_cast<std::size_t>(i)]) << "pos " << i;

@@ -151,7 +151,7 @@ TEST(Checkpoint, KillOneGpuRecoveryProducesTheReferenceAnswer) {
   // The dead device owns nothing anywhere.
   for (const VirtualBuffer* v : {va, vb})
     v->tracker().query(0, bytes,
-                       [&](i64, i64, Owner o) { EXPECT_NE(o, 1); });
+                       [&](i64, i64, Owner o, u64) { EXPECT_NE(o, 1); });
 }
 
 TEST(Checkpoint, RecoveryAdoptsSurvivingReplicasWithoutRestoreCopies) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "pset/ast.h"
-#include "pset/map.h"
 #include "pset/set.h"
 #include "support/rng.h"
 
@@ -207,8 +206,16 @@ TEST(Set, UnionAndEmptiness) {
   EXPECT_EQ(u.emptiness(), Tri::No);
   Set v = Set::empty(s);
   EXPECT_EQ(v.emptiness(), Tri::Yes);
-  Set w = u.unionWith(v);
-  EXPECT_EQ(w.parts().size(), 1u);
+  // A union is non-empty as soon as one disjunct is, even when an earlier
+  // one is infeasible.
+  BasicSet none(s);
+  none.addBounds(DimId::in(0), LinExpr::constant(s, 3), LinExpr::constant(s, 1));
+  Set w(s);
+  w.addPart(none);
+  EXPECT_EQ(w.emptiness(), Tri::Yes);
+  w.addPart(a);
+  EXPECT_EQ(w.parts().size(), 2u);
+  EXPECT_EQ(w.emptiness(), Tri::No);
 }
 
 TEST(Set, SubtractSplitsInterval) {
@@ -261,45 +268,21 @@ TEST(Set, SubtractDisjointAndCovering) {
 }
 
 TEST(Map, RangeOfShiftMap) {
-  // { [i] -> [a] : a == i + 3 and 0 <= i < 7 } has range { [a] : 3 <= a < 10 }.
+  // { [i] -> [a] : a == i + 3 and 0 <= i < 7 } has range { [a] : 3 <= a < 10 }:
+  // projecting out the input dimensions, as the enumerators do.
   Space s = Space::map({}, {"i"}, {"a"});
-  Map m(s);
   BasicSet bs(s);
   LinExpr i = LinExpr::dim(s, DimId::in(0));
   LinExpr a = LinExpr::dim(s, DimId::out(0));
   bs.addEq(a - i - LinExpr::constant(s, 3));
   bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::constant(s, 7));
-  m.addPart(bs);
-  Set r = m.range();
-  EXPECT_TRUE(r.exact());
+  Proj r = bs.projectOut(DimKind::In, 0, 1);
+  EXPECT_TRUE(r.exact);
   i64 a3[] = {3}, a9[] = {9}, a2[] = {2}, a10[] = {10};
-  EXPECT_TRUE(r.containsPoint({}, a3));
-  EXPECT_TRUE(r.containsPoint({}, a9));
-  EXPECT_FALSE(r.containsPoint({}, a2));
-  EXPECT_FALSE(r.containsPoint({}, a10));
-}
-
-TEST(Map, InjectiveIdentity) {
-  Space s = Space::map({"N"}, {"i"}, {"a"});
-  Map m(s);
-  BasicSet bs(s);
-  bs.addEq(LinExpr::dim(s, DimId::out(0)) - LinExpr::dim(s, DimId::in(0)));
-  bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::dim(s, DimId::param(0)));
-  m.addPart(bs);
-  BasicSet context(Space::set({"N"}, {}));
-  EXPECT_EQ(m.isInjective(context), Tri::Yes);
-}
-
-TEST(Map, NonInjectiveConstantMap) {
-  // { [i] -> [0] : 0 <= i < 4 } maps several inputs to one output.
-  Space s = Space::map({}, {"i"}, {"a"});
-  Map m(s);
-  BasicSet bs(s);
-  bs.addEq(LinExpr::dim(s, DimId::out(0)));
-  bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::constant(s, 4));
-  m.addPart(bs);
-  BasicSet context(Space::set({}, {}));
-  EXPECT_EQ(m.isInjective(context), Tri::No);
+  EXPECT_TRUE(r.set.containsPoint({}, {}, a3));
+  EXPECT_TRUE(r.set.containsPoint({}, {}, a9));
+  EXPECT_FALSE(r.set.containsPoint({}, {}, a2));
+  EXPECT_FALSE(r.set.containsPoint({}, {}, a10));
 }
 
 TEST(Ast, ScanOneDim) {

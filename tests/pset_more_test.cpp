@@ -1,6 +1,6 @@
 // Additional polyhedral-substrate tests: space manipulation, set algebra,
-// map domain/range, exactness propagation, overflow safety, scan-AST C
-// emission, and randomized projection-vs-enumeration properties.
+// map domain/range by projection, exactness propagation, overflow safety,
+// scan-AST C emission, and randomized projection-vs-enumeration properties.
 
 #include <gtest/gtest.h>
 
@@ -8,25 +8,20 @@
 
 #include "pset/ast.h"
 #include "pset/fm_internal.h"
-#include "pset/map.h"
 #include "pset/set.h"
 #include "support/rng.h"
 
 namespace polypart::pset {
 namespace {
 
-TEST(SpaceMore, AddParamsAndRangeSpace) {
+TEST(SpaceMore, AddParamsAppendsParameters) {
   Space s = Space::map({"N"}, {"i", "j"}, {"a"});
   Space wider = s.addParams({"p", "q"});
   EXPECT_EQ(wider.numParams(), 3u);
   EXPECT_EQ(wider.paramIndex("q"), 2u);
   EXPECT_EQ(wider.paramIndex("zzz"), Space::npos);
-  Space range = s.rangeSpace();
-  EXPECT_TRUE(range.isSet());
-  EXPECT_EQ(range.numIn(), 1u);
-  EXPECT_EQ(range.name(DimId::in(0)), "a");
-  Space dom = s.domainSpace();
-  EXPECT_EQ(dom.numIn(), 2u);
+  EXPECT_EQ(wider.numIn(), 2u);
+  EXPECT_EQ(wider.name(DimId::out(0)), "a");
 }
 
 TEST(BasicSetMore, AlignToSpaceWidensParams) {
@@ -41,23 +36,12 @@ TEST(BasicSetMore, AlignToSpaceWidensParams) {
   EXPECT_FALSE(aligned.containsPoint(params, in5, {}));
 }
 
-TEST(BasicSetMore, FixDimPinsValue) {
-  Space s = Space::set({}, {"i", "j"});
-  BasicSet bs(s);
-  bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::constant(s, 10));
-  bs.addBounds(DimId::in(1), LinExpr(s), LinExpr::constant(s, 10));
-  bs.fixDim(DimId::in(0), 3);
-  i64 a[] = {3, 7}, b[] = {4, 7};
-  EXPECT_TRUE(bs.containsPoint({}, a, {}));
-  EXPECT_FALSE(bs.containsPoint({}, b, {}));
-}
-
 TEST(BasicSetMore, ProjectOutAllDimsLeavesParamConstraints) {
   // { [i] : 0 <= i < N } projected to params implies N >= 1.
   Space s = Space::set({"N"}, {"i"});
   BasicSet bs(s);
   bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::dim(s, DimId::param(0)));
-  Proj p = bs.projectOutAllDims();
+  Proj p = bs.projectOut(DimKind::In, 0, 1);
   EXPECT_TRUE(p.exact);
   EXPECT_EQ(p.set.space().numIn(), 0u);
   i64 n0[] = {0}, n1[] = {1};
@@ -133,13 +117,13 @@ TEST(SetMore, IntersectAndPrune) {
   lowHalf.addBounds(DimId::in(0), LinExpr(s), LinExpr::constant(s, 5));
   BasicSet highHalf(s);
   highHalf.addBounds(DimId::in(0), LinExpr::constant(s, 5), LinExpr::constant(s, 10));
-  Set a(s), b(s);
-  a.addPart(lowHalf);
-  b.addPart(highHalf);
-  Set inter = a.intersect(b);
-  EXPECT_EQ(inter.emptiness(), Tri::Yes);
+  BasicSet inter = lowHalf.intersect(highHalf);
+  inter.simplify();
+  EXPECT_EQ(inter.feasibility(), BasicSet::Feas::Empty);
 
-  Set uni = a.unionWith(b);
+  Set uni(s);
+  uni.addPart(lowHalf);
+  uni.addPart(highHalf);
   EXPECT_EQ(uni.parts().size(), 2u);
   uni.pruneEmptyParts();
   EXPECT_EQ(uni.parts().size(), 2u);
@@ -157,76 +141,33 @@ TEST(SetMore, ExactnessPropagatesThroughOps) {
   bs.addGe(j);
   bs.addGe(LinExpr::constant(s, 5) - j);
   bs.addEq(i - j * 2);  // projection of j is integer-inexact
-  Set set(s);
-  set.addPart(bs);
-  Set projected = set.projectOut(DimKind::In, 1, 1);
-  EXPECT_FALSE(projected.exact());
-  // Union with an inexact set is inexact.
+  Proj p = bs.projectOut(DimKind::In, 1, 1);
+  EXPECT_FALSE(p.exact);
+  Set projected(p.set.space());
+  projected.addPart(p.set);
+  projected.markInexact();
+  // A difference is inexact when either operand is.
   Set exactSet = Set::universe(projected.space());
   EXPECT_TRUE(exactSet.exact());
-  EXPECT_FALSE(exactSet.unionWith(projected).exact());
+  EXPECT_FALSE(exactSet.subtract(projected).exact());
+  EXPECT_FALSE(projected.subtract(exactSet).exact());
 }
 
 TEST(MapMore, DomainOfShiftMap) {
+  // The domain is the projection onto the input dimensions.
   Space s = Space::map({}, {"i"}, {"a"});
-  Map m(s);
   BasicSet bs(s);
   bs.addEq(LinExpr::dim(s, DimId::out(0)) - LinExpr::dim(s, DimId::in(0)) -
            LinExpr::constant(s, 3));
   bs.addBounds(DimId::out(0), LinExpr::constant(s, 10), LinExpr::constant(s, 20));
-  m.addPart(bs);
-  Set dom = m.domain();
+  Proj dom = bs.projectOut(DimKind::Out, 0, 1);
+  EXPECT_TRUE(dom.exact);
   // a in [10, 20) <=> i in [7, 17).
   i64 i7[] = {7}, i16[] = {16}, i17[] = {17}, i6[] = {6};
-  EXPECT_TRUE(dom.containsPoint({}, i7));
-  EXPECT_TRUE(dom.containsPoint({}, i16));
-  EXPECT_FALSE(dom.containsPoint({}, i17));
-  EXPECT_FALSE(dom.containsPoint({}, i6));
-}
-
-TEST(MapMore, InjectivityWithParamContext) {
-  // { [i] -> [i + N] } is injective for any N (translation).
-  Space s = Space::map({"N"}, {"i"}, {"a"});
-  Map m(s);
-  BasicSet bs(s);
-  bs.addEq(LinExpr::dim(s, DimId::out(0)) - LinExpr::dim(s, DimId::in(0)) -
-           LinExpr::dim(s, DimId::param(0)));
-  bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::constant(s, 100));
-  m.addPart(bs);
-  BasicSet ctx(Space::set({"N"}, {}));
-  EXPECT_EQ(m.isInjective(ctx), Tri::Yes);
-}
-
-TEST(MapMore, TwoPartUnionInjectivity) {
-  // Parts { [i] -> [2i] } and { [i] -> [2i+1] } are individually and jointly
-  // injective (disjoint images).
-  Space s = Space::map({}, {"i"}, {"a"});
-  Map m(s);
-  for (int off = 0; off < 2; ++off) {
-    BasicSet bs(s);
-    LinExpr a = LinExpr::dim(s, DimId::out(0));
-    LinExpr i = LinExpr::dim(s, DimId::in(0));
-    bs.addEq(a - i * 2 - LinExpr::constant(s, off));
-    bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::constant(s, 50));
-    m.addPart(bs);
-  }
-  BasicSet ctx(Space::set({}, {}));
-  EXPECT_EQ(m.isInjective(ctx), Tri::Yes);
-
-  // Shifting the second part to overlap the first breaks injectivity.
-  Map bad(s);
-  for (int off : {0, 2}) {
-    BasicSet bs(s);
-    LinExpr a = LinExpr::dim(s, DimId::out(0));
-    LinExpr i = LinExpr::dim(s, DimId::in(0));
-    bs.addEq(a - i * 2 - LinExpr::constant(s, off));
-    bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::constant(s, 50));
-    bad.addPart(bs);
-  }
-  // The conflict system needs a divisibility argument (2i == 2i' + 2), which
-  // rational FM cannot decide exactly: the check must at least refuse to
-  // claim injectivity (No or Unknown are both sound rejections).
-  EXPECT_NE(bad.isInjective(ctx), Tri::Yes);
+  EXPECT_TRUE(dom.set.containsPoint({}, i7, {}));
+  EXPECT_TRUE(dom.set.containsPoint({}, i16, {}));
+  EXPECT_FALSE(dom.set.containsPoint({}, i17, {}));
+  EXPECT_FALSE(dom.set.containsPoint({}, i6, {}));
 }
 
 TEST(AstMore, ScanToCEmitsLoopNest) {
@@ -313,13 +254,12 @@ TEST(ProjectionProperty, SoundAndExactWhenClaimed) {
   }
 }
 
-/// Randomized property: Map::range() over-approximates the true image and is
-/// exact when it says so.
+/// Randomized property: projecting out a map's input dimensions
+/// over-approximates its true image and is exact when it says so.
 TEST(ProjectionProperty, RangeMatchesImage) {
   Rng rng(901);
   for (int iter = 0; iter < 80; ++iter) {
     Space s = Space::map({}, {"i"}, {"a"});
-    Map m(s);
     BasicSet bs(s);
     bs.addBounds(DimId::in(0), LinExpr(s), LinExpr::constant(s, 8));
     LinExpr a = LinExpr::dim(s, DimId::out(0));
@@ -327,17 +267,16 @@ TEST(ProjectionProperty, RangeMatchesImage) {
     i64 scale = rng.range(1, 3);
     i64 off = rng.range(-3, 3);
     bs.addEq(a - i * scale - LinExpr::constant(s, off));
-    m.addPart(bs);
-    Set r = m.range();
+    Proj r = bs.projectOut(DimKind::In, 0, 1);
 
     std::set<i64> truth;
     for (i64 ii = 0; ii < 8; ++ii) truth.insert(ii * scale + off);
     for (i64 v = -10; v < 30; ++v) {
       i64 outs[] = {v};
-      bool inRange = r.containsPoint({}, outs);
+      bool inRange = r.set.containsPoint({}, {}, outs);
       if (truth.count(v)) {
         EXPECT_TRUE(inRange) << "scale " << scale;
-      } else if (r.exact()) {
+      } else if (r.exact) {
         EXPECT_FALSE(inRange) << "scale " << scale << " v " << v;
       }
     }

@@ -331,7 +331,7 @@ TEST(Repartition, ElasticShrinkAndGrowKeepsResultsExact) {
   EXPECT_EQ(got, expect);
   // During the last phase only devices 1 and 2 computed: the final output
   // buffer's owners are drawn from {1, 2}.
-  src->tracker().query(0, bytes, [&](i64, i64, Owner o) {
+  src->tracker().query(0, bytes, [&](i64, i64, Owner o, u64) {
     EXPECT_TRUE(o == 1 || o == 2) << "owner " << o;
   });
 }

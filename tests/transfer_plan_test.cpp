@@ -239,7 +239,7 @@ struct Snapshot {
 
 std::vector<TrackerRun> dump(const VirtualBuffer* vb) {
   std::vector<TrackerRun> out;
-  vb->tracker().querySharers(0, vb->bytes(), [&](i64 b, i64 e, Owner o, u64 s) {
+  vb->tracker().query(0, vb->bytes(), [&](i64 b, i64 e, Owner o, u64 s) {
     out.push_back(TrackerRun{b, e, o, s});
   });
   return out;

@@ -22,7 +22,7 @@ gpartError gpartMalloc(void** devPtr, std::size_t size) {
   try {
     *devPtr = gpartCurrentRuntime().malloc(static_cast<i64>(size));
   } catch (const Error&) {
-    return gpartErrorInvalidValue;  // a size that is not whole elements
+    return gpartErrorInvalidValue;  // negative, or not whole elements
   }
   return gpartSuccess;
 }
@@ -55,6 +55,8 @@ gpartError gpartMemcpy(void* dst, const void* src, std::size_t count,
                                  toKind(kind));
   } catch (const UnsupportedOperationError&) {
     return gpartErrorNotSupported;
+  } catch (const Error&) {
+    return gpartErrorInvalidValue;  // a count the buffer cannot hold
   }
   return gpartSuccess;
 }

@@ -53,12 +53,14 @@ Runtime& gpartCurrentRuntime();
 
 // -- cudaMalloc / cudaFree ----------------------------------------------------
 /// gpartErrorInvalidValue for a null `devPtr` or a `size` Runtime::malloc
-/// rejects (not a multiple of the 8-byte element size).
+/// rejects (above INT64_MAX, or not a multiple of the 8-byte element size).
 gpartError gpartMalloc(void** devPtr, std::size_t size);
 gpartError gpartFree(void* devPtr);
 
 // -- cudaMemcpy / cudaMemcpyAsync ---------------------------------------------
-/// gpartErrorNotSupported for gpartMemcpyDeviceToDevice (Section 8.2).
+/// gpartErrorNotSupported for gpartMemcpyDeviceToDevice (Section 8.2);
+/// gpartErrorInvalidValue for a `count` above INT64_MAX or larger than the
+/// virtual buffer.
 gpartError gpartMemcpy(void* dst, const void* src, std::size_t count,
                        gpartMemcpyKind kind);
 gpartError gpartMemcpyAsync(void* dst, const void* src, std::size_t count,

@@ -338,6 +338,43 @@ TEST(DataflowPlan, PlanningIsDeterministicWithAndWithoutCache) {
   EXPECT_EQ(runWith(/*cache=*/false).stats, uncached.stats);
 }
 
+TEST(DataflowPlan, FreeDropsThePlan) {
+  // Recorded launch signatures hold buffer identities, and an address can be
+  // reused, so any free() drops the active plan and the history: the same
+  // cycle is detected, and counted, a second time.
+  RuntimeConfig cfg;
+  cfg.numGpus = 4;
+  cfg.mode = sim::ExecutionMode::Functional;
+  cfg.dataflowPlanning = true;
+  Runtime rt(cfg, loopModel(), loopModule());
+  const i64 bytes = kN * 8;
+  VirtualBuffer* vx = rt.malloc(bytes);
+  VirtualBuffer* vy = rt.malloc(bytes);
+  VirtualBuffer* unrelated = rt.malloc(bytes);
+  const std::vector<double> x0 = seededInput(23);
+  rt.memcpy(vx, x0.data(), bytes, MemcpyKind::HostToDevice);
+  const ir::Dim3 grid{kN / kBlock, 1, 1}, block{kBlock, 1, 1};
+  auto iterate = [&](int iters) {
+    for (int it = 0; it < iters; ++it) {
+      LaunchArg scale[] = {LaunchArg::ofInt(kN), LaunchArg::ofBuffer(vx),
+                           LaunchArg::ofBuffer(vy)};
+      rt.launch("scale", grid, block, scale);
+      LaunchArg fill[] = {LaunchArg::ofInt(kN), LaunchArg::ofInt(kN / 2),
+                          LaunchArg::ofBuffer(vy)};
+      rt.launch("fill", grid, block, fill);
+      LaunchArg fold[] = {LaunchArg::ofInt(kN), LaunchArg::ofBuffer(vy),
+                          LaunchArg::ofBuffer(vx)};
+      rt.launch("fold", grid, block, fold);
+    }
+  };
+  iterate(4);
+  EXPECT_EQ(rt.stats().planActivations, 1);
+  rt.free(unrelated);
+  iterate(4);
+  EXPECT_EQ(rt.stats().planActivations, 2);
+  EXPECT_EQ(rt.stats().planDivergences, 0);
+}
+
 TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {
   // Regression: a repartition changes every kernel's footprint geometry, so
   // any cycle the planner detected beforehand prefetches the *old* flow sets.

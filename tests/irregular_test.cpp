@@ -384,6 +384,48 @@ TEST(Irregular, InspectionCacheEvictsOldestBeyondEightKeys) {
   }
 }
 
+TEST(Irregular, FreeDropsTheInspectionsThatUsedTheBuffer) {
+  // Fill the 8-entry inspection cache, then free the newest key's output:
+  // its entry goes with it, so a ninth key fits without evicting the
+  // oldest, which still hits.
+  Rng rng(418);
+  const i64 n = 192;
+  Csr a = makeBandedCsr(n, 3, rng);
+  std::vector<double> x = makeVector(n, rng);
+
+  Runtime rt(irregularConfig(4, /*inspector=*/true), irregularModel(),
+             irregularModule());
+  VirtualBuffer* dRow = rt.malloc((n + 1) * 8);
+  VirtualBuffer* dCol = rt.malloc(a.nnz() * 8);
+  VirtualBuffer* dVal = rt.malloc(a.nnz() * 8);
+  VirtualBuffer* dX = rt.malloc(n * 8);
+  rt.memcpy(dRow, a.rowPtr.data(), (n + 1) * 8, MemcpyKind::HostToDevice);
+  rt.memcpy(dCol, a.colIdx.data(), a.nnz() * 8, MemcpyKind::HostToDevice);
+  rt.memcpy(dVal, a.vals.data(), a.nnz() * 8, MemcpyKind::HostToDevice);
+  rt.memcpy(dX, x.data(), n * 8, MemcpyKind::HostToDevice);
+  const ir::Dim3 grid{(n + 63) / 64, 1, 1}, block{64, 1, 1};
+  auto launchInto = [&](VirtualBuffer* dY) {
+    LaunchArg args[] = {LaunchArg::ofInt(n),       LaunchArg::ofInt(n),
+                        LaunchArg::ofInt(a.nnz()), LaunchArg::ofBuffer(dRow),
+                        LaunchArg::ofBuffer(dCol), LaunchArg::ofBuffer(dVal),
+                        LaunchArg::ofBuffer(dX),   LaunchArg::ofBuffer(dY)};
+    rt.launch("spmv", grid, block, args);
+  };
+
+  std::vector<VirtualBuffer*> ys;
+  for (int k = 0; k < 8; ++k) {
+    ys.push_back(rt.malloc(n * 8));
+    launchInto(ys.back());
+  }
+  EXPECT_EQ(rt.stats().inspectorCacheMisses, 8);
+  rt.free(ys.back());
+  launchInto(rt.malloc(n * 8));  // a ninth key
+  EXPECT_EQ(rt.stats().inspectorCacheMisses, 9);
+  launchInto(ys.front());
+  EXPECT_EQ(rt.stats().inspectorCacheHits, 1);
+  EXPECT_EQ(rt.stats().inspectorCacheMisses, 9);
+}
+
 TEST(Irregular, WriteToIndirectionBufferInvalidatesInspection) {
   Rng rng(416);
   const i64 n = 192;

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -119,6 +120,35 @@ TEST(Repartition, InvalidPartitioningThrows) {
       rt.repartition("scale", Partitioning{{i64{1} << 30, 1, 1, 1}}), Error);
   // Unchanged by the failed attempts.
   EXPECT_EQ(rt.partitioning("scale"), Partitioning::even(4));
+
+  // Weights whose sum wraps (INT64_MAX + INT64_MAX + 3 is 1 in two's
+  // complement) are rejected weight by weight, before any sum is formed.
+  constexpr i64 kMax = std::numeric_limits<i64>::max();
+  Runtime rt3(baseConfig(3), analysis::analyzeModule(mod), mod);
+  EXPECT_THROW(rt3.repartition("scale", Partitioning{{kMax, kMax, 3}}), Error);
+  EXPECT_EQ(rt3.partitioning("scale"), Partitioning::even(3));
+}
+
+TEST(Repartition, FreeingALaunchedBufferForgetsTheLaunch) {
+  // repartition() migrates the write footprint of the kernel's last launch.
+  // Freeing a buffer that launch used forgets it, so there is no footprint
+  // left to migrate; freeing an unrelated buffer does not.
+  ir::Module mod = buildWorkload();
+  const std::vector<double> input = makeInput();
+  auto footprintAfterFree = [&](bool freeOutput) {
+    Runtime rt(baseConfig(4), analysis::analyzeModule(mod), mod);
+    VirtualBuffer* in = rt.malloc(kN * 8);
+    VirtualBuffer* out = rt.malloc(kN * 8);
+    VirtualBuffer* other = rt.malloc(kN * 8);
+    rt.memcpy(in, input.data(), kN * 8, MemcpyKind::HostToDevice);
+    LaunchArg args[] = {LaunchArg::ofInt(kN), LaunchArg::ofBuffer(in),
+                        LaunchArg::ofBuffer(out)};
+    rt.launch("scale", {kN / 64, 1, 1}, {64, 1, 1}, args);
+    rt.free(freeOutput ? out : other);
+    return rt.repartition("scale", Partitioning{{2, 1, 1, 2}}).bytesFootprint;
+  };
+  EXPECT_EQ(footprintAfterFree(/*freeOutput=*/true), 0);
+  EXPECT_GT(footprintAfterFree(/*freeOutput=*/false), 0);
 }
 
 TEST(Repartition, EvenWeightsReproduceTheSeedSplit) {

@@ -14,7 +14,8 @@
 #   scripts/check.sh perf       # benchmark self-tests (perfbench/run.py --selftest)
 #
 # Each configuration uses its own build tree (build/, build-asan/,
-# .bench_build/; all gitignored).  Nothing in src/ starts a thread, so there
+# .bench_build/; all gitignored).  Temporary files (the tier1 trace, the
+# figures output directory) go under $TMPDIR, else /tmp.  Nothing in src/ starts a thread, so there
 # is no ThreadSanitizer configuration.
 set -euo pipefail
 
@@ -42,7 +43,7 @@ for stage in "${stages[@]}"; do
       # quickstart self-verifies, and the trace the env hook writes must
       # parse as JSON and carry the per-launch counter track `launches`
       # (support/counters.h; trace_test checks the trace in detail).
-      trace_out=$(mktemp /tmp/polypart-trace.XXXXXX.json)
+      trace_out=$(mktemp -t polypart-trace.XXXXXX.json)
       run env POLYPART_TRACE="$trace_out" ./build/examples/quickstart
       [ -s "$trace_out" ] || { echo "POLYPART_TRACE wrote no trace"; exit 1; }
       run python3 -c 'import json, sys
@@ -142,7 +143,7 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       run cmake -B build -S .
       run cmake --build build -j "$jobs" --target "${figure_benches[@]%%:*}"
       root=$(pwd)
-      fig_dir=$(mktemp -d /tmp/polypart-figures.XXXXXX)
+      fig_dir=$(mktemp -d -t polypart-figures.XXXXXX)
       for entry in "${figure_benches[@]}"; do
         bench=${entry%%:*}
         result=${entry##*:}

@@ -31,6 +31,8 @@ namespace polypart::ir {
 struct LaunchConfig {
   Dim3 grid;
   Dim3 block;
+
+  bool operator==(const LaunchConfig&) const = default;
 };
 
 /// Runtime value for one kernel argument.  Arrays point at host-side element

@@ -4,12 +4,9 @@
 #include <iterator>
 #include <utility>
 
-#include "rt/runtime.h"
-
 namespace polypart::rt {
 
 using analysis::ArrayModel;
-using analysis::KernelModel;
 
 namespace {
 
@@ -71,32 +68,13 @@ DataflowPlanner::DataflowPlanner(int numGpus, FootprintFn footprints)
 
 DataflowPlanner::~DataflowPlanner() = default;
 
-bool DataflowPlanner::Step::matches(const Step& o) const {
-  return kernelTag == o.kernelTag && grid == o.grid && block == o.block &&
-         scalars == o.scalars && buffers == o.buffers;
-}
-
-DataflowPlanner::Step DataflowPlanner::makeStep(
-    const KernelModel& model, const void* kernelTag,
-    const ir::LaunchConfig& cfg, std::span<VirtualBuffer* const> buffers,
-    std::span<const i64> scalars) const {
-  Step st;
-  st.model = &model;
-  st.kernelTag = kernelTag;
-  st.grid = cfg.grid;
-  st.block = cfg.block;
-  st.scalars.assign(scalars.begin(), scalars.end());
-  st.buffers.assign(buffers.begin(), buffers.end());
-  return st;
-}
-
 std::size_t DataflowPlanner::detectPeriod() const {
   for (std::size_t p = 1; p <= kMaxPeriod; ++p) {
     if (history_.size() < 2 * p) break;
     bool match = true;
     const std::size_t n = history_.size();
     for (std::size_t i = 0; i < p && match; ++i)
-      match = history_[n - p + i].matches(history_[n - 2 * p + i]);
+      match = history_[n - p + i] == history_[n - 2 * p + i];
     if (match) return p;
   }
   return 0;
@@ -109,7 +87,7 @@ bool DataflowPlanner::compilePlan() {
   // observed, not modeled, so there is no static write map to compose, and
   // its read over-approximations would compile into whole-buffer prefetches
   // that defeat the inspector's exact footprints.
-  for (const Step& st : cycle_)
+  for (const LaunchSignature& st : cycle_)
     for (const ArrayModel& a : st.model->arrays)
       if (a.writeMayAccess || a.readMayAccess)
         return false;
@@ -117,12 +95,10 @@ bool DataflowPlanner::compilePlan() {
   // Every step's per-device footprints, enumerated once per plan.
   std::vector<std::vector<AccessFootprint>> fps;
   fps.reserve(p);
-  for (const Step& st : cycle_)
-    fps.push_back(
-        footprints_(*st.model, ir::LaunchConfig{st.grid, st.block}, st.scalars));
+  for (const LaunchSignature& st : cycle_) fps.push_back(footprints_(st));
 
   for (std::size_t s = 0; s < p; ++s) {
-    const Step& prod = cycle_[s];
+    const LaunchSignature& prod = cycle_[s];
     for (const AccessFootprint& w : fps[s]) {
       if (!w.isWrite) continue;
       VirtualBuffer* buf = prod.buffers[w.argIndex];
@@ -135,7 +111,7 @@ bool DataflowPlanner::compilePlan() {
       ElemRanges kill;
       for (std::size_t d = 1; d <= p; ++d) {
         const std::size_t c = (s + d) % p;
-        const Step& cons = cycle_[c];
+        const LaunchSignature& cons = cycle_[c];
         for (const AccessFootprint& r : fps[c]) {
           if (r.isWrite || cons.buffers[r.argIndex] != buf) continue;
           FlowEdge edge;
@@ -179,14 +155,10 @@ bool DataflowPlanner::compilePlan() {
 }
 
 DataflowPlanner::Observation DataflowPlanner::observe(
-    const KernelModel& model, const void* kernelTag,
-    const ir::LaunchConfig& cfg, std::span<VirtualBuffer* const> buffers,
-    std::span<const i64> scalars) {
+    const LaunchSignature& sig) {
   Observation obs;
-  Step sig = makeStep(model, kernelTag, cfg, buffers, scalars);
-
   if (active_) {
-    if (sig.matches(cycle_[pos_])) {
+    if (sig == cycle_[pos_]) {
       obs.planned = true;
       obs.step = pos_;
       pos_ = (pos_ + 1) % cycle_.size();
@@ -199,11 +171,11 @@ DataflowPlanner::Observation DataflowPlanner::observe(
     cycle_.clear();
     edgesByStep_.clear();
     history_.clear();
-    history_.push_back(std::move(sig));
+    history_.push_back(sig);
     return obs;
   }
 
-  history_.push_back(std::move(sig));
+  history_.push_back(sig);
   if (history_.size() > kMaxHistory)
     history_.erase(history_.begin());
   const std::size_t p = detectPeriod();

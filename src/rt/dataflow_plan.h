@@ -9,8 +9,10 @@
 // applications, however, replay a fixed launch sequence — the same property
 // the enumeration cache exploits — so the inter-launch data flow is known
 // before the consumer ever launches.  The planner
-//   1. records launch signatures (kernel, grid, block, i64 scalars, buffer
-//      identities) and detects the smallest repeating cycle,
+//   1. records each launch's LaunchSignature (rt/runtime.h: kernel model,
+//      grid, block, i64 scalars, buffer identities; the same value the
+//      runtime keys its inspection cache and last-launch record on) and
+//      detects the smallest repeating cycle of equal signatures,
 //   2. asks the runtime for every cycle step's per-device footprints — the
 //      element ranges the kernel's own enumerators (Section 6) yield, so a
 //      planned read covers exactly what the launch's read sync would pull,
@@ -29,25 +31,19 @@
 // prefetched replicas as sharers, and the reactive resolution still runs at
 // the consumer (skipping exactly the segments whose sharer bit proves the
 // prefetch landed).  Any divergence — a launch off the recorded cycle, a
-// host write, an owner other than the planned source — degrades to the paper's reactive path,
-// so functional results are byte-identical with planning on or off.
+// host write, an owner other than the planned source — degrades to the
+// paper's reactive path, so functional results are byte-identical with
+// planning on or off.  Recorded signatures hold buffer identities, so the
+// runtime resets the planner on every free().
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "analysis/model.h"
-#include "ir/interp.h"
+#include "rt/runtime.h"
 
 namespace polypart::rt {
-
-class VirtualBuffer;
-
-/// Sorted, disjoint, non-adjacent half-open element ranges of one buffer
-/// (the shape Enumerator::materialize emits).
-using ElemRanges = std::vector<std::pair<i64, i64>>;
 
 /// The elements of `a` not in `b` (dead-transfer elision here, the
 /// repartition transition set in repartition.cpp).
@@ -87,13 +83,12 @@ struct FlowEdge {
 /// calls it only from launch(), on the calling thread.
 class DataflowPlanner {
  public:
-  /// Footprint oracle: every access footprint of one launch of `model`, in
-  /// the runtime's enumerator order (arrays in model order, reads before
+  /// Footprint oracle: every access footprint of one launch, in the
+  /// runtime's enumerator order (arrays in model order, reads before
   /// writes).  Kept as a callback so the planner does not depend on the
   /// Runtime type.
-  using FootprintFn = std::function<std::vector<AccessFootprint>(
-      const analysis::KernelModel&, const ir::LaunchConfig&,
-      std::span<const i64> scalars)>;
+  using FootprintFn =
+      std::function<std::vector<AccessFootprint>(const LaunchSignature&)>;
 
   DataflowPlanner(int numGpus, FootprintFn footprints);
   ~DataflowPlanner();
@@ -109,10 +104,7 @@ class DataflowPlanner {
   /// Feeds one launch through the recorder/matcher.  Must be called for
   /// every launch, in the order launch() runs them (the single serial launch
   /// path).
-  Observation observe(const analysis::KernelModel& model,
-                      const void* kernelTag, const ir::LaunchConfig& cfg,
-                      std::span<VirtualBuffer* const> buffers,
-                      std::span<const i64> scalars);
+  Observation observe(const LaunchSignature& sig);
 
   /// The flow edges whose producer is cycle position `step` of the active
   /// plan.  Valid only while a plan is active (between an activated and the
@@ -127,21 +119,6 @@ class DataflowPlanner {
   void reset();
 
  private:
-  struct Step {
-    const analysis::KernelModel* model = nullptr;
-    const void* kernelTag = nullptr;
-    ir::Dim3 grid;
-    ir::Dim3 block;
-    std::vector<i64> scalars;
-    std::vector<VirtualBuffer*> buffers;  // per launch arg; null for scalars
-
-    bool matches(const Step& o) const;
-  };
-
-  Step makeStep(const analysis::KernelModel& model, const void* kernelTag,
-                const ir::LaunchConfig& cfg,
-                std::span<VirtualBuffer* const> buffers,
-                std::span<const i64> scalars) const;
   /// Smallest period p <= kMaxPeriod whose last 2p history entries form two
   /// equal halves, or 0 when none does.
   std::size_t detectPeriod() const;
@@ -156,8 +133,8 @@ class DataflowPlanner {
   int numGpus_ = 1;
   FootprintFn footprints_;
 
-  std::vector<Step> history_;  // recording mode; cleared on activation
-  std::vector<Step> cycle_;    // active plan's launch cycle
+  std::vector<LaunchSignature> history_;  // recording; cleared on activation
+  std::vector<LaunchSignature> cycle_;    // active plan's launch cycle
   std::vector<std::vector<FlowEdge>> edgesByStep_;
   std::size_t pos_ = 0;  // next expected cycle position while active
   bool active_ = false;

@@ -24,9 +24,11 @@
 // paper, one application owns the runtime and every buffer in it (see
 // DESIGN.md "Launch path").
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -42,6 +44,7 @@
 
 namespace polypart::trace {
 class Tracer;
+struct Arg;
 }
 
 namespace polypart::rt {
@@ -54,6 +57,10 @@ class TransferPlan;
 /// (ir::Type::I64/F64).  Host mirrors, tracker walks, the H2D split and the
 /// planner's footprint ranges all work in whole elements of this size.
 inline constexpr i64 kElemBytes = 8;
+
+/// Sorted, disjoint, non-adjacent half-open element ranges of one buffer
+/// (the shape Enumerator::materialize emits).
+using ElemRanges = std::vector<std::pair<i64, i64>>;
 
 /// Process-default enumerator execution tier: POLYPART_ENUMERATOR_TIER
 /// (interpret|bytecode|specialized) when set, else Interpret.  Used as the
@@ -262,6 +269,24 @@ struct LaunchArg {
   static LaunchArg ofBuffer(VirtualBuffer* b) { return {{}, b}; }
 };
 
+/// What one launch was: the kernel (by its model), the launch geometry, the
+/// i64 scalar arguments in declaration order, and one buffer per argument
+/// (null for scalars).  The dataflow planner's cycle steps, the inspection
+/// cache's key and the last-launch record repartition() migrates from are
+/// all this one value.
+struct LaunchSignature {
+  const analysis::KernelModel* model = nullptr;
+  ir::LaunchConfig cfg;
+  std::vector<i64> scalars;
+  std::vector<VirtualBuffer*> buffers;
+
+  /// True when `buf` is an argument of the launch.
+  bool uses(const VirtualBuffer* buf) const {
+    return std::find(buffers.begin(), buffers.end(), buf) != buffers.end();
+  }
+  bool operator==(const LaunchSignature&) const = default;
+};
+
 /// Counters for the overhead analysis (Section 9.2), one row each (see
 /// support/counters.h).  Telemetry rows describe how the host executed, not
 /// what the runtime computed: resolutionWallSeconds is real wall time, and
@@ -465,19 +490,17 @@ class Runtime {
 
   /// One inspection result: exact per-device element footprints of a
   /// kernel's may-access reads, plus everything the walk depended on (the
-  /// cache key).  Entries go stale when any recorded buffer's
-  /// Tracker::contentVersion() moves — update() bumps it, addSharer() does
-  /// not, so replica bookkeeping (shared-copy tracking, prefetches) cannot
-  /// thrash the cache.
+  /// cache key: the launch signature and the partitioning).  Entries go stale
+  /// when any read buffer's Tracker::contentVersion() moves — update() bumps
+  /// it, addSharer() does not, so replica bookkeeping (shared-copy tracking,
+  /// prefetches) cannot thrash the cache.
   struct InspectedFootprints {
-    ir::LaunchConfig cfg;
-    std::vector<i64> scalars;
-    std::vector<const VirtualBuffer*> buffers;  // array args, in arg order
-    std::vector<u64> contentVersions;           // parallel to `buffers`
-    std::vector<i64> weights;                   // partitioning when inspected
+    LaunchSignature sig;
+    std::vector<u64> contentVersions;  // of the read buffers, in arg order
+    std::vector<i64> weights;          // partitioning when inspected
     /// ranges[i][gpu] -> coalesced half-open element ranges read by `gpu`
     /// through inspectable arg mayReadArgs[i].
-    std::vector<std::vector<std::vector<std::pair<i64, i64>>>> ranges;
+    std::vector<std::vector<ElemRanges>> ranges;
   };
 
   struct KernelEntry {
@@ -488,12 +511,9 @@ class Runtime {
     Partitioning partitioning;
     /// Signature of the most recent launch, recorded by executeLaunch():
     /// repartition() re-evaluates the kernel's concrete write footprints
-    /// under it to compute the old/new difference.  Cleared when a referenced
-    /// buffer is freed.
-    bool hasLastLaunch = false;
-    ir::LaunchConfig lastCfg;
-    std::vector<VirtualBuffer*> lastBuffers;
-    std::vector<i64> lastScalars;
+    /// under it to compute the old/new difference.  Reset when a buffer it
+    /// uses is freed.
+    std::optional<LaunchSignature> lastLaunch;
     /// Enumeration cache (one plan per launch configuration seen, FIFO
     /// bounded by kEnumerationCachePlansPerKernel).
     std::unordered_map<codegen::EnumerationKey, LaunchPlan,
@@ -516,8 +536,8 @@ class Runtime {
     /// gather).  Index i here owns InspectedFootprints::ranges[i].
     std::vector<std::size_t> mayReadArgs;
     /// Per enumerators[] entry: it realizes the whole-extent read of an
-    /// inspectable arg, so synchronizeReads() skips it while the inspector is
-    /// active (the footprint sync replaces it).
+    /// inspectable arg, so resolveEnumerators() skips it while the inspector
+    /// is active (the footprint sync replaces it).
     std::vector<char> enumIsMayRead;
     /// Inspection cache, FIFO bounded by kInspectionCacheEntriesPerKernel.
     std::deque<std::shared_ptr<const InspectedFootprints>> inspections;
@@ -527,14 +547,6 @@ class Runtime {
   /// Windows must not nest (that would count the same real time twice),
   /// which resolutionWindowOpen_ asserts.
   class ResolutionTimer;
-
-  /// A validated launch: everything executeLaunch() needs.
-  struct PreparedLaunch {
-    KernelEntry* ke = nullptr;
-    ir::LaunchConfig cfg;
-    std::span<const LaunchArg> args;
-    std::vector<i64> scalars;
-  };
 
   const KernelEntry& entry(const std::string& name) const;
   KernelEntry& entry(const std::string& name);
@@ -546,17 +558,14 @@ class Runtime {
   /// Validates arity/range/total of `next` against this runtime's devices
   /// (failed devices must have weight 0); throws Error otherwise.
   void validatePartitioning(const Partitioning& next) const;
-  /// The element ranges enumerator `e` of `ke` touches on `gpu` for a
-  /// launch of `cfg` under `part`; empty when the device gets no blocks.
-  /// The footprint engine of the dataflow planner and of repartitioning:
+  /// The element ranges enumerator `e` of `ke` touches on `gpu` for launch
+  /// `sig` under `part`; empty when the device gets no blocks.  The
+  /// footprint engine of the dataflow planner and of repartitioning:
   /// materializes directly instead of going through resolvePlan(), so the
   /// enumeration-cache counters describe launches only.
-  std::vector<std::pair<i64, i64>> footprintOn(const KernelEntry& ke,
-                                               const codegen::Enumerator& e,
-                                               const ir::LaunchConfig& cfg,
-                                               std::span<const i64> scalars,
-                                               int gpu,
-                                               const Partitioning& part) const;
+  ElemRanges footprintOn(const KernelEntry& ke, const codegen::Enumerator& e,
+                         const LaunchSignature& sig, int gpu,
+                         const Partitioning& part) const;
   /// The footprint-difference migration of one kernel's transition
   /// prev -> next (repartition.cpp).  Caller has validated `next`.
   RepartitionResult migrateKernel(KernelEntry& ke, const Partitioning& prev,
@@ -568,17 +577,35 @@ class Runtime {
                                 const codegen::PartitionTuple& tuple,
                                 const ir::LaunchConfig& cfg,
                                 std::span<const i64> scalars, bool& wasHit);
-  void synchronizeReads(KernelEntry& ke, const ir::LaunchConfig& cfg,
-                        std::span<const LaunchArg> args,
-                        std::span<const i64> scalars);
-  /// The per-range body both read-sync paths share: walks the tracker
-  /// segments of bytes [begin, end) of `vb`, counts a sharer hit for each
-  /// segment `gpu` already replicates (sharedCopyHits with shared-copy
-  /// tracking on, else prefetchHits), copies every other stale segment to
-  /// `gpu` — or records it in `xferPlan` when scheduling — and then records
-  /// the new replicas.  Returns the number of segments visited.
-  i64 syncReadRange(VirtualBuffer* vb, int gpu, i64 begin, i64 end,
-                    TransferPlan* xferPlan);
+  /// Fig. 4's first (`writes` false: synchronize reads) or third (`writes`
+  /// true: update trackers) loop over the kernel's enumerators: for each
+  /// device with blocks, each enumerator's ranges — replayed from the
+  /// enumeration cache, or enumerated into enumScratch_ with the cache off —
+  /// go through syncReadRanges() or updateWriteRanges().
+  void resolveEnumerators(KernelEntry& ke, const LaunchSignature& sig,
+                          bool writes);
+  /// The read body, for one device's element ranges of one buffer: walks
+  /// their tracker segments, counts a sharer hit for each segment `gpu`
+  /// already replicates (sharedCopyHits with shared-copy tracking on, else
+  /// prefetchHits), copies every other stale segment to `gpu` — or records it
+  /// in `xferPlan` when scheduling — and records the new replicas.  Then
+  /// charges the host `rowCost` (plus the transfer-issue cost when transfers
+  /// are on) per row of `rows` and per segment, as a `what` span.
+  void syncReadRanges(VirtualBuffer* vb, int gpu, const ElemRanges& ranges,
+                      i64 rows, double rowCost, const char* what,
+                      TransferPlan* xferPlan);
+  /// The write body, for one device's element ranges of one buffer: makes
+  /// `gpu` their owner and charges the host `rowCost` per row of `rows`, as
+  /// a `what` span.
+  void updateWriteRanges(VirtualBuffer* vb, int gpu, const ElemRanges& ranges,
+                         i64 rows, double rowCost, const char* what);
+  /// Advances the modeled host clock by `cost` seconds, traced as a
+  /// sim.pattern span `what` with one argument on the host track.
+  void chargeHost(double cost, const char* what, const trace::Arg& arg);
+  /// Copies bytes [begin, end) of `vb` from device `src`'s instance to
+  /// `dst`'s, adds one to `count`, and traces a transfer instant `what`.
+  void issuePeerCopy(VirtualBuffer* vb, int dst, int src, i64 begin, i64 end,
+                     i64& count, const char* what);
   /// True when this launch should run the inspector–executor: the knob is
   /// on and the kernel has inspectable may-access reads.
   bool inspectorActiveFor(const KernelEntry& ke) const;
@@ -588,21 +615,18 @@ class Runtime {
   /// per-device element footprint of every inspectable may-access read.
   /// Functional mode only (the walk needs the buffer bytes).
   std::shared_ptr<const InspectedFootprints> inspectFootprints(
-      KernelEntry& ke, const ir::LaunchConfig& cfg,
-      std::span<const LaunchArg> args, std::span<const i64> scalars);
+      KernelEntry& ke, const LaunchSignature& sig,
+      std::span<const LaunchArg> args);
   /// Read synchronization for the inspected footprints, replacing the
-  /// skipped whole-extent enumerators: the same per-range body as
-  /// synchronizeReads() (syncReadRange), with its own per-array modeled
-  /// cost.
-  void synchronizeMayAccessReads(KernelEntry& ke,
-                                 std::span<const LaunchArg> args,
+  /// skipped whole-extent enumerators: the same read body as the static
+  /// reads, with every range charged as one uncached row.
+  void synchronizeMayAccessReads(KernelEntry& ke, const LaunchSignature& sig,
                                  const InspectedFootprints& fp);
   /// The pre-partition gather for read-modify-write may-access args: before
   /// partition `gpu` launches, every byte of each rmwMayArgs buffer owned
   /// elsewhere is copied to `gpu` so the partition observes its
   /// predecessors' merged writes (sequential single-device semantics).
-  void gatherRmwMayArgs(KernelEntry& ke, std::span<const LaunchArg> args,
-                        int gpu);
+  void gatherRmwMayArgs(KernelEntry& ke, const LaunchSignature& sig, int gpu);
   /// Returns the per-launch plan for the read-sync phase when
   /// transferScheduling is on, or nullptr (paper behaviour: copies are
   /// issued inline by the tracker-query callback).
@@ -611,30 +635,27 @@ class Runtime {
   /// (peerCopies counts the post-merge copies actually issued).
   void issueTransferPlan(TransferPlan& plan);
   /// Dataflow-planning hook: issues the compiled flow edges of cycle
-  /// position `step` right after the producing launch.  Every planned byte
-  /// range is clipped against the live tracker (only segments the planned
-  /// source still owns, and the destination does not already share, are
-  /// copied), issued with per-source floors at the producing kernels'
+  /// position `step` right after the producing launch `sig`.  Every planned
+  /// byte range is clipped against the live tracker (only segments the
+  /// planned source still owns, and the destination does not already share,
+  /// are copied), issued with per-source floors at the producing kernels'
   /// modeled completions, then recorded as shared replicas so the
-  /// consumer's reactive resolution skips them.  `args` are the producing
-  /// launch's arguments (flow edges name buffers by argument index).
-  void issuePrefetches(std::span<const LaunchArg> args, std::size_t step,
+  /// consumer's reactive resolution skips them.
+  void issuePrefetches(const LaunchSignature& sig, std::size_t step,
                        std::vector<double> kernelDone);
   /// Samples the FM-memoization and specialized-program cache counters into
   /// the stats meta-fields (end of every launch).
   void sampleCacheCounters();
-  void updateTrackers(KernelEntry& ke, const ir::LaunchConfig& cfg,
-                      std::span<const LaunchArg> args,
-                      std::span<const i64> scalars);
 
-  /// Validates a launch request and captures everything executeLaunch()
-  /// needs, touching no machine, tracker, or stats state.
-  PreparedLaunch prepareLaunch(const std::string& kernelName,
-                               const ir::Dim3& grid, const ir::Dim3& block,
-                               std::span<const LaunchArg> args);
-  /// The Fig. 4 flow against a prepared launch: sync reads, launch the
-  /// partitions, update trackers.
-  void executeLaunch(const PreparedLaunch& pl);
+  /// Validates a launch request and returns its signature, touching no
+  /// machine, tracker, or stats state.
+  LaunchSignature prepareLaunch(const KernelEntry& ke, const ir::Dim3& grid,
+                                const ir::Dim3& block,
+                                std::span<const LaunchArg> args) const;
+  /// The Fig. 4 flow for a prepared launch: sync reads, launch the
+  /// partitions, update trackers.  `args` carry the scalar values.
+  void executeLaunch(KernelEntry& ke, const LaunchSignature& sig,
+                     std::span<const LaunchArg> args);
   /// Dies unless `buf` is a live buffer of this runtime, naming a freed
   /// buffer or a foreign pointer; called before any use dereferences it.
   void checkLive(const VirtualBuffer* buf) const;
@@ -658,9 +679,12 @@ class Runtime {
   i64 fmBaseEvictions_ = 0;
   /// An open ResolutionTimer window (the nesting guard).
   bool resolutionWindowOpen_ = false;
-  /// syncReadRange()'s replica scratch: the segments copied by one tracker
+  /// syncReadRanges()' replica scratch: the segments copied by one tracker
   /// query, recorded as sharers once the query returns.
-  std::vector<std::pair<i64, i64>> sharerScratch_;
+  ElemRanges sharerScratch_;
+  /// resolveEnumerators()' range scratch with the enumeration cache off:
+  /// one enumerator's ranges for one device, reused across calls.
+  ElemRanges enumScratch_;
 };
 
 }  // namespace polypart::rt

@@ -16,7 +16,9 @@
 # Each configuration uses its own build tree (build/, build-asan/,
 # .bench_build/; all gitignored).  Temporary files (the tier1 trace, the
 # figures output directory) go under $TMPDIR, else /tmp.  Nothing in src/ starts a thread, so there
-# is no ThreadSanitizer configuration.
+# is no ThreadSanitizer configuration.  Every ctest call passes
+# --no-tests=error, so a stage whose test selection matches nothing fails
+# instead of passing vacuously.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -38,7 +40,7 @@ for stage in "${stages[@]}"; do
       # fails the stage instead of scrolling past in the build log.
       run cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
       run cmake --build build -j "$jobs"
-      run ctest --test-dir build -j "$jobs" --output-on-failure
+      run ctest --test-dir build -j "$jobs" --no-tests=error --output-on-failure
       # Fastest end-to-end smoke of the whole pipeline, with tracing live:
       # quickstart self-verifies, and the trace the env hook writes must
       # parse as JSON and carry the per-launch counter track `launches`
@@ -55,11 +57,11 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
     asan)
       run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
       run cmake --build build-asan -j "$jobs"
-      run ctest --test-dir build-asan -j "$jobs" --output-on-failure -LE fuzz
+      run ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -LE fuzz
       # The randomized differential suites (label `fuzz`, tests/fuzz_util.h)
       # run as their own step so a generator regression is visible at a
       # glance; failures print a POLYPART_FUZZ_SEED replay line.
-      run ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
+      run ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
       ;;
     bytecode)
       # Enumerator bytecode-VM tier pass: POLYPART_ENUMERATOR_TIER flips the
@@ -70,9 +72,9 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
       run cmake --build build-asan -j "$jobs"
       run env POLYPART_ENUMERATOR_TIER=bytecode \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -LE fuzz
+        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -LE fuzz
       run env POLYPART_ENUMERATOR_TIER=bytecode \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
+        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
       ;;
     dataflow)
       # Cross-launch dataflow planning pass: POLYPART_DATAFLOW_PLANNING=1
@@ -86,11 +88,11 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
       run cmake --build build-asan -j "$jobs"
       run env POLYPART_DATAFLOW_PLANNING=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure \
-        -R 'Dataflow|CacheCounters|Runtime|TransferPlan|Tracker' \
+        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure \
+        -R 'Dataflow|Runtime|TransferPlan|Tracker' \
         -LE fuzz
       run env POLYPART_DATAFLOW_PLANNING=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
+        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
       ;;
     repartition)
       # Elastic repartitioning pass: POLYPART_ALLOW_REPARTITIONING=1 flips
@@ -103,11 +105,11 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
       run cmake --build build-asan -j "$jobs"
       run env POLYPART_ALLOW_REPARTITIONING=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure \
+        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure \
         -R 'Repartition|Checkpoint|EnvKnobs|Dataflow|Runtime|TransferPlan|Tracker' \
         -LE fuzz
       run env POLYPART_ALLOW_REPARTITIONING=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
+        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
       ;;
     irregular)
       # May-access tier pass: POLYPART_INSPECTOR_EXECUTOR=1 flips the
@@ -121,11 +123,11 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
       run cmake --build build-asan -j "$jobs"
       run env POLYPART_INSPECTOR_EXECUTOR=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure \
+        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure \
         -R 'Irregular|Dynamic|Analysis|EnvKnobs|Runtime|Sweep|Repartition|Checkpoint' \
         -LE fuzz
       run env POLYPART_INSPECTOR_EXECUTOR=1 \
-        ctest --test-dir build-asan -j "$jobs" --output-on-failure -L fuzz
+        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
       ;;
     figures)
       # Paper-figure reproductions, the modeled-only extension benches

@@ -51,21 +51,14 @@ struct AnalysisOptions {
 };
 
 /// Source-level access-pattern annotations (conclusion option 3): exact
-/// read/write maps the programmer asserts for specific array arguments, in
-/// the model's Z^6 -> Z^d space.  The analysis trusts them: an annotated
-/// access is not extracted, so an annotation also rescues a write the
-/// analysis would reject (strided, or not provably injective).
+/// write maps the programmer asserts for specific array arguments, in the
+/// model's Z^6 -> Z^d space.  The analysis trusts them: an annotated write
+/// is not extracted, so an annotation rescues a write the analysis would
+/// reject (strided, or not provably injective).
 class KernelAnnotations {
  public:
-  void annotateRead(std::size_t argIndex, pset::Map map) {
-    reads_[argIndex] = std::move(map);
-  }
   void annotateWrite(std::size_t argIndex, pset::Map map) {
     writes_[argIndex] = std::move(map);
-  }
-  const pset::Map* readFor(std::size_t argIndex) const {
-    auto it = reads_.find(argIndex);
-    return it == reads_.end() ? nullptr : &it->second;
   }
   const pset::Map* writeFor(std::size_t argIndex) const {
     auto it = writes_.find(argIndex);
@@ -73,7 +66,6 @@ class KernelAnnotations {
   }
 
  private:
-  std::map<std::size_t, pset::Map> reads_;
   std::map<std::size_t, pset::Map> writes_;
 };
 

@@ -276,10 +276,9 @@ struct Extractor {
   // -- access collection ------------------------------------------------------
 
   void recordAccess(std::size_t argIndex, bool isWrite, const Expr& flatIndex) {
-    // Annotated accesses are trusted, not extracted (see KernelAnnotations).
-    if (options.annotations &&
-        (isWrite ? options.annotations->writeFor(argIndex)
-                 : options.annotations->readFor(argIndex)))
+    // Annotated writes are trusted, not extracted (see KernelAnnotations).
+    if (isWrite && options.annotations &&
+        options.annotations->writeFor(argIndex))
       return;
     // Expand the path condition (a stack of DNFs) into its conjunctions and
     // emit one access relation per conjunction.
@@ -803,14 +802,9 @@ KernelModel analyzeKernel(const ir::Kernel& kernel, const AnalysisOptions& optio
       am.read = std::move(whole);
     }
 
-    // Source annotations supply the maps of the accesses extraction skipped
+    // Source annotations supply the maps of the writes extraction skipped
     // (conclusion option 3).
     if (options.annotations) {
-      if (const pset::Map* r = options.annotations->readFor(argIndex)) {
-        PP_ASSERT_MSG(r->space() == mapSpace,
-                      "annotated read map has the wrong space");
-        am.read = *r;
-      }
       if (const pset::Map* w = options.annotations->writeFor(argIndex)) {
         PP_ASSERT_MSG(w->space() == mapSpace,
                       "annotated write map has the wrong space");

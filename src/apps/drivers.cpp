@@ -43,23 +43,6 @@ void runSaxpy(Runtime& rt, i64 n, double a, const double* x, double* yInOut) {
   rt.free(dy);
 }
 
-void referenceSaxpy(Machine& m, i64 n, double a, const double* x, double* yInOut) {
-  DevBuffer dx = m.alloc(0, n * kElem);
-  DevBuffer dy = m.alloc(0, n * kElem);
-  m.copyHostToDevice(dx, 0, x, n * kElem);
-  m.copyHostToDevice(dy, 0, yInOut, n * kElem);
-  m.synchronizeAll();  // cudaMemcpy is blocking
-  ir::KernelPtr k = buildSaxpy();
-  KernelArg args[] = {KernelArg::ofInt(n), KernelArg::ofFloat(a),
-                      KernelArg::ofBuffer(dx), KernelArg::ofBuffer(dy)};
-  m.launchKernel(0, *k, {{ceilBlocks(n, kBlock1D), 1, 1}, {kBlock1D, 1, 1}}, args);
-  m.synchronizeAll();
-  m.copyDeviceToHost(yInOut, dy, 0, n * kElem);
-  m.synchronizeAll();
-  m.free(dx);
-  m.free(dy);
-}
-
 // ===== Hotspot ==================================================================
 
 void runHotspot(Runtime& rt, i64 n, int iterations, double* tempInOut,
@@ -275,31 +258,6 @@ void runSpmv(Runtime& rt, const CsrMatrix& a, const double* x, double* y) {
   for (VirtualBuffer* b : {drp, dci, dva, dx, dy}) rt.free(b);
 }
 
-void referenceSpmv(Machine& m, const CsrMatrix& a, const double* x, double* y) {
-  DevBuffer drp = m.alloc(0, (a.nrows + 1) * kElem);
-  DevBuffer dci = m.alloc(0, a.nnz * kElem);
-  DevBuffer dva = m.alloc(0, a.nnz * kElem);
-  DevBuffer dx = m.alloc(0, a.ncols * kElem);
-  DevBuffer dy = m.alloc(0, a.nrows * kElem);
-  m.copyHostToDevice(drp, 0, a.rowPtr, (a.nrows + 1) * kElem);
-  m.copyHostToDevice(dci, 0, a.colIdx, a.nnz * kElem);
-  m.copyHostToDevice(dva, 0, a.vals, a.nnz * kElem);
-  m.copyHostToDevice(dx, 0, x, a.ncols * kElem);
-  m.synchronizeAll();  // cudaMemcpy is blocking
-  ir::KernelPtr k = buildCsrSpmv();
-  KernelArg args[] = {KernelArg::ofInt(a.nrows),   KernelArg::ofInt(a.ncols),
-                      KernelArg::ofInt(a.nnz),     KernelArg::ofBuffer(drp),
-                      KernelArg::ofBuffer(dci),    KernelArg::ofBuffer(dva),
-                      KernelArg::ofBuffer(dx),     KernelArg::ofBuffer(dy)};
-  m.launchKernel(0, *k,
-                 {{ceilBlocks(a.nrows, kBlock1D), 1, 1}, {kBlock1D, 1, 1}},
-                 args);
-  m.synchronizeAll();
-  m.copyDeviceToHost(y, dy, 0, a.nrows * kElem);
-  m.synchronizeAll();
-  for (DevBuffer b : {drp, dci, dva, dx, dy}) m.free(b);
-}
-
 // ===== BFS push sweep ===========================================================
 
 void runBfsPush(Runtime& rt, i64 nnodes, i64 nedges, const i64* rowPtr,
@@ -324,31 +282,6 @@ void runBfsPush(Runtime& rt, i64 nnodes, i64 nedges, const i64* rowPtr,
   for (VirtualBuffer* b : {dfr, drp, dci, dnx}) rt.free(b);
 }
 
-void referenceBfsPush(Machine& m, i64 nnodes, i64 nedges, const i64* rowPtr,
-                      const i64* colIdx, i64 nfront, const i64* front,
-                      double* nextInOut) {
-  DevBuffer dfr = m.alloc(0, nfront * kElem);
-  DevBuffer drp = m.alloc(0, (nnodes + 1) * kElem);
-  DevBuffer dci = m.alloc(0, nedges * kElem);
-  DevBuffer dnx = m.alloc(0, nnodes * kElem);
-  m.copyHostToDevice(dfr, 0, front, nfront * kElem);
-  m.copyHostToDevice(drp, 0, rowPtr, (nnodes + 1) * kElem);
-  m.copyHostToDevice(dci, 0, colIdx, nedges * kElem);
-  m.copyHostToDevice(dnx, 0, nextInOut, nnodes * kElem);
-  m.synchronizeAll();  // cudaMemcpy is blocking
-  ir::KernelPtr k = buildBfsPush();
-  KernelArg args[] = {KernelArg::ofInt(nfront), KernelArg::ofInt(nnodes),
-                      KernelArg::ofInt(nedges), KernelArg::ofBuffer(dfr),
-                      KernelArg::ofBuffer(drp), KernelArg::ofBuffer(dci),
-                      KernelArg::ofBuffer(dnx)};
-  m.launchKernel(0, *k, {{ceilBlocks(nfront, kBlock1D), 1, 1}, {kBlock1D, 1, 1}},
-                 args);
-  m.synchronizeAll();
-  m.copyDeviceToHost(nextInOut, dnx, 0, nnodes * kElem);
-  m.synchronizeAll();
-  for (DevBuffer b : {dfr, drp, dci, dnx}) m.free(b);
-}
-
 // ===== Histogram ================================================================
 
 void runHistogram(Runtime& rt, i64 n, i64 nbins, const i64* keys,
@@ -365,24 +298,6 @@ void runHistogram(Runtime& rt, i64 n, i64 nbins, const i64* keys,
   rt.deviceSynchronize();
   rt.free(dk);
   rt.free(dh);
-}
-
-void referenceHistogram(Machine& m, i64 n, i64 nbins, const i64* keys,
-                        double* histInOut) {
-  DevBuffer dk = m.alloc(0, n * kElem);
-  DevBuffer dh = m.alloc(0, nbins * kElem);
-  m.copyHostToDevice(dk, 0, keys, n * kElem);
-  m.copyHostToDevice(dh, 0, histInOut, nbins * kElem);
-  m.synchronizeAll();  // cudaMemcpy is blocking
-  ir::KernelPtr k = buildHistogram();
-  KernelArg args[] = {KernelArg::ofInt(n), KernelArg::ofInt(nbins),
-                      KernelArg::ofBuffer(dk), KernelArg::ofBuffer(dh)};
-  m.launchKernel(0, *k, {{ceilBlocks(n, kBlock1D), 1, 1}, {kBlock1D, 1, 1}}, args);
-  m.synchronizeAll();
-  m.copyDeviceToHost(histInOut, dh, 0, nbins * kElem);
-  m.synchronizeAll();
-  m.free(dk);
-  m.free(dh);
 }
 
 }  // namespace polypart::apps

@@ -2,13 +2,13 @@
 
 // Host-side drivers for the benchmark applications.
 //
-// Each benchmark has two drivers:
-//  - run*(rt::Runtime&, ...): the "transformed" multi-GPU application — host
-//    logic as the source-to-source rewriter would emit it, calling the
-//    runtime's CUDA-replacement primitives (Sections 5, 8),
-//  - reference*(sim::Machine&, ...): the single-device binary the paper
-//    compares against (NVCC-compiled original), launching the unpartitioned
-//    kernels directly on device 0.
+// Each benchmark has a driver run*(rt::Runtime&, ...): the "transformed"
+// multi-GPU application — host logic as the source-to-source rewriter would
+// emit it, calling the runtime's CUDA-replacement primitives (Sections 5,
+// 8).  Hotspot, N-Body and Matmul, the applications of the paper's figures,
+// also have reference*(sim::Machine&, ...): the single-device binary the
+// paper compares against (NVCC-compiled original), launching the
+// unpartitioned kernels directly on device 0.
 //
 // Host pointers may be null in TimingOnly mode; data then never moves and
 // only the simulated clock advances.
@@ -24,7 +24,6 @@ inline constexpr i64 kBlock2D = 16;
 
 // -- saxpy ---------------------------------------------------------------------
 void runSaxpy(rt::Runtime& rt, i64 n, double a, const double* x, double* yInOut);
-void referenceSaxpy(sim::Machine& m, i64 n, double a, const double* x, double* yInOut);
 
 // -- Hotspot (iterative 5-point stencil, ping-pong buffers) --------------------
 void runHotspot(rt::Runtime& rt, i64 n, int iterations, double* tempInOut,
@@ -64,22 +63,15 @@ struct CsrMatrix {
 
 /// y = A * x for a CSR matrix A.
 void runSpmv(rt::Runtime& rt, const CsrMatrix& a, const double* x, double* y);
-void referenceSpmv(sim::Machine& m, const CsrMatrix& a, const double* x,
-                   double* y);
 
 /// One BFS push sweep over `front` (nfront node ids): nextInOut[v] = 1.0 for
 /// every neighbour v of a frontier node.
 void runBfsPush(rt::Runtime& rt, i64 nnodes, i64 nedges, const i64* rowPtr,
                 const i64* colIdx, i64 nfront, const i64* front,
                 double* nextInOut);
-void referenceBfsPush(sim::Machine& m, i64 nnodes, i64 nedges, const i64* rowPtr,
-                      const i64* colIdx, i64 nfront, const i64* front,
-                      double* nextInOut);
 
 /// histInOut[keys[i]] += 1.0 over all n keys (bins in [0, nbins)).
 void runHistogram(rt::Runtime& rt, i64 n, i64 nbins, const i64* keys,
                   double* histInOut);
-void referenceHistogram(sim::Machine& m, i64 n, i64 nbins, const i64* keys,
-                        double* histInOut);
 
 }  // namespace polypart::apps

@@ -31,7 +31,7 @@
 
 namespace polypart::codegen {
 
-/// Which execution engine enumerate()/materialize()/countElements() use.
+/// Which execution engine enumerate()/materialize() use.
 /// All tiers are byte-identical in emitted ranges, work accounting, and
 /// error behaviour; `Interpret` is the paper-mode default.
 enum class EnumTier {

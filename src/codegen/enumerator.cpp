@@ -1,9 +1,7 @@
 #include "codegen/enumerator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <unordered_map>
 
@@ -198,19 +196,7 @@ struct Enumerator::SpecCache {
                      EnumerationKeyHash, SpecKeyEq>
       map;
   std::deque<EnumerationKey> order;
-  // Observational counters (see specCacheCounters()); relaxed atomics so the
-  // Interpret/Bytecode tiers pay nothing and Specialized pays one increment.
-  std::atomic<i64> hits{0};
-  std::atomic<i64> misses{0};
-  std::atomic<i64> evictions{0};
 };
-
-Enumerator::SpecCacheCounters Enumerator::specCacheCounters() const {
-  const SpecCache& c = *specCache_;
-  return {c.hits.load(std::memory_order_relaxed),
-          c.misses.load(std::memory_order_relaxed),
-          c.evictions.load(std::memory_order_relaxed)};
-}
 
 Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
                        bool isWrite)
@@ -305,12 +291,8 @@ std::shared_ptr<const bc::Program> Enumerator::specializedFor(
     // built or copied on the fast path.
     std::lock_guard<std::mutex> lock(cache.mu);
     auto it = cache.map.find(params);
-    if (it != cache.map.end()) {
-      cache.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+    if (it != cache.map.end()) return it->second;
   }
-  cache.misses.fetch_add(1, std::memory_order_relaxed);
   // Fold outside the lock.  The fold is pure: if this key was inserted in
   // the meantime, keeping the existing program is equivalent.
   auto fresh =
@@ -326,7 +308,6 @@ std::shared_ptr<const bc::Program> Enumerator::specializedFor(
     while (cache.order.size() > SpecCache::kMaxPrograms) {
       cache.map.erase(cache.order.front());
       cache.order.pop_front();
-      cache.evictions.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return it->second;
@@ -681,30 +662,6 @@ MaterializedRanges Enumerator::materialize(const PartitionTuple& partition,
   enumerate(partition, cfg, scalars,
             [&](i64 b, i64 e) { out.ranges.emplace_back(b, e); }, &out.info);
   return out;
-}
-
-i64 Enumerator::countElements(const PartitionTuple& partition,
-                              const ir::LaunchConfig& cfg,
-                              std::span<const i64> scalars) const {
-  // Accumulate in 128-bit arithmetic.  The emitted ranges are merged and
-  // clipped to the declared array shape, so the sum fits in i64 only by a
-  // global argument (disjoint subranges of [0, 2^63) sum below 2^63); the
-  // old code banked on that argument with an unchecked `e - b` subtraction.
-  // Counting in 128 bits makes the invariant checkable instead of assumed,
-  // and any future unclipped access path (or a hull over one) gets a
-  // diagnosable error rather than a silently wrapped count.
-  using i128 = __int128;
-  i128 total = 0;
-  enumerate(partition, cfg, scalars, [&](i64 b, i64 e) {
-    total += static_cast<i128>(e) - static_cast<i128>(b);
-  });
-  if (total > static_cast<i128>(std::numeric_limits<i64>::max()))
-    throw OverflowError(
-        "enumerator '" + name_ +
-        "': total element count exceeds the 64-bit range (grid extent times "
-        "halo depth is too large to account); partition box and launch "
-        "configuration produce an unrepresentable access-set size");
-  return static_cast<i64>(total);
 }
 
 std::string Enumerator::emitC() const {

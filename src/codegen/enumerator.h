@@ -144,7 +144,7 @@ class Enumerator {
   /// merged; disjuncts of a union map may overlap (the tracker tolerates
   /// duplicates, Section 6.1).
   ///
-  /// enumerate()/materialize()/countElements() read only the enumerator's
+  /// enumerate()/materialize() read only the enumerator's
   /// compile-time state (nests, compiled program, shape rows, `coalesce`,
   /// `tier`) and keep all evaluation scratch on the stack; the only mutable
   /// state they touch is the Specialized tier's program cache, which is
@@ -159,31 +159,9 @@ class Enumerator {
                                  const ir::LaunchConfig& cfg,
                                  std::span<const i64> scalars) const;
 
-  /// Total number of elements in all emitted ranges (overlapping disjunct
-  /// ranges are merged by enumerate() and counted once).  Accumulates in
-  /// 128-bit arithmetic and throws a diagnosable OverflowError naming the
-  /// enumerator if the count ever exceeds the 64-bit range: today's merged,
-  /// shape-clipped ranges keep the sum representable only by a global
-  /// argument (disjoint subranges of [0, 2^63)), and the previous
-  /// implementation silently relied on it with an unchecked per-range
-  /// subtraction.
-  i64 countElements(const PartitionTuple& partition, const ir::LaunchConfig& cfg,
-                    std::span<const i64> scalars) const;
-
   /// Renders the generated function as C source (the shape a native backend
   /// would compile; used by documentation and tests).
   std::string emitC() const;
-
-  /// Specialized-program cache counters since construction, shared across
-  /// copies of this enumerator.  Monotone telemetry: they describe how the
-  /// enumerator executed (only the Specialized tier moves them), not what it
-  /// computed.
-  struct SpecCacheCounters {
-    i64 hits = 0;
-    i64 misses = 0;
-    i64 evictions = 0;
-  };
-  SpecCacheCounters specCacheCounters() const;
 
  private:
   /// Parameter vectors are short (6 launch words + scalars + 12 partition

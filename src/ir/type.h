@@ -69,16 +69,6 @@ struct Dim3 {
 /// innermost/fastest dimension.
 enum class Axis { X = 0, Y = 1, Z = 2 };
 
-inline i64 axisOf(const Dim3& d, Axis a) {
-  switch (a) {
-    case Axis::X: return d.x;
-    case Axis::Y: return d.y;
-    case Axis::Z: return d.z;
-  }
-  PP_ASSERT(false);
-  return 0;
-}
-
 inline const char* axisName(Axis a) {
   switch (a) {
     case Axis::X: return "x";

@@ -199,6 +199,12 @@ const std::vector<FlowEdge>& DataflowPlanner::edgesFor(std::size_t step) const {
   return edgesByStep_[step];
 }
 
+bool DataflowPlanner::uses(const VirtualBuffer* buf) const {
+  auto usesBuf = [buf](const LaunchSignature& s) { return s.uses(buf); };
+  return std::ranges::any_of(history_, usesBuf) ||
+         std::ranges::any_of(cycle_, usesBuf);
+}
+
 void DataflowPlanner::reset() {
   history_.clear();
   cycle_.clear();

@@ -34,7 +34,7 @@
 // host write, an owner other than the planned source — degrades to the
 // paper's reactive path, so functional results are byte-identical with
 // planning on or off.  Recorded signatures hold buffer identities, so the
-// runtime resets the planner on every free().
+// runtime resets the planner when free() releases a buffer one of them uses.
 
 #include <cstddef>
 #include <functional>
@@ -113,6 +113,9 @@ class DataflowPlanner {
 
   bool active() const { return active_; }
   std::size_t period() const { return cycle_.size(); }
+
+  /// True when a recorded launch (history or active cycle) uses `buf`.
+  bool uses(const VirtualBuffer* buf) const;
 
   /// Drops the active plan and the recorded history (buffer identities may
   /// have been invalidated, e.g. by free()).

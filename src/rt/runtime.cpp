@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <optional>
 #include <utility>
 
-#include "pset/fm_internal.h"
 #include "rt/checkpoint.h"
 #include "rt/dataflow_plan.h"
 #include "rt/transfer_plan.h"
@@ -52,11 +50,6 @@ bool defaultInspectorExecutor() {
 }
 
 namespace {
-
-double wallSeconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - since)
-      .count();
-}
 
 std::string paramDesc(bool isArray, ir::Type type) {
   return std::string(isArray ? "array of " : "scalar ") + ir::typeName(type);
@@ -154,27 +147,6 @@ class Footprint {
 
 }  // namespace
 
-class Runtime::ResolutionTimer {
- public:
-  explicit ResolutionTimer(Runtime& rt)
-      : rt_(rt), t0_(std::chrono::steady_clock::now()) {
-    PP_ASSERT_MSG(!rt_.resolutionWindowOpen_,
-                  "overlapping resolution wall-time windows");
-    rt_.resolutionWindowOpen_ = true;
-  }
-  ~ResolutionTimer() {
-    rt_.resolutionWindowOpen_ = false;
-    rt_.stats_.resolutionWallSeconds += wallSeconds(t0_);
-  }
-
-  ResolutionTimer(const ResolutionTimer&) = delete;
-  ResolutionTimer& operator=(const ResolutionTimer&) = delete;
-
- private:
-  Runtime& rt_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
 Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
                  const ir::Module& kernels)
     : config_(config), model_(std::move(model)) {
@@ -188,12 +160,6 @@ Runtime::Runtime(RuntimeConfig config, analysis::ApplicationModel model,
     throw Error("RuntimeConfig::pipelineDepth must be 0 (got " +
                 std::to_string(config_.pipelineDepth) +
                 "); launches always run synchronously");
-  // FM-memoization telemetry baseline: taken before any enumerator is built
-  // so this runtime's construction-time projections count toward its sample.
-  const pset::FmMemoCounters fmBase = pset::fmMemoCounters();
-  fmBaseHits_ = fmBase.hits;
-  fmBaseMisses_ = fmBase.misses;
-  fmBaseEvictions_ = fmBase.evictions;
   config_.machine.numDevices = config_.numGpus;
   machine_ = std::make_unique<sim::Machine>(config_.machine, config_.mode);
   if (config_.dataflowPlanning && config_.enableDependencyResolution &&
@@ -352,8 +318,8 @@ void Runtime::free(VirtualBuffer* buf) {
       // Every recorded launch signature that uses the buffer is forgotten:
       // a reallocation can reuse its address (and an inspected content
       // version), which must not match a stale record.  The planner's
-      // history is dropped whole.
-      if (planner_ != nullptr) planner_->reset();
+      // history is dropped whole when any of it uses the buffer.
+      if (planner_ != nullptr && planner_->uses(buf)) planner_->reset();
       for (auto& [name, ke] : kernels_) {
         std::erase_if(ke.inspections,
                       [&](const std::shared_ptr<const InspectedFootprints>& f) {
@@ -539,7 +505,6 @@ void Runtime::issuePrefetches(const LaunchSignature& sig, std::size_t step,
                               std::vector<double> kernelDone) {
   const std::vector<FlowEdge>& edges = planner_->edgesFor(step);
   if (edges.empty()) return;
-  ResolutionTimer timer(*this);
   trace::Span span(config_.tracer, "runtime", "prefetch-flows", {},
                    {{"edges", static_cast<i64>(edges.size())}});
 
@@ -601,24 +566,6 @@ void Runtime::issuePrefetches(const LaunchSignature& sig, std::size_t step,
   // per-row transfer-issue coefficient the reactive path is charged.
   chargeHost(kTransferIssueCostPerRow * static_cast<double>(replicas.size()),
              "prefetch-issue", {"copies", static_cast<i64>(replicas.size())});
-}
-
-void Runtime::sampleCacheCounters() {
-  const pset::FmMemoCounters fm = pset::fmMemoCounters();
-  i64 specHits = 0, specMisses = 0, specEvictions = 0;
-  for (const auto& [name, ke] : kernels_)
-    for (const Enumerator& e : ke.enumerators) {
-      const codegen::Enumerator::SpecCacheCounters c = e.specCacheCounters();
-      specHits += c.hits;
-      specMisses += c.misses;
-      specEvictions += c.evictions;
-    }
-  stats_.fmMemoHits = fm.hits - fmBaseHits_;
-  stats_.fmMemoMisses = fm.misses - fmBaseMisses_;
-  stats_.fmMemoEvictions = fm.evictions - fmBaseEvictions_;
-  stats_.specProgramHits = specHits;
-  stats_.specProgramMisses = specMisses;
-  stats_.specProgramEvictions = specEvictions;
 }
 
 void Runtime::chargeHost(double cost, const char* what, const trace::Arg& arg) {
@@ -699,7 +646,6 @@ void Runtime::updateWriteRanges(VirtualBuffer* vb, int gpu,
 
 void Runtime::resolveEnumerators(KernelEntry& ke, const LaunchSignature& sig,
                                  bool writes) {
-  ResolutionTimer timer(*this);
   trace::Span span(config_.tracer, "runtime",
                    writes ? "update-trackers" : "sync-reads");
   std::unique_ptr<TransferPlan> xferPlan =
@@ -762,16 +708,20 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
     std::span<const LaunchArg> args) {
   PP_ASSERT_MSG(machine_->mode() == sim::ExecutionMode::Functional,
                 "inspection walk without functional buffer contents");
-  ResolutionTimer timer(*this);
   trace::Span span(config_.tracer, "runtime", "inspect:", ke.model->kernel);
 
-  // Cache probe.  The launch signature and the weights are the key; the
-  // content versions decide freshness.  Content versions move only on
-  // Tracker::update(), whose sequence the launch stream alone decides, so
-  // hit/miss/invalidation counts are knob-invariant.  Only *read* arguments
-  // enter the freshness vector: a write-only output cannot influence the
-  // walk, and skipping its version is what lets the repeat launch of an
-  // iterative kernel hit the cache despite writing its output.
+  // Cache probe.  The launch signature, the f64 scalars (compared by bit
+  // pattern: the walk may compute an index from one) and the weights are
+  // the key; the content versions decide freshness.  Content versions move
+  // only on Tracker::update(), whose sequence the launch stream alone
+  // decides, so hit/miss/invalidation counts are knob-invariant.  Only *read*
+  // arguments enter the freshness vector: a write-only output cannot
+  // influence the walk, and skipping its version is what lets the repeat
+  // launch of an iterative kernel hit the cache despite writing its output.
+  std::vector<u64> f64Bits;
+  for (const LaunchArg& a : args)
+    if (a.buffer == nullptr && a.scalar.type == ir::Type::F64)
+      f64Bits.push_back(std::bit_cast<u64>(a.scalar.f));
   std::vector<u64> versions;
   for (std::size_t ai = 0; ai < sig.buffers.size(); ++ai) {
     if (sig.buffers[ai] == nullptr) continue;
@@ -780,7 +730,8 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
       versions.push_back(sig.buffers[ai]->tracker().contentVersion());
   }
   for (auto it = ke.inspections.begin(); it != ke.inspections.end(); ++it) {
-    if ((*it)->sig != sig || (*it)->weights != ke.partitioning.weights)
+    if ((*it)->sig != sig || (*it)->f64Bits != f64Bits ||
+        (*it)->weights != ke.partitioning.weights)
       continue;
     if ((*it)->contentVersions == versions) {
       ++stats_.inspectorCacheHits;
@@ -835,6 +786,7 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
 
   auto fp = std::make_shared<InspectedFootprints>();
   fp->sig = sig;
+  fp->f64Bits = std::move(f64Bits);
   fp->contentVersions = std::move(versions);
   fp->weights = ke.partitioning.weights;
   fp->ranges.assign(
@@ -883,7 +835,6 @@ std::shared_ptr<const Runtime::InspectedFootprints> Runtime::inspectFootprints(
 void Runtime::synchronizeMayAccessReads(KernelEntry& ke,
                                         const LaunchSignature& sig,
                                         const InspectedFootprints& fp) {
-  ResolutionTimer timer(*this);
   trace::Span span(config_.tracer, "runtime", "sync-may-reads");
   std::unique_ptr<TransferPlan> xferPlan = makeTransferPlan();
   // The read body of the static reads, driven by the inspected footprints
@@ -1119,7 +1070,6 @@ void Runtime::executeLaunch(KernelEntry& ke, const LaunchSignature& sig,
   // them behind the destination's compute.
   if (planned) issuePrefetches(sig, obs.step, std::move(kernelDone));
   machine_->setDeviceOrdering(false);
-  sampleCacheCounters();
 
   // Remember this launch's signature so a later repartition can recompute
   // the kernel's per-device write footprints under both geometries.

@@ -109,13 +109,6 @@ struct Partitioning {
     for (i64 w : weights) t += w;
     return t;
   }
-  /// Devices with a non-zero share.
-  int activeDevices() const {
-    int n = 0;
-    for (i64 w : weights)
-      if (w > 0) ++n;
-    return n;
-  }
 
   bool operator==(const Partitioning&) const = default;
 };
@@ -272,8 +265,8 @@ struct LaunchArg {
 /// What one launch was: the kernel (by its model), the launch geometry, the
 /// i64 scalar arguments in declaration order, and one buffer per argument
 /// (null for scalars).  The dataflow planner's cycle steps, the inspection
-/// cache's key and the last-launch record repartition() migrates from are
-/// all this one value.
+/// cache's key (which adds the f64 scalars) and the last-launch record
+/// repartition() migrates from are all this one value.
 struct LaunchSignature {
   const analysis::KernelModel* model = nullptr;
   ir::LaunchConfig cfg;
@@ -288,61 +281,50 @@ struct LaunchSignature {
 };
 
 /// Counters for the overhead analysis (Section 9.2), one row each (see
-/// support/counters.h).  Telemetry rows describe how the host executed, not
-/// what the runtime computed: resolutionWallSeconds is real wall time, and
-/// the cache samples are taken at the end of every launch.  The FM-memo
-/// counters are process-wide (pset's projection memo is one table per
-/// process) diffed against a baseline taken at Runtime construction; the
-/// specialized-program counters sum over this runtime's enumerators.  Both
-/// are monotone (tests/cache_counters_test.cpp).
+/// support/counters.h).  Every row counts what the runtime did for the
+/// launch stream; the host time it took is measured by the trace's wall
+/// spans (sync-reads, inspect:, update-trackers, ...), not here.
 #define POLYPART_RUNTIME_COUNTERS(X)                                           \
-  X(i64, launches, Deterministic)                                              \
-  X(i64, rangesResolved, Deterministic) /* enumerated ranges, all launches */  \
-  X(i64, logicalRowsResolved, Deterministic) /* paper's per-row steps */       \
-  X(i64, trackerSegmentsVisited, Deterministic)                                \
-  X(i64, peerCopies, Deterministic)                                            \
-  X(i64, sharedCopyHits, Deterministic) /* avoided by shared-copy tracking */  \
-  X(i64, enumCacheHits, Deterministic)      /* plans replayed from cache */    \
-  X(i64, enumCacheMisses, Deterministic)    /* plans materialized */           \
-  X(i64, enumCacheEvictions, Deterministic) /* dropped by the FIFO bound */    \
+  X(i64, launches)                                                             \
+  X(i64, rangesResolved) /* enumerated ranges, all launches */                 \
+  X(i64, logicalRowsResolved) /* paper's per-row steps */                      \
+  X(i64, trackerSegmentsVisited)                                               \
+  X(i64, peerCopies)                                                           \
+  X(i64, sharedCopyHits) /* avoided by shared-copy tracking */                 \
+  X(i64, enumCacheHits) /* plans replayed from cache */                        \
+  X(i64, enumCacheMisses) /* plans materialized */                             \
+  X(i64, enumCacheEvictions) /* dropped by the FIFO bound */                   \
   /* Transfer scheduler (all 0 with transferScheduling off). */                \
-  X(i64, transfersMerged, Deterministic)   /* folded by same-link merging */   \
-  X(i64, broadcastChains, Deterministic)   /* re-sourced from a replica */     \
-  X(i64, bytesSavedByDedup, Deterministic) /* bytes not re-moved */            \
+  X(i64, transfersMerged) /* folded by same-link merging */                    \
+  X(i64, broadcastChains) /* re-sourced from a replica */                      \
+  X(i64, bytesSavedByDedup) /* bytes not re-moved */                           \
   /* Dataflow planner (all 0 with dataflowPlanning off). */                    \
-  X(i64, planActivations, Deterministic) /* cycles compiled to a plan */       \
-  X(i64, planDivergences, Deterministic) /* plans left by off-cycle launch */  \
-  X(i64, plannedLaunches, Deterministic) /* launches matching the plan */      \
-  X(i64, prefetchCopies, Deterministic)  /* eager copies from flow edges */    \
-  X(i64, bytesPrefetched, Deterministic) /* moved by them (post-merge) */      \
-  X(i64, bytesElided, Deterministic)     /* flow bytes dead before a read */   \
-  X(i64, prefetchHits, Deterministic)    /* reactive copies skipped */         \
+  X(i64, planActivations) /* cycles compiled to a plan */                      \
+  X(i64, planDivergences) /* plans left by off-cycle launch */                 \
+  X(i64, plannedLaunches) /* launches matching the plan */                     \
+  X(i64, prefetchCopies) /* eager copies from flow edges */                    \
+  X(i64, bytesPrefetched) /* moved by them (post-merge) */                     \
+  X(i64, bytesElided) /* flow bytes dead before a read */                      \
+  X(i64, prefetchHits) /* reactive copies skipped */                           \
   /* Elastic repartitioning (all 0 unless repartition(), checkpoint() or */    \
   /* recoverDevice() are called). */                                           \
-  X(i64, repartitions, Deterministic)      /* calls that changed weights */    \
-  X(i64, repartitionCopies, Deterministic) /* peer copies of transitions */    \
-  X(i64, bytesRepartitioned, Deterministic)        /* bytes they moved */      \
-  X(i64, bytesRepartitionFootprint, Deterministic) /* full-move bound */       \
-  X(i64, checkpoints, Deterministic)                                           \
-  X(i64, bytesCheckpointed, Deterministic) /* exclusive bytes snapshotted */   \
-  X(i64, recoveries, Deterministic)                                            \
-  X(i64, restoreCopies, Deterministic) /* H2D copies restoring ranges */       \
-  X(i64, bytesRestored, Deterministic)                                         \
-  X(i64, bytesAdopted, Deterministic) /* lost bytes re-owned from replicas */  \
+  X(i64, repartitions) /* calls that changed weights */                        \
+  X(i64, repartitionCopies) /* peer copies of transitions */                   \
+  X(i64, bytesRepartitioned) /* bytes they moved */                            \
+  X(i64, bytesRepartitionFootprint) /* full-move bound */                      \
+  X(i64, checkpoints)                                                          \
+  X(i64, bytesCheckpointed) /* exclusive bytes snapshotted */                  \
+  X(i64, recoveries)                                                           \
+  X(i64, restoreCopies) /* H2D copies restoring ranges */                      \
+  X(i64, bytesRestored)                                                        \
+  X(i64, bytesAdopted) /* lost bytes re-owned from replicas */                 \
   /* May-access tier (all 0 for purely affine kernels). */                     \
-  X(i64, mayAccessLaunches, Deterministic)                                     \
-  X(i64, inspectorRuns, Deterministic)      /* inspection walks executed */    \
-  X(i64, inspectorCacheHits, Deterministic) /* served by cached footprints */  \
-  X(i64, inspectorCacheMisses, Deterministic)                                  \
-  X(i64, inspectorCacheInvalidations, Deterministic) /* content changed */     \
-  X(i64, inspectedElements, Deterministic) /* may-reads the walks observed */  \
-  X(double, resolutionWallSeconds, Telemetry) /* host time resolving */        \
-  X(i64, fmMemoHits, Telemetry)                                                \
-  X(i64, fmMemoMisses, Telemetry)                                              \
-  X(i64, fmMemoEvictions, Telemetry)                                           \
-  X(i64, specProgramHits, Telemetry)                                           \
-  X(i64, specProgramMisses, Telemetry)                                         \
-  X(i64, specProgramEvictions, Telemetry)
+  X(i64, mayAccessLaunches)                                                    \
+  X(i64, inspectorRuns) /* inspection walks executed */                        \
+  X(i64, inspectorCacheHits) /* served by cached footprints */                 \
+  X(i64, inspectorCacheMisses)                                                 \
+  X(i64, inspectorCacheInvalidations) /* content changed */                    \
+  X(i64, inspectedElements) /* may-reads the walks observed */
 
 struct RuntimeStats : counters::Table<RuntimeStats> {
   POLYPART_COUNTER_FIELDS(RuntimeStats, POLYPART_RUNTIME_COUNTERS)
@@ -490,12 +472,14 @@ class Runtime {
 
   /// One inspection result: exact per-device element footprints of a
   /// kernel's may-access reads, plus everything the walk depended on (the
-  /// cache key: the launch signature and the partitioning).  Entries go stale
-  /// when any read buffer's Tracker::contentVersion() moves — update() bumps
-  /// it, addSharer() does not, so replica bookkeeping (shared-copy tracking,
-  /// prefetches) cannot thrash the cache.
+  /// cache key: the launch signature, the f64 scalars the signature leaves
+  /// out, and the partitioning).  Entries go stale when any read buffer's
+  /// Tracker::contentVersion() moves — update() bumps it, addSharer() does
+  /// not, so replica bookkeeping (shared-copy tracking, prefetches) cannot
+  /// thrash the cache.
   struct InspectedFootprints {
     LaunchSignature sig;
+    std::vector<u64> f64Bits;          // f64 scalar bit patterns, in arg order
     std::vector<u64> contentVersions;  // of the read buffers, in arg order
     std::vector<i64> weights;          // partitioning when inspected
     /// ranges[i][gpu] -> coalesced half-open element ranges read by `gpu`
@@ -542,11 +526,6 @@ class Runtime {
     /// Inspection cache, FIFO bounded by kInspectionCacheEntriesPerKernel.
     std::deque<std::shared_ptr<const InspectedFootprints>> inspections;
   };
-
-  /// RAII wall-clock window accumulating into stats_.resolutionWallSeconds.
-  /// Windows must not nest (that would count the same real time twice),
-  /// which resolutionWindowOpen_ asserts.
-  class ResolutionTimer;
 
   const KernelEntry& entry(const std::string& name) const;
   KernelEntry& entry(const std::string& name);
@@ -643,9 +622,6 @@ class Runtime {
   /// consumer's reactive resolution skips them.
   void issuePrefetches(const LaunchSignature& sig, std::size_t step,
                        std::vector<double> kernelDone);
-  /// Samples the FM-memoization and specialized-program cache counters into
-  /// the stats meta-fields (end of every launch).
-  void sampleCacheCounters();
 
   /// Validates a launch request and returns its signature, touching no
   /// machine, tracker, or stats state.
@@ -672,13 +648,6 @@ class Runtime {
   /// Cross-launch dataflow planner (null unless dataflowPlanning is on and
   /// dependency resolution + transfers are enabled).
   std::unique_ptr<DataflowPlanner> planner_;
-  /// FM-memoization counter baseline at construction: the memo table is
-  /// process-wide, so per-runtime telemetry is the counter delta.
-  i64 fmBaseHits_ = 0;
-  i64 fmBaseMisses_ = 0;
-  i64 fmBaseEvictions_ = 0;
-  /// An open ResolutionTimer window (the nesting guard).
-  bool resolutionWindowOpen_ = false;
   /// syncReadRanges()' replica scratch: the segments copied by one tracker
   /// query, recorded as sharers once the query returns.
   ElemRanges sharerScratch_;

@@ -68,14 +68,14 @@ struct LaunchOptions {
 /// element width differs from the 8-byte storage width, and truncating per
 /// transfer would under-report workloads made of many small copies.
 #define POLYPART_MACHINE_COUNTERS(X)                                           \
-  X(i64, apiCalls, Deterministic)                                              \
-  X(i64, kernelLaunches, Deterministic)                                        \
-  X(i64, transfers, Deterministic)                                             \
-  X(double, bytesHostToDevice, Deterministic)                                  \
-  X(double, bytesDeviceToHost, Deterministic)                                  \
-  X(double, bytesPeerToPeer, Deterministic)                                    \
-  X(double, kernelBusySeconds, Deterministic)   /* summed across devices */    \
-  X(double, transferBusySeconds, Deterministic) /* summed across engines */
+  X(i64, apiCalls)                                                             \
+  X(i64, kernelLaunches)                                                       \
+  X(i64, transfers)                                                            \
+  X(double, bytesHostToDevice)                                                 \
+  X(double, bytesDeviceToHost)                                                 \
+  X(double, bytesPeerToPeer)                                                   \
+  X(double, kernelBusySeconds) /* summed across devices */                     \
+  X(double, transferBusySeconds) /* summed across engines */
 
 struct MachineStats : counters::Table<MachineStats> {
   POLYPART_COUNTER_FIELDS(MachineStats, POLYPART_MACHINE_COUNTERS)

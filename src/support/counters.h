@@ -3,12 +3,12 @@
 // Counter tables: every counter is declared once, in an X-macro list.
 //
 // RuntimeStats (rt/runtime.h) and MachineStats (sim/machine.h) are generated
-// from such a list.  Each row names a counter's type, name and class (in
-// the real lists every line ends in a backslash continuation):
+// from such a list.  Each row names a counter's type and name (in the real
+// lists every line ends in a backslash continuation):
 //
 //   #define MY_COUNTERS(X)
-//     X(i64, launches, Deterministic) /* launches executed */
-//     X(double, wallSeconds, Telemetry)
+//     X(i64, launches) /* launches executed */
+//     X(double, bytesMoved)
 //
 //   struct MyStats : counters::Table<MyStats> {
 //     POLYPART_COUNTER_FIELDS(MyStats, MY_COUNTERS)
@@ -16,10 +16,14 @@
 //
 // The struct gets one zero-initialized field per row plus a visitor over the
 // rows, and the Table base derives everything else from that visitor:
-// field-wise sum, deterministic() (the telemetry rows zeroed), a JSON object
-// keyed by field name (bench rows), and traceChanges() (one Chrome-trace
-// counter sample per deterministic counter that moved).  Adding a counter is
-// one new row.
+// field-wise sum, a JSON object keyed by field name (bench rows), and
+// traceChanges() (one Chrome-trace counter sample per counter that moved).
+// Adding a counter is one new row.
+//
+// Every row is a function of the configuration and the operation stream:
+// equal across runs, with tracing on or off, so determinism checks compare
+// whole tables with ==.  Host wall time is not a counter; the trace's wall
+// spans measure it.
 
 #include <cstddef>
 
@@ -28,50 +32,29 @@
 
 namespace polypart::counters {
 
-enum class Class : unsigned char {
-  /// A function of the configuration and the operation stream: equal across
-  /// runs, with tracing on or off.
-  Deterministic,
-  /// Describes how the host executed: real wall time, or cache behaviour
-  /// that depends on the execution tier or on the rest of the process.
-  /// Excluded from determinism checks.
-  Telemetry,
-};
-
 /// Base of a counter table.  Derived::forEach(f), generated by
-/// POLYPART_COUNTER_FIELDS, calls f(name, cls, member) for every row in
+/// POLYPART_COUNTER_FIELDS, calls f(name, member) for every row in
 /// declaration order; `member` is a pointer to the Derived data member.
 template <class Derived>
 struct Table {
   friend Derived& operator+=(Derived& a, const Derived& b) {
-    Derived::forEach([&](const char*, Class, auto m) { a.*m += b.*m; });
+    Derived::forEach([&](const char*, auto m) { a.*m += b.*m; });
     return a;
   }
   friend Derived operator+(Derived a, const Derived& b) { return a += b; }
 
-  /// This table with every Telemetry row zeroed: what determinism checks
-  /// compare.
-  Derived deterministic() const {
-    Derived d = self();
-    Derived::forEach([&](const char*, Class c, auto m) {
-      if (c == Class::Telemetry) d.*m = 0;
-    });
-    return d;
-  }
-
   /// Writes one key per row, named like the field, into the JSON object `o`.
   void addTo(json::Value& o) const {
-    Derived::forEach(
-        [&](const char* name, Class, auto m) { o[name] = self().*m; });
+    Derived::forEach([&](const char* name, auto m) { o[name] = self().*m; });
   }
 
-  /// Samples every Deterministic row whose value differs from `before` onto
-  /// the Chrome-trace counter track named like the field.  No-op with a null
+  /// Samples every row whose value differs from `before` onto the
+  /// Chrome-trace counter track named like the field.  No-op with a null
   /// tracer.
   void traceChanges(trace::Tracer* t, const Derived& before) const {
     if (t == nullptr) return;
-    Derived::forEach([&](const char* name, Class c, auto m) {
-      if (c == Class::Deterministic && self().*m != before.*m)
+    Derived::forEach([&](const char* name, auto m) {
+      if (self().*m != before.*m)
         trace::counter(t, "counters", name, static_cast<double>(self().*m));
     });
   }
@@ -89,10 +72,9 @@ struct Table {
 /// static_asserts that its sizeof equals it, so a field declared outside the
 /// list fails to compile).  Row comments must be /* */ comments: a //
 /// comment would swallow the list's line continuation.
-#define POLYPART_COUNTER_FIELD(type, name, cls) type name = 0;
-#define POLYPART_COUNTER_ROW(type, name, cls) \
-  f(#name, ::polypart::counters::Class::cls, &Self::name);
-#define POLYPART_COUNTER_BYTES(type, name, cls) +sizeof(type)
+#define POLYPART_COUNTER_FIELD(type, name) type name = 0;
+#define POLYPART_COUNTER_ROW(type, name) f(#name, &Self::name);
+#define POLYPART_COUNTER_BYTES(type, name) +sizeof(type)
 #define POLYPART_COUNTER_FIELDS(Struct, LIST)                              \
   LIST(POLYPART_COUNTER_FIELD)                                             \
   static constexpr std::size_t kRowBytes = 0 LIST(POLYPART_COUNTER_BYTES); \

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <string>
 #include <type_traits>
 
@@ -18,14 +17,12 @@
 namespace polypart {
 namespace {
 
-using counters::Class;
-
 /// A table whose k-th row holds base + k: every row distinct.
 template <class T>
 T distinct(i64 base) {
   T t;
   i64 k = 0;
-  T::forEach([&](const char*, Class, auto m) {
+  T::forEach([&](const char*, auto m) {
     using V = std::remove_reference_t<decltype(t.*m)>;
     t.*m = static_cast<V>(base + ++k);
   });
@@ -33,20 +30,11 @@ T distinct(i64 base) {
 }
 
 template <class T>
-std::set<std::string> rowNames(Class c) {
-  std::set<std::string> names;
-  T::forEach([&](const char* name, Class cls, auto) {
-    if (cls == c) names.insert(name);
-  });
-  return names;
-}
-
-template <class T>
 void expectSumAddsEveryRow() {
   const T a = distinct<T>(100);
   const T b = distinct<T>(1000);
   const T sum = a + b;
-  T::forEach([&](const char* name, Class, auto m) {
+  T::forEach([&](const char* name, auto m) {
     EXPECT_EQ(sum.*m, a.*m + b.*m) << name;
   });
   T c = a;
@@ -60,37 +48,12 @@ TEST(Counters, SumAddsEveryRow) {
 }
 
 template <class T>
-void expectDeterministicZeroesExactlyTelemetry() {
-  const T a = distinct<T>(7);
-  const T d = a.deterministic();
-  T::forEach([&](const char* name, Class c, auto m) {
-    if (c == Class::Telemetry)
-      EXPECT_EQ(d.*m, 0) << name;
-    else
-      EXPECT_EQ(d.*m, a.*m) << name;
-  });
-}
-
-TEST(Counters, DeterministicZeroesExactlyTheTelemetryRows) {
-  expectDeterministicZeroesExactlyTelemetry<rt::RuntimeStats>();
-  expectDeterministicZeroesExactlyTelemetry<sim::MachineStats>();
-  // The classification itself: wall time and the cache samples are
-  // telemetry; everything the launch stream determines is not.
-  const std::set<std::string> telemetry = {
-      "resolutionWallSeconds", "fmMemoHits",      "fmMemoMisses",
-      "fmMemoEvictions",       "specProgramHits", "specProgramMisses",
-      "specProgramEvictions"};
-  EXPECT_EQ(rowNames<rt::RuntimeStats>(Class::Telemetry), telemetry);
-  EXPECT_TRUE(rowNames<sim::MachineStats>(Class::Telemetry).empty());
-}
-
-template <class T>
 void expectOneJsonKeyPerField() {
   const T a = distinct<T>(40);
   json::Value o = json::Value::object();
   a.addTo(o);
   std::size_t rows = 0;
-  T::forEach([&](const char* name, Class, auto m) {
+  T::forEach([&](const char* name, auto m) {
     ++rows;
     ASSERT_TRUE(o.asObject().contains(name)) << name;
     EXPECT_EQ(o.at(name).asDouble(), static_cast<double>(a.*m)) << name;
@@ -103,13 +66,11 @@ TEST(Counters, JsonHasOneKeyPerField) {
   expectOneJsonKeyPerField<sim::MachineStats>();
 }
 
-TEST(Counters, TraceChangesSamplesOnlyMovedDeterministicRows) {
+TEST(Counters, TraceChangesSamplesOnlyMovedRows) {
   rt::RuntimeStats before;
   rt::RuntimeStats after = before;
   after.launches = 3;
   after.peerCopies = 2;
-  after.resolutionWallSeconds = 1.5;  // telemetry: never sampled
-  after.fmMemoHits = 4;               // telemetry: never sampled
   sim::MachineStats machineBefore;
   sim::MachineStats machineAfter = machineBefore;
   machineAfter.bytesPeerToPeer = 12.5;

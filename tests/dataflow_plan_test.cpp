@@ -290,7 +290,7 @@ TEST(DataflowPlan, RandomizedDivergenceFuzz) {
 TEST(DataflowPlan, PlanningIsDeterministicWithAndWithoutCache) {
   // With planning on, results must not depend on the enumeration cache (the
   // planner composes the same flow sets from replayed and fresh plans), and
-  // the deterministic stats of each cache setting must repeat run over run.
+  // the stats of each cache setting must repeat run over run.
   const std::vector<double> x0 = seededInput(22);
   const std::vector<ScriptStep> script = regularScript(6, kN / 2);
   auto runWith = [&](bool cache) {
@@ -326,7 +326,7 @@ TEST(DataflowPlan, PlanningIsDeterministicWithAndWithoutCache) {
     RunOut out;
     out.x.assign(static_cast<std::size_t>(kN), -1.0);
     rt.memcpy(out.x.data(), vx, bytes, MemcpyKind::DeviceToHost);
-    out.stats = rt.stats().deterministic();
+    out.stats = rt.stats();
     return out;
   };
   RunOut ref = runWith(/*cache=*/true);
@@ -340,8 +340,9 @@ TEST(DataflowPlan, PlanningIsDeterministicWithAndWithoutCache) {
 
 TEST(DataflowPlan, FreeDropsThePlan) {
   // Recorded launch signatures hold buffer identities, and an address can be
-  // reused, so any free() drops the active plan and the history: the same
-  // cycle is detected, and counted, a second time.
+  // reused.  Freeing a buffer no recorded launch uses keeps the plan running;
+  // freeing one of the cycle's buffers drops the plan and the history, so
+  // the cycle over its replacement is detected, and counted, a second time.
   RuntimeConfig cfg;
   cfg.numGpus = 4;
   cfg.mode = sim::ExecutionMode::Functional;
@@ -351,8 +352,9 @@ TEST(DataflowPlan, FreeDropsThePlan) {
   VirtualBuffer* vx = rt.malloc(bytes);
   VirtualBuffer* vy = rt.malloc(bytes);
   VirtualBuffer* unrelated = rt.malloc(bytes);
-  const std::vector<double> x0 = seededInput(23);
-  rt.memcpy(vx, x0.data(), bytes, MemcpyKind::HostToDevice);
+  std::vector<double> x = seededInput(23);
+  std::vector<double> y(static_cast<std::size_t>(kN), 0.0);
+  rt.memcpy(vx, x.data(), bytes, MemcpyKind::HostToDevice);
   const ir::Dim3 grid{kN / kBlock, 1, 1}, block{kBlock, 1, 1};
   auto iterate = [&](int iters) {
     for (int it = 0; it < iters; ++it) {
@@ -365,14 +367,26 @@ TEST(DataflowPlan, FreeDropsThePlan) {
       LaunchArg fold[] = {LaunchArg::ofInt(kN), LaunchArg::ofBuffer(vy),
                           LaunchArg::ofBuffer(vx)};
       rt.launch("fold", grid, block, fold);
+      refStep(x, y, kN / 2);
     }
   };
   iterate(4);
   EXPECT_EQ(rt.stats().planActivations, 1);
+  const i64 planned = rt.stats().plannedLaunches;
+
   rt.free(unrelated);
+  iterate(4);
+  EXPECT_EQ(rt.stats().planActivations, 1);
+  EXPECT_EQ(rt.stats().plannedLaunches, planned + 12);
+
+  rt.free(vy);
+  vy = rt.malloc(bytes);  // scale writes all of it before anything reads it
   iterate(4);
   EXPECT_EQ(rt.stats().planActivations, 2);
   EXPECT_EQ(rt.stats().planDivergences, 0);
+  std::vector<double> got(static_cast<std::size_t>(kN), -1.0);
+  rt.memcpy(got.data(), vx, bytes, MemcpyKind::DeviceToHost);
+  EXPECT_EQ(got, x);
 }
 
 TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {

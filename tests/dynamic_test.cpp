@@ -297,6 +297,61 @@ TEST(Dynamic, GatherExecutesCorrectlyOnMayAccessTier) {
     }
 }
 
+/// Gather through an f64 scalar: out[i] = in[(i64)(s * (f64)i) % n].  Only
+/// the f64 argument `s` decides which elements a partition reads.
+KernelPtr buildScaledGather() {
+  KernelBuilder b("scaled_gather");
+  auto n = b.scalar("n", Type::I64);
+  auto s = b.scalar("s", Type::F64);
+  auto in = b.array("in", Type::F64, {n});
+  auto out = b.array("out", Type::F64, {n});
+  auto i = b.let("i", b.globalId(Axis::X));
+  b.iff(lt(i, n), [&] {
+    ExprPtr src =
+        ir::Expr::cast(Type::I64, s * ir::Expr::cast(Type::F64, i)) % n;
+    b.store(out, i, b.load(in, src));
+  });
+  return b.build();
+}
+
+TEST(Dynamic, InspectionCacheKeysOnF64Scalars) {
+  // Launches that differ only in the f64 scalar read different elements, so
+  // they must not share an inspection; repeating a scalar still hits.
+  KernelPtr k = buildScaledGather();
+  ir::Module mod;
+  mod.addKernel(k);
+  ApplicationModel model = analysis::analyzeModule(mod);
+  ASSERT_TRUE(model.find("scaled_gather")->arrayFor(2)->readMayAccess);
+
+  const i64 n = 256;
+  std::vector<double> in(static_cast<std::size_t>(n));
+  for (i64 i = 0; i < n; ++i)
+    in[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i) * 0.25;
+  RuntimeConfig cfg;
+  cfg.numGpus = 4;
+  cfg.mode = sim::ExecutionMode::Functional;
+  cfg.inspectorExecutor = true;
+  Runtime rt(cfg, model, mod);
+  VirtualBuffer* dIn = rt.malloc(n * 8);
+  VirtualBuffer* dOut = rt.malloc(n * 8);
+  rt.memcpy(dIn, in.data(), n * 8, MemcpyKind::HostToDevice);
+  for (double s : {1.0, 3.0, 1.0}) {
+    LaunchArg args[] = {LaunchArg::ofInt(n), LaunchArg::ofFloat(s),
+                        LaunchArg::ofBuffer(dIn), LaunchArg::ofBuffer(dOut)};
+    rt.launch("scaled_gather", {n / 64, 1, 1}, {64, 1, 1}, args);
+    std::vector<double> out(static_cast<std::size_t>(n), -1.0);
+    rt.memcpy(out.data(), dOut, n * 8, MemcpyKind::DeviceToHost);
+    for (i64 i = 0; i < n; ++i) {
+      const i64 src = static_cast<i64>(s * static_cast<double>(i)) % n;
+      EXPECT_EQ(out[static_cast<std::size_t>(i)],
+                in[static_cast<std::size_t>(src)])
+          << "s = " << s << ", element " << i;
+    }
+  }
+  EXPECT_EQ(rt.stats().inspectorRuns, 2);
+  EXPECT_EQ(rt.stats().inspectorCacheHits, 1);
+}
+
 TEST(Dynamic, AnnotationsOverrideExtractedMaps) {
   // Annotate hotspot's output with the map its own analysis derives; the
   // annotated model must behave identically.

@@ -13,8 +13,9 @@
 //     satisfies the projected constraints — FM over-approximates), and full
 //     equality over a margin-extended box whenever the projection reports
 //     itself exact.
-//   - lexMin()/lexMax(): exact match with the oracle's lexicographic extrema
-//     (pset/lex.h documents these as exact for bounded sets).
+//   - the image of a map (its inputs projected out, as the enumerators do):
+//     soundness unconditionally, and equality over a margin-extended box
+//     whenever the projection reports itself exact.
 //   - detail::simplifyRows()/eliminateColumns(): the same rows in the same
 //     order, the same exact/empty flags, and the same OverflowError (or
 //     none) as the row oracle (tests/fm_oracle.h), on raw random systems with
@@ -34,7 +35,6 @@
 
 #include "fm_oracle.h"
 #include "fuzz_util.h"
-#include "pset/lex.h"
 #include "pset/map.h"
 #include "pset/set.h"
 #include "support/error.h"
@@ -177,26 +177,6 @@ void checkProjection(const GenSet& g,
   });
 }
 
-void checkLex(const Set& s, const std::vector<std::vector<i64>>& pts) {
-  std::optional<std::vector<i64>> gotMin, gotMax;
-  try {
-    gotMin = lexMin(s);
-    gotMax = lexMax(s);
-  } catch (const OverflowError&) {
-    return;  // step budget: acceptable for pathological scan spaces
-  }
-  if (pts.empty()) {
-    EXPECT_FALSE(gotMin.has_value()) << "lexMin of an empty set\n" << s.str();
-    EXPECT_FALSE(gotMax.has_value()) << "lexMax of an empty set\n" << s.str();
-    return;
-  }
-  // `pts` is produced in lexicographic scan order.
-  ASSERT_TRUE(gotMin.has_value()) << "lexMin missed a non-empty set\n" << s.str();
-  ASSERT_TRUE(gotMax.has_value()) << "lexMax missed a non-empty set\n" << s.str();
-  EXPECT_EQ(*gotMin, pts.front()) << s.str();
-  EXPECT_EQ(*gotMax, pts.back()) << s.str();
-}
-
 TEST(PsetFuzz, BasicSetsMatchPointEnumerationOracle) {
   for (int i = 0; i < fuzz::caseCount(256); ++i) {
     fuzz::SeededRng rng(fuzz::seedFor(11, i));
@@ -223,15 +203,10 @@ TEST(PsetFuzz, BasicSetsMatchPointEnumerationOracle) {
 
     checkProjection(g, pts, rng);
     if (::testing::Test::HasFailure()) return;
-
-    Set s(g.bs.space());
-    s.addPart(g.bs);
-    checkLex(s, pts);
-    if (::testing::Test::HasFailure()) return;
   }
 }
 
-TEST(PsetFuzz, UnionEmptinessAndLexMatchOracle) {
+TEST(PsetFuzz, UnionEmptinessMatchesOracle) {
   for (int i = 0; i < fuzz::caseCount(200); ++i) {
     fuzz::SeededRng rng(fuzz::seedFor(12, i));
     SCOPED_TRACE(rng.replay());
@@ -243,29 +218,22 @@ TEST(PsetFuzz, UnionEmptinessAndLexMatchOracle) {
     u.addPart(a.bs);
     u.addPart(b.bs);
 
-    // Oracle union, deduped and re-sorted lexicographically.
-    std::set<std::vector<i64>> all;
-    for (auto& pt : enumeratePoints(a)) all.insert(std::move(pt));
-    for (auto& pt : enumeratePoints(b)) all.insert(std::move(pt));
-    std::vector<std::vector<i64>> pts(all.begin(), all.end());
-
+    const bool oracleEmpty =
+        enumeratePoints(a).empty() && enumeratePoints(b).empty();
     switch (u.emptiness()) {
       case Tri::Yes:
-        EXPECT_TRUE(pts.empty()) << "emptiness() == Yes but the oracle found "
+        EXPECT_TRUE(oracleEmpty) << "emptiness() == Yes but the oracle found "
                                     "a point\n"
                                  << u.str();
         break;
       case Tri::No:
-        EXPECT_FALSE(pts.empty()) << "emptiness() == No but the oracle found "
+        EXPECT_FALSE(oracleEmpty) << "emptiness() == No but the oracle found "
                                      "no point\n"
                                   << u.str();
         break;
       case Tri::Unknown:
         break;
     }
-    if (::testing::Test::HasFailure()) return;
-
-    checkLex(u, pts);
     if (::testing::Test::HasFailure()) return;
   }
 }
@@ -452,34 +420,41 @@ TEST(PsetFuzz, MapsMatchPointEnumerationOracle) {
     GenMap g = generateMap(rng, nIn, nOut);
     MapOracle oracle = enumerateMap(g);
 
-    // --- lexMin/lexMax over the (in, out) tuple space.
+    // --- the image: every input projected out, as the enumerators project
+    // the thread-grid inputs away.
     ASSERT_EQ(g.map.parts().size(), 1u);
-    std::vector<std::vector<i64>> tuples;
-    for (const auto& [in, out] : oracle.pairs) {
-      std::vector<i64> t = in;
-      t.insert(t.end(), out.begin(), out.end());
-      tuples.push_back(std::move(t));
-    }
-    std::sort(tuples.begin(), tuples.end());
-    std::optional<std::vector<i64>> gotMin, gotMax;
-    bool lexOk = true;
-    try {
-      gotMin = lexMin(g.map.parts()[0]);
-      gotMax = lexMax(g.map.parts()[0]);
-    } catch (const OverflowError&) {
-      lexOk = false;  // step budget; Error would be a real bug (all dims
-                      // are bounded by constraints FM preserves)
-    }
-    if (lexOk) {
-      if (tuples.empty()) {
-        EXPECT_FALSE(gotMin.has_value()) << g.map.str();
-        EXPECT_FALSE(gotMax.has_value()) << g.map.str();
-      } else {
-        ASSERT_TRUE(gotMin.has_value()) << g.map.str();
-        ASSERT_TRUE(gotMax.has_value()) << g.map.str();
-        EXPECT_EQ(*gotMin, tuples.front()) << g.map.str();
-        EXPECT_EQ(*gotMax, tuples.back()) << g.map.str();
+    Proj image = g.map.parts()[0].projectOut(DimKind::In, 0, nIn);
+    std::set<std::vector<i64>> outs;
+    for (const auto& [in, out] : oracle.pairs) outs.insert(out);
+    for (const std::vector<i64>& out : outs)
+      EXPECT_TRUE(image.set.containsPoint({}, {}, out))
+          << "image dropped a true point\n"
+          << g.map.str() << "\n-> " << image.set.str();
+    if (image.exact) {
+      // Every output dimension is bounded by its scan interval or by an
+      // affine function of the bounded inputs; scan those bounds, widened.
+      Box scan;
+      for (const GenMap::OutDim& od : g.outs) {
+        i64 lo = od.lo, hi = od.hi;
+        if (od.isAffine) {
+          lo = hi = od.c0;
+          for (std::size_t d = 0; d < nIn; ++d) {
+            const i64 a = od.coef[d] * g.inBox.lo[d];
+            const i64 b = od.coef[d] * g.inBox.hi[d];
+            lo += std::min(a, b);
+            hi += std::max(a, b);
+          }
+        }
+        scan.lo.push_back(lo - 2);
+        scan.hi.push_back(hi + 2);
       }
+      scan.forEach([&](const std::vector<i64>& out) {
+        if (image.set.containsPoint({}, {}, out)) {
+          EXPECT_TRUE(outs.count(out))
+              << "exact image contains a point outside the oracle image\n"
+              << g.map.str() << "\n-> " << image.set.str();
+        }
+      });
     }
     if (::testing::Test::HasFailure()) return;
   }

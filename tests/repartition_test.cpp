@@ -275,7 +275,7 @@ Snapshot runTransitionWorkload(RuntimeConfig rc,
   Snapshot snap;
   snap.out.resize(kN);
   rt.memcpy(snap.out.data(), src, bytes, MemcpyKind::DeviceToHost);
-  snap.rstats = rt.stats().deterministic();
+  snap.rstats = rt.stats();
   snap.h2d = rt.machineStats().bytesHostToDevice;
   snap.d2h = rt.machineStats().bytesDeviceToHost;
   return snap;

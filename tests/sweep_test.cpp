@@ -139,10 +139,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /// Execution-tier sweep (see DESIGN.md "Execution tiers"): functional
-/// results must be byte-identical and the deterministic RuntimeStats fields
-/// tier-invariant across enumeratorTier x enableEnumerationCache.  Hotspot
-/// with an odd n guarantees grid overhang, so the guard expressions the
-/// tiers evaluate are non-trivial.
+/// results must be byte-identical and the RuntimeStats tier-invariant
+/// across enumeratorTier x enableEnumerationCache.  Hotspot with an odd n
+/// guarantees grid overhang, so the guard expressions the tiers evaluate are
+/// non-trivial.
 TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCache) {
   const i64 n = 37;
   const int iters = 4;
@@ -180,7 +180,7 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCache) {
     }
     std::vector<double> got(static_cast<std::size_t>(n * n));
     rt.memcpy(got.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
-    *statsOut = rt.stats().deterministic();
+    *statsOut = rt.stats();
     return got;
   };
 
@@ -195,7 +195,7 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCache) {
       std::vector<double> got = run(tier, cache, &s);
       EXPECT_EQ(got, ref) << "tier " << codegen::enumTierName(tier) << " diverges";
       EXPECT_EQ(s, refStats) << "tier " << codegen::enumTierName(tier)
-                             << " perturbs deterministic runtime statistics";
+                             << " perturbs runtime statistics";
     }
   }
 }
@@ -204,7 +204,7 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCache) {
 /// the hotspot ping-pong is a period-2 launch cycle, so with enough
 /// iterations the planner activates and runs planned launches.  Functional
 /// results must match the reactive reference bit-for-bit for every
-/// combination of planning x tier x cache, and the deterministic stats must
+/// combination of planning x tier x cache, and the stats must
 /// be tier-invariant within each planning value (planner counters
 /// legitimately differ between planning on and off, like
 /// transferScheduling's).
@@ -247,7 +247,7 @@ TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCache) {
     }
     std::vector<double> got(static_cast<std::size_t>(n * n));
     rt.memcpy(got.data(), src, n * n * 8, MemcpyKind::DeviceToHost);
-    *statsOut = rt.stats().deterministic();
+    *statsOut = rt.stats();
     return got;
   };
 

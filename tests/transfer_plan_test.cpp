@@ -290,7 +290,7 @@ Snapshot runWorkload(RuntimeConfig rc, const analysis::ApplicationModel& model,
   rt.memcpy(snap.bcastOut.data(), vb, bytes, MemcpyKind::DeviceToHost);
   for (const VirtualBuffer* v : {vin, vw, vs, va, vb})
     snap.dumps.push_back(dump(v));
-  snap.rstats = rt.stats().deterministic();
+  snap.rstats = rt.stats();
   snap.mstats = rt.machineStats();
   snap.elapsed = rt.elapsedSeconds();
   return snap;

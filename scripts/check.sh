@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # One-command CI gate: tier-1 build + full ctest, an ASan+UBSan configuration,
-# knob-forcing re-runs of the sanitizer tree, and the benchmark self-tests,
-# run back to back.
+# the figure diffs and the benchmark self-tests, run back to back.
 #
-#   scripts/check.sh            # everything (tier1, asan, bytecode, dataflow, repartition, irregular, figures, perf)
-#   scripts/check.sh tier1      # just the default build + full test suite
+#   scripts/check.sh            # everything (tier1, asan, figures, perf)
+#   scripts/check.sh tier1      # default build + full test suite + env lint
 #   scripts/check.sh asan       # just the sanitizer configuration
-#   scripts/check.sh bytecode   # sanitizer tree re-run under the bytecode tier
-#   scripts/check.sh dataflow   # sanitizer tree re-run with dataflow planning on
-#   scripts/check.sh repartition # sanitizer tree re-run with repartitioning allowed
-#   scripts/check.sh irregular  # sanitizer tree re-run with the inspector-executor on
 #   scripts/check.sh figures    # figure/table and extension benches diffed against bench_results/
 #   scripts/check.sh perf       # benchmark self-tests (perfbench/run.py --selftest)
+#
+# Configuration defaults are constants: every extension a suite covers is
+# set explicitly in its tests, so no stage re-runs suites with an
+# environment variable flipping a default.  The tier1 lint keeps it so.
 #
 # Each configuration uses its own build tree (build/, build-asan/,
 # .bench_build/; all gitignored).  Temporary files (the tier1 trace, the
@@ -24,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 stages=("$@")
-[ ${#stages[@]} -eq 0 ] && stages=(tier1 asan bytecode dataflow repartition irregular figures perf)
+[ ${#stages[@]} -eq 0 ] && stages=(tier1 asan figures perf)
 
 run() {
   echo
@@ -35,6 +34,15 @@ run() {
 for stage in "${stages[@]}"; do
   case "$stage" in
     tier1)
+      # Only support/env.* and the POLYPART_TRACE hook read the environment;
+      # a config default that does would change every process silently.
+      env_hits=$(grep -rnE 'getenv|env::' src |
+        grep -vE '^src/support/(env\.(h|cpp)|trace\.cpp):' || true)
+      if [ -n "$env_hits" ]; then
+        echo "environment read outside support/env and support/trace.cpp:"
+        echo "$env_hits"
+        exit 1
+      fi
       # The seed's build/ tree uses Unix Makefiles; never pass -G here.
       # Warnings are errors here (CMake's built-in switch), so a new one
       # fails the stage instead of scrolling past in the build log.
@@ -62,72 +70,6 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       # run as their own step so a generator regression is visible at a
       # glance; failures print a POLYPART_FUZZ_SEED replay line.
       run ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
-      ;;
-    bytecode)
-      # Enumerator bytecode-VM tier pass: POLYPART_ENUMERATOR_TIER flips the
-      # RuntimeConfig *default*, so every suite that does not pin the knob
-      # re-runs on the compiled tier (configs that set enumeratorTier
-      # explicitly — e.g. the tier sweep — still test what they name).
-      # Reuses the sanitizer tree the asan stage configures.
-      run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
-      run cmake --build build-asan -j "$jobs"
-      run env POLYPART_ENUMERATOR_TIER=bytecode \
-        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -LE fuzz
-      run env POLYPART_ENUMERATOR_TIER=bytecode \
-        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
-      ;;
-    dataflow)
-      # Cross-launch dataflow planning pass: POLYPART_DATAFLOW_PLANNING=1
-      # flips the RuntimeConfig *default* (rt/runtime.cpp), so every suite
-      # that does not pin the knob re-runs with plan compilation, eager
-      # prefetch, and dead-transfer elision live on the launch path.  The
-      # planner touches the tracker from the launch path and skips the
-      # per-launch barriers; the dataflow and determinism suites plus the
-      # randomized differential fuzz runs are the selection.  Reuses the
-      # sanitizer tree the asan stage configures.
-      run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
-      run cmake --build build-asan -j "$jobs"
-      run env POLYPART_DATAFLOW_PLANNING=1 \
-        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure \
-        -R 'Dataflow|Runtime|TransferPlan|Tracker' \
-        -LE fuzz
-      run env POLYPART_DATAFLOW_PLANNING=1 \
-        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
-      ;;
-    repartition)
-      # Elastic repartitioning pass: POLYPART_ALLOW_REPARTITIONING=1 flips
-      # the RuntimeConfig *default* (rt/runtime.cpp), so every suite runs
-      # with the repartition entry points armed — the knob-off error paths
-      # pin allowRepartitioning=false explicitly and still test what they
-      # name.  The repartition/checkpoint suites exercise migration,
-      # host-side checkpointing, and device-failure recovery under ASan/
-      # UBSan.  Reuses the sanitizer tree the asan stage configures.
-      run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
-      run cmake --build build-asan -j "$jobs"
-      run env POLYPART_ALLOW_REPARTITIONING=1 \
-        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure \
-        -R 'Repartition|Checkpoint|EnvKnobs|Dataflow|Runtime|TransferPlan|Tracker' \
-        -LE fuzz
-      run env POLYPART_ALLOW_REPARTITIONING=1 \
-        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
-      ;;
-    irregular)
-      # May-access tier pass: POLYPART_INSPECTOR_EXECUTOR=1 flips the
-      # RuntimeConfig *default* (rt/runtime.cpp), so the irregular battery
-      # and the inspector fuzz suite re-run with the inspection walk, the
-      # footprint cache, and the tightened synchronization live on the
-      # launch path (configs that pin inspectorExecutor explicitly — the
-      # whole-buffer halves of the differential tests — still test what
-      # they name).  ASan/UBSan covers the host-side mirrors and range
-      # coalescing.  Reuses the sanitizer tree the asan stage configures.
-      run cmake -B build-asan -S . -DPOLYPART_SANITIZE=address,undefined
-      run cmake --build build-asan -j "$jobs"
-      run env POLYPART_INSPECTOR_EXECUTOR=1 \
-        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure \
-        -R 'Irregular|Dynamic|Analysis|EnvKnobs|Runtime|Sweep|Repartition|Checkpoint' \
-        -LE fuzz
-      run env POLYPART_INSPECTOR_EXECUTOR=1 \
-        ctest --test-dir build-asan -j "$jobs" --no-tests=error --output-on-failure -L fuzz
       ;;
     figures)
       # Paper-figure reproductions, the modeled-only extension benches
@@ -163,7 +105,7 @@ sys.exit(0 if n > 0 else "trace has no launches counter samples")' "$trace_out"
       run python3 perfbench/run.py --selftest
       ;;
     *)
-      echo "unknown stage '$stage' (expected: tier1, asan, bytecode, dataflow, repartition, irregular, figures, perf)" >&2
+      echo "unknown stage '$stage' (expected: tier1, asan, figures, perf)" >&2
       exit 2
       ;;
   esac

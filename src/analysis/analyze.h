@@ -22,11 +22,6 @@
 
 namespace polypart::analysis {
 
-/// Default for AnalysisOptions::allowMayAccess:
-/// `!POLYPART_STRICT_AFFINE` (the env knob restores the paper's hard-reject
-/// behaviour for non-affine subscripts).
-bool defaultAllowMayAccess();
-
 /// Fallback policies for kernels the purely static analysis rejects.  The
 /// paper's conclusion names two remedies: "this limitation can be remedied
 /// by using instrumentation to collect write patterns ... or annotation of
@@ -43,8 +38,9 @@ struct AnalysisOptions {
   /// the runtime derives the written ranges by observed execution
   /// (writeMayAccess, Functional mode only).  Scoped to non-affine
   /// subscripts and guards: inexact projections and unprovable injectivity
-  /// of otherwise-affine writes still reject.
-  bool allowMayAccess = defaultAllowMayAccess();
+  /// of otherwise-affine writes still reject.  False restores the paper's
+  /// hard reject of non-affine subscripts.
+  bool allowMayAccess = true;
   /// User-supplied access maps overriding the extraction per (kernel
   /// argument); see KernelAnnotations.
   const class KernelAnnotations* annotations = nullptr;

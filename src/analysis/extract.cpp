@@ -5,14 +5,9 @@
 
 #include "analysis/analyze.h"
 #include "analysis/poly.h"
-#include "support/env.h"
 #include "support/error.h"
 
 namespace polypart::analysis {
-
-bool defaultAllowMayAccess() {
-  return !env::flag("POLYPART_STRICT_AFFINE", false);
-}
 
 namespace {
 
@@ -302,9 +297,9 @@ struct Extractor {
 
   /// Handles an access the polyhedral model cannot represent: demote it to
   /// the may-access tier, otherwise reject the kernel (the paper's base
-  /// behaviour, restored by POLYPART_STRICT_AFFINE=1).  The diagnostic — in
-  /// both the demotion record and the rejection — names the argument and
-  /// the offending subscript expression.
+  /// behaviour, restored by AnalysisOptions::allowMayAccess = false).  The
+  /// diagnostic — in both the demotion record and the rejection — names the
+  /// argument and the offending subscript expression.
   void unsupportedAccess(std::size_t argIndex, bool isWrite,
                          const std::string& why) {
     const std::string diag =

@@ -7,18 +7,9 @@
 
 namespace polypart::codegen {
 
-EnumTier enumTierFromString(const std::string& s) {
-  if (s == "interpret") return EnumTier::Interpret;
-  if (s == "bytecode") return EnumTier::Bytecode;
-  if (s == "specialized") return EnumTier::Specialized;
-  throw Error("unknown enumerator tier '" + s +
-              "' (expected interpret, bytecode, or specialized)");
-}
-
 const char* enumTierName(EnumTier t) {
   switch (t) {
     case EnumTier::Interpret: return "interpret";
-    case EnumTier::Bytecode: return "bytecode";
     case EnumTier::Specialized: return "specialized";
   }
   PP_ASSERT(false);

@@ -14,17 +14,17 @@
 // remaining code is a handful of instructions over loop variables.
 //
 // Semantics are bit-for-bit those of AstExpr::eval: operands are evaluated
-// in the same order with the same checked 64-bit arithmetic, so all tiers
-// throw the same OverflowError at the same operation or produce identical
-// values (tests/enumerator_fuzz_test.cpp is the three-way differential
-// oracle).  Specialization folds with *non-throwing* overflow probes and
-// keeps any instruction whose folding would overflow, because the
-// interpreter evaluates bounds lazily — an expression it never reaches must
-// not throw during specialization either.
+// in the same order with the same checked 64-bit arithmetic, so the plain
+// program, the folded program and the interpreter throw the same
+// OverflowError at the same operation or produce identical values
+// (tests/enumerator_fuzz_test.cpp is the differential oracle).
+// Specialization folds with *non-throwing* overflow probes and keeps any
+// instruction whose folding would overflow, because the interpreter
+// evaluates bounds lazily — an expression it never reaches must not throw
+// during specialization either.
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "pset/ast.h"
@@ -32,16 +32,15 @@
 namespace polypart::codegen {
 
 /// Which execution engine enumerate()/materialize() use.
-/// All tiers are byte-identical in emitted ranges, work accounting, and
+/// Both tiers are byte-identical in emitted ranges, work accounting, and
 /// error behaviour; `Interpret` is the paper-mode default.
 enum class EnumTier {
   Interpret,    ///< walk the pset::AstExpr trees (paper mode)
-  Bytecode,     ///< flat register bytecode, compiled once per enumerator
-  Specialized,  ///< bytecode constant-folded per parameter vector, cached
+  Specialized,  ///< flat register bytecode, compiled once per enumerator;
+                ///< constant-folded per parameter vector from its second
+                ///< sight on, cached
 };
 
-/// Parses "interpret" / "bytecode" / "specialized"; throws Error otherwise.
-EnumTier enumTierFromString(const std::string& s);
 const char* enumTierName(EnumTier t);
 
 namespace bc {

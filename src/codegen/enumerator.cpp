@@ -188,7 +188,9 @@ struct SpecKeyEq {
 
 /// Specialized-tier program cache: folded programs keyed exactly like the
 /// runtime's enumeration cache (the parameter vector *is* the key words in
-/// ABI order), FIFO-bounded, shared across Enumerator copies.
+/// ABI order), FIFO-bounded, shared across Enumerator copies.  A key seen
+/// once maps to null: folding costs more than one plain run, so only a key
+/// that repeats is folded.
 struct Enumerator::SpecCache {
   static constexpr std::size_t kMaxPrograms = 64;
   std::mutex mu;
@@ -271,7 +273,7 @@ Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
   if (isWrite_ && nests_.size() > 1)
     convex_ = convexUnionNest(scanSpace, scanSets);
 
-  // Compile the bytecode tier once per enumerator; copies share the program
+  // Compile the bytecode once per enumerator; copies share the program
   // and the specialized-program cache (both are reached through shared_ptr
   // and the cache is internally synchronized).  The convex nest, when
   // proven, is the program's last nest.
@@ -291,25 +293,31 @@ std::shared_ptr<const bc::Program> Enumerator::specializedFor(
     // built or copied on the fast path.
     std::lock_guard<std::mutex> lock(cache.mu);
     auto it = cache.map.find(params);
-    if (it != cache.map.end()) return it->second;
+    if (it == cache.map.end()) {
+      // First sight: remember the key, run the plain program.
+      EnumerationKey key;
+      key.words.assign(params.begin(), params.end());
+      PP_ASSERT_MSG(key == EnumerationKey::of(partition, cfg, scalars),
+                    "buildParams diverged from the enumeration-key ABI");
+      it = cache.map.try_emplace(std::move(key), nullptr).first;
+      cache.order.push_back(it->first);
+      while (cache.order.size() > SpecCache::kMaxPrograms) {
+        cache.map.erase(cache.order.front());
+        cache.order.pop_front();
+      }
+      return nullptr;
+    }
+    if (it->second) return it->second;
   }
-  // Fold outside the lock.  The fold is pure: if this key was inserted in
-  // the meantime, keeping the existing program is equivalent.
+  // Second sight: fold outside the lock.  The fold is pure: if another
+  // caller stored a program for this key in the meantime, keeping it is
+  // equivalent; if the key was evicted, the folded program is still valid.
   auto fresh =
       std::make_shared<const bc::Program>(bc::specialize(*program_, params));
-  EnumerationKey key;
-  key.words.assign(params.begin(), params.end());
-  PP_ASSERT_MSG(key == EnumerationKey::of(partition, cfg, scalars),
-                "buildParams diverged from the enumeration-key ABI");
   std::lock_guard<std::mutex> lock(cache.mu);
-  auto [it, inserted] = cache.map.try_emplace(std::move(key), std::move(fresh));
-  if (inserted) {
-    cache.order.push_back(it->first);
-    while (cache.order.size() > SpecCache::kMaxPrograms) {
-      cache.map.erase(cache.order.front());
-      cache.order.pop_front();
-    }
-  }
+  auto it = cache.map.find(params);
+  if (it == cache.map.end()) return fresh;
+  if (!it->second) it->second = std::move(fresh);
   return it->second;
 }
 
@@ -360,9 +368,9 @@ struct AstEval {
   }
 };
 
-/// Evaluator policy for the bytecode VM; the specialized tier uses it too
-/// with the folded program (whose loop-dependence metadata is copied from
-/// the unspecialized code, so coalescing decisions are tier-invariant).
+/// Evaluator policy for the bytecode VM, running the plain or the folded
+/// program (the folded one's loop-dependence metadata is copied from the
+/// plain code, so coalescing decisions are tier-invariant).
 struct VmEval {
   const bc::Program& prog;
   std::span<const bc::CompiledNest* const> nests;
@@ -572,12 +580,9 @@ void Enumerator::enumerate(const PartitionTuple& partition,
       return AstEval{ns, pspan};
     });
   } else {
-    std::shared_ptr<const bc::Program> specialized;
-    const bc::Program* prog = program_.get();
-    if (tier == EnumTier::Specialized) {
-      specialized = specializedFor(partition, cfg, scalars, pspan);
-      prog = specialized.get();
-    }
+    std::shared_ptr<const bc::Program> specialized =
+        specializedFor(partition, cfg, scalars, pspan);
+    const bc::Program* prog = specialized ? specialized.get() : program_.get();
     // Register scratch lives on the stack for every program this system
     // compiles (file size = deepest single expression); the heap fallback
     // keeps pathological expressions correct.

@@ -132,11 +132,11 @@ class Enumerator {
   bool exact() const { return exact_; }
   /// Full-row coalescing switch (on by default; ablation knob).
   bool coalesce = true;
-  /// Execution tier (see codegen/bytecode.h).  All tiers emit byte-identical
+  /// Execution tier (see codegen/bytecode.h).  Both tiers emit byte-identical
   /// ranges and work accounting; `Interpret` walks the AST (paper mode),
-  /// `Bytecode` runs the program compiled at construction, `Specialized`
-  /// additionally constant-folds each parameter vector on first sight and
-  /// caches the folded program under its EnumerationKey.
+  /// `Specialized` runs the program compiled at construction on the first
+  /// sight of a parameter vector, and from the second sight on a program
+  /// constant-folded for it, cached under its EnumerationKey.
   EnumTier tier = EnumTier::Interpret;
 
   /// Enumerates the element ranges accessed by `partition`.  Ranges are
@@ -172,8 +172,10 @@ class Enumerator {
   ParamVec buildParams(const PartitionTuple& partition,
                        const ir::LaunchConfig& cfg,
                        std::span<const i64> scalars) const;
-  /// Specialized-tier cache lookup: returns the program folded for `params`,
-  /// specializing and inserting (FIFO-bounded) on a miss.
+  /// Specialized-tier cache lookup: on the first sight of `params` records
+  /// the key and returns null (the caller runs program_); on the second
+  /// folds, caches and returns the folded program; afterwards returns it.
+  /// The cache is FIFO-bounded.
   std::shared_ptr<const bc::Program> specializedFor(
       const PartitionTuple& partition, const ir::LaunchConfig& cfg,
       std::span<const i64> scalars, std::span<const i64> params) const;
@@ -199,7 +201,8 @@ class Enumerator {
   /// program is immutable).
   std::shared_ptr<const bc::Program> program_;
   /// Specialized-tier program cache (keyed by EnumerationKey, FIFO-bounded,
-  /// mutex-guarded); shared across copies like the program.
+  /// mutex-guarded); shared across copies like the program.  A key seen once
+  /// maps to null.
   struct SpecCache;
   std::shared_ptr<SpecCache> specCache_;
 };

@@ -55,9 +55,8 @@ Checkpoint Runtime::checkpoint() {
 void Runtime::recoverDevice(int device, const Checkpoint& cp,
                             const Partitioning& next) {
   if (!config_.allowRepartitioning)
-    throw Error(
-        "device recovery requires repartitioning "
-        "(RuntimeConfig::allowRepartitioning / POLYPART_ALLOW_REPARTITIONING)");
+    throw Error("device recovery requires repartitioning "
+                "(RuntimeConfig::allowRepartitioning)");
   if (device < 0 || device >= config_.numGpus)
     throw Error("recoverDevice: device ordinal " + std::to_string(device) +
                 " out of range");

@@ -69,15 +69,14 @@ void Runtime::validatePartitioning(const Partitioning& next) const {
 RepartitionResult Runtime::repartition(const std::string& kernelName,
                                        const Partitioning& next) {
   if (!config_.allowRepartitioning)
-    throw Error(
-        "runtime repartitioning is disabled "
-        "(RuntimeConfig::allowRepartitioning / POLYPART_ALLOW_REPARTITIONING)");
+    throw Error("runtime repartitioning is disabled "
+                "(RuntimeConfig::allowRepartitioning)");
   KernelEntry& ke = entry(kernelName);
   validatePartitioning(next);
+  if (ke.partitioning == next) return {};  // no-op: weights unchanged
   // A geometry change invalidates the compiled dataflow cycle: its flow
   // edges were enumerated under the *old* weights.
   if (planner_ != nullptr) planner_->reset();
-  if (ke.partitioning == next) return {};  // no-op: weights unchanged
   trace::Span span(config_.tracer, "runtime", "repartition");
   const Partitioning prev = ke.partitioning;
   ke.partitioning = next;

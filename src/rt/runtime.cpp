@@ -11,7 +11,6 @@
 #include "rt/checkpoint.h"
 #include "rt/dataflow_plan.h"
 #include "rt/transfer_plan.h"
-#include "support/env.h"
 #include "support/error.h"
 #include "support/trace.h"
 
@@ -25,29 +24,6 @@ using codegen::PartitionTuple;
 using ir::Dim3;
 using ir::GridPartition;
 using ir::LaunchConfig;
-
-codegen::EnumTier defaultEnumeratorTier() {
-  std::optional<std::string> v = env::value("POLYPART_ENUMERATOR_TIER");
-  if (!v) return codegen::EnumTier::Interpret;
-  try {
-    return codegen::enumTierFromString(*v);
-  } catch (const Error&) {
-    throw Error("invalid POLYPART_ENUMERATOR_TIER value '" + *v +
-                "' (accepted: interpret, bytecode, specialized)");
-  }
-}
-
-bool defaultDataflowPlanning() {
-  return env::flag("POLYPART_DATAFLOW_PLANNING", false);
-}
-
-bool defaultAllowRepartitioning() {
-  return env::flag("POLYPART_ALLOW_REPARTITIONING", false);
-}
-
-bool defaultInspectorExecutor() {
-  return env::flag("POLYPART_INSPECTOR_EXECUTOR", false);
-}
 
 namespace {
 

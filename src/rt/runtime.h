@@ -62,34 +62,6 @@ inline constexpr i64 kElemBytes = 8;
 /// (the shape Enumerator::materialize emits).
 using ElemRanges = std::vector<std::pair<i64, i64>>;
 
-/// Process-default enumerator execution tier: POLYPART_ENUMERATOR_TIER
-/// (interpret|bytecode|specialized) when set, else Interpret.  Used as the
-/// RuntimeConfig default so suites can be re-run under another tier without
-/// overriding configs that set the knob explicitly.
-codegen::EnumTier defaultEnumeratorTier();
-
-/// Process-default for RuntimeConfig::dataflowPlanning: the
-/// POLYPART_DATAFLOW_PLANNING environment flag when set (strictly parsed:
-/// 0/1/on/off/true/false/yes/no; anything else throws naming the variable),
-/// else false.  Mirrors POLYPART_ENUMERATOR_TIER so suites can be re-run
-/// with planning forced on without touching configs.
-bool defaultDataflowPlanning();
-
-/// Process-default for RuntimeConfig::allowRepartitioning: the
-/// POLYPART_ALLOW_REPARTITIONING environment flag when set (same strict
-/// parse as POLYPART_DATAFLOW_PLANNING), else false.  Forcing it on
-/// globally is behaviour-neutral for applications that never call
-/// repartition(), which is what lets check.sh re-run whole suites with the
-/// knob enabled.
-bool defaultAllowRepartitioning();
-
-/// Process-default for RuntimeConfig::inspectorExecutor: the
-/// POLYPART_INSPECTOR_EXECUTOR environment flag when set (same strict parse
-/// as POLYPART_DATAFLOW_PLANNING), else false.  Behaviour-neutral for
-/// kernels without may-access reads, which is what lets check.sh re-run
-/// whole suites with the knob enabled.
-bool defaultInspectorExecutor();
-
 /// A weighted grid partitioning along a kernel's split axis: device d gets
 /// the block range [extent * prefix(d) / total, extent * (prefix(d) +
 /// weights[d]) / total).  All-equal weights reproduce the paper's even
@@ -140,14 +112,12 @@ struct RuntimeConfig {
   /// Enumerator full-row coalescing (ablation knob).
   bool coalesceEnumerators = true;
   /// Enumerator execution tier (see DESIGN.md "Execution tiers"):
-  /// `Interpret` walks the scan-nest ASTs (paper mode), `Bytecode` runs the
-  /// register bytecode compiled once per kernel, `Specialized` additionally
-  /// constant-folds each (launch config, scalars, partition 6-tuple) vector
-  /// on first sight and caches the folded program under the same key as the
-  /// enumeration cache.  Every tier produces byte-identical results, stats,
-  /// and modeled timing.  Defaults to POLYPART_ENUMERATOR_TIER
-  /// (interpret|bytecode|specialized) when set, else Interpret.
-  codegen::EnumTier enumeratorTier = defaultEnumeratorTier();
+  /// `Interpret` walks the scan-nest ASTs (paper mode), `Specialized` runs
+  /// the register bytecode compiled once per kernel and, from the second
+  /// sight of a (launch config, scalars, partition 6-tuple) vector on,
+  /// a program constant-folded for it.  Both tiers produce byte-identical
+  /// results, stats, and modeled timing.
+  codegen::EnumTier enumeratorTier = codegen::EnumTier::Interpret;
   /// Shared-copy tracking: remember which devices already hold a valid
   /// replica of a segment and skip their re-synchronization.  Extends the
   /// paper's tracker, which "does not support shared copies, resulting in
@@ -179,10 +149,9 @@ struct RuntimeConfig {
   /// tracker stays the source of truth — planned copies are clipped against
   /// it and recorded as shared replicas, and any divergence falls back to
   /// the reactive path — so functional results are byte-identical with
-  /// planning on or off (tests/dataflow_plan_test.cpp).  Defaults to the
-  /// POLYPART_DATAFLOW_PLANNING environment override, else off.  Requires
+  /// planning on or off (tests/dataflow_plan_test.cpp).  Requires
   /// dependency resolution and transfers to be enabled to take effect.
-  bool dataflowPlanning = defaultDataflowPlanning();
+  bool dataflowPlanning = false;
   /// Runtime repartitioning (extension; see DESIGN.md "Elastic
   /// repartitioning").  Off (default): the paper's behaviour — the grid
   /// partitioning chosen at construction is fixed for the life of the run,
@@ -190,9 +159,8 @@ struct RuntimeConfig {
   /// may change a kernel's per-device weights between launches, migrating
   /// only the pset difference of the old and new write footprints;
   /// checkpoint()/recoverDevice() add device-failure recovery on top.
-  /// Behaviour-neutral until repartition() is actually called.  Defaults to
-  /// the POLYPART_ALLOW_REPARTITIONING environment override, else off.
-  bool allowRepartitioning = defaultAllowRepartitioning();
+  /// Behaviour-neutral until repartition() is actually called.
+  bool allowRepartitioning = false;
   /// Inspector–executor for may-access reads (extension; see DESIGN.md
   /// "May-access tier & inspector–executor").  Off (default): reads the
   /// analysis demoted to the may-access tier synchronize the whole declared
@@ -205,9 +173,8 @@ struct RuntimeConfig {
   /// buffer content versions, partitioning) and invalidated when any
   /// inspected buffer's content changes.  Requires Functional mode when a
   /// launched kernel actually has may-access reads; functional results are
-  /// byte-identical with the inspector on or off.  Defaults to the
-  /// POLYPART_INSPECTOR_EXECUTOR environment override, else off.
-  bool inspectorExecutor = defaultInspectorExecutor();
+  /// byte-identical with the inspector on or off.
+  bool inspectorExecutor = false;
   /// Launch-plan enumeration cache: memoizes, per kernel, the coalesced
   /// element ranges the enumerators produce for a given (partition tuple,
   /// grid, block, scalars) key.  The ranges are a pure function of that key,

@@ -1,6 +1,5 @@
 #include "support/env.h"
 
-#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -12,19 +11,6 @@ std::optional<std::string> value(const char* name) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || raw[0] == '\0') return std::nullopt;
   return std::string(raw);
-}
-
-bool flag(const char* name, bool fallback) {
-  std::optional<std::string> v = value(name);
-  if (!v) return fallback;
-  std::string s = *v;
-  for (char& c : s)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (s == "1" || s == "on" || s == "true" || s == "yes") return true;
-  if (s == "0" || s == "off" || s == "false" || s == "no") return false;
-  throw Error("invalid " + std::string(name) + " value '" + *v +
-              "' (accepted: 0, 1, on, off, true, false, yes, no; "
-              "case-insensitive)");
 }
 
 std::optional<u64> u64Value(const char* name) {

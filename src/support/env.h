@@ -1,12 +1,12 @@
 #pragma once
 
-// Strict parsing for the POLYPART_* environment knobs.
+// Strict parsing for the POLYPART_* environment variables.
 //
-// Every override that flips a RuntimeConfig default or a test harness
-// setting goes through these helpers so an invalid value fails loudly with
-// a diagnostic naming the variable and the accepted values, instead of
-// silently falling back to the default (which hides typos like
-// POLYPART_DATAFLOW_PLANNING=ture for an entire CI run).
+// No configuration default reads the environment: RuntimeConfig and
+// AnalysisOptions defaults are constants.  What remains are harness
+// settings (the fuzz replay seed), parsed here so an invalid value fails
+// loudly with a diagnostic naming the variable instead of silently falling
+// back to a default.
 
 #include <optional>
 #include <string>
@@ -19,12 +19,6 @@ namespace polypart::env {
 /// An empty string is treated as unset: `env POLYPART_X= cmd` is how shells
 /// clear a knob without unexporting it.
 std::optional<std::string> value(const char* name);
-
-/// Parses `name` as a boolean flag.  Accepted (case-sensitive): `1`, `on`,
-/// `true`, `yes` => true; `0`, `off`, `false`, `no` => false.  Unset/empty
-/// => `fallback`.  Anything else throws Error naming the variable and the
-/// accepted spellings.
-bool flag(const char* name, bool fallback);
 
 /// Parses `name` as an unsigned 64-bit integer (base auto-detected: 0x...,
 /// 0..., decimal).  Unset/empty => nullopt.  Anything unparseable — trailing

@@ -138,8 +138,7 @@ TEST(Codegen, CoalescingMatchesPerRowEnumeration) {
                   EXPECT_TRUE(covered.count(v)) << "lost element " << v;
               continue;
             }
-            for (EnumTier tier :
-                 {EnumTier::Interpret, EnumTier::Bytecode, EnumTier::Specialized}) {
+            for (EnumTier tier : {EnumTier::Interpret, EnumTier::Specialized}) {
               Enumerator coalesced = e;
               coalesced.tier = tier;
               MaterializedRanges got = coalesced.materialize(part, cfg, scalars);
@@ -372,8 +371,7 @@ TEST(Codegen, MaterializeReplayMatchesLiveEnumerate) {
     PartitionTuple part = PartitionTuple::fromBlocks(
         GridPartition{{1, 0, 0}, {4, 3, 1}}, cfg.block);
     for (Enumerator e : es) {
-      for (EnumTier tier :
-           {EnumTier::Interpret, EnumTier::Bytecode, EnumTier::Specialized}) {
+      for (EnumTier tier : {EnumTier::Interpret, EnumTier::Specialized}) {
         for (bool coalesce : {true, false}) {
           e.tier = tier;
           e.coalesce = coalesce;
@@ -393,9 +391,10 @@ TEST(Codegen, MaterializeReplayMatchesLiveEnumerate) {
   }
 }
 
-/// The bytecode and specialized tiers must emit byte-identical ranges and
-/// accounting to the interpreter, including on repeated specialized calls
-/// that hit the per-enumerator program cache.
+/// The specialized tier must emit byte-identical ranges and accounting to
+/// the interpreter on every sight of a key: the first runs the plain
+/// program, the second folds, the third hits the per-enumerator program
+/// cache.
 TEST(Codegen, ExecutionTiersAreByteIdentical) {
   for (const ir::KernelPtr& k :
        {apps::buildSaxpy(), apps::buildHotspot(), apps::buildMatmul(),
@@ -410,19 +409,12 @@ TEST(Codegen, ExecutionTiersAreByteIdentical) {
       for (Enumerator e : es) {
         e.tier = EnumTier::Interpret;
         MaterializedRanges ref = e.materialize(part, cfg, scalars);
-        e.tier = EnumTier::Bytecode;
-        MaterializedRanges vm = e.materialize(part, cfg, scalars);
-        EXPECT_EQ(ref.ranges, vm.ranges) << e.name() << " bytecode";
-        EXPECT_EQ(ref.info, vm.info) << e.name() << " bytecode";
         e.tier = EnumTier::Specialized;
-        MaterializedRanges spec = e.materialize(part, cfg, scalars);
-        MaterializedRanges specHit = e.materialize(part, cfg, scalars);
-        EXPECT_EQ(ref.ranges, spec.ranges) << e.name() << " specialized";
-        EXPECT_EQ(ref.info, spec.info) << e.name() << " specialized";
-        EXPECT_EQ(spec.ranges, specHit.ranges)
-            << e.name() << " specialized cache hit";
-        EXPECT_EQ(spec.info, specHit.info)
-            << e.name() << " specialized cache hit";
+        for (const char* sight : {"plain", "fold", "cache hit"}) {
+          MaterializedRanges spec = e.materialize(part, cfg, scalars);
+          EXPECT_EQ(ref.ranges, spec.ranges) << e.name() << " " << sight;
+          EXPECT_EQ(ref.info, spec.info) << e.name() << " " << sight;
+        }
       }
     }
   }

@@ -400,6 +400,8 @@ TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {
   const i64 bytes = kN * 8;
   const Partitioning skew{{3, 1, 1, 3}};
 
+  // Stats of the latest run just before its no-op half (see below).
+  RuntimeStats beforeNoOp;
   auto runWith = [&](bool planning) {
     RuntimeConfig cfg;
     cfg.numGpus = 4;
@@ -429,6 +431,13 @@ TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {
     iterate(6);  // long enough for the cycle to activate and run planned
     rt.repartitionAll(skew);
     iterate(6);  // the plan must re-learn the new geometry, not replay stale
+    // A repartition to the current weights is a no-op: it moves nothing and
+    // keeps the plan, so a rebalance loop whose weights settle runs planned.
+    beforeNoOp = rt.stats();
+    for (int it = 0; it < 6; ++it) {
+      rt.repartitionAll(skew);
+      iterate(1);
+    }
     RunOut out;
     out.x.assign(static_cast<std::size_t>(kN), -1.0);
     out.y.assign(static_cast<std::size_t>(kN), -1.0);
@@ -443,14 +452,17 @@ TEST(DataflowPlan, PlannedCycleSurvivesRepartition) {
   EXPECT_EQ(on.x, off.x);
   EXPECT_EQ(on.y, off.y);
   std::vector<double> rx = x0, ry(static_cast<std::size_t>(kN), 0.0);
-  for (int it = 0; it < 12; ++it) refStep(rx, ry, kN / 2);
+  for (int it = 0; it < 18; ++it) refStep(rx, ry, kN / 2);
   EXPECT_EQ(on.x, rx);
   EXPECT_EQ(on.y, ry);
   // The plan was live before the repartition and re-activated on the new
   // geometry afterwards: at least two activations, and planned launches on
   // both sides of the transition.
-  EXPECT_GE(on.stats.planActivations, 2);
-  EXPECT_GT(on.stats.plannedLaunches, 0);
+  EXPECT_GE(beforeNoOp.planActivations, 2);
+  EXPECT_GT(beforeNoOp.plannedLaunches, 0);
+  // Every launch after the no-op repartitions ran planned.
+  EXPECT_EQ(on.stats.repartitions, beforeNoOp.repartitions);
+  EXPECT_EQ(on.stats.plannedLaunches - beforeNoOp.plannedLaunches, 3 * 6);
 }
 
 TEST(DataflowPlan, SubtractRangesMatchesElementOracle) {

@@ -66,8 +66,8 @@ std::unique_ptr<Runtime> makeRuntime(const ir::Module& mod,
 
 TEST(Dynamic, ScatterDemotesToMayWriteByDefault) {
   // The default tier ladder ends in may-access: the indirect write demotes
-  // instead of rejecting the kernel.  POLYPART_STRICT_AFFINE / the
-  // allowMayAccess option restore the paper's hard reject.
+  // instead of rejecting the kernel.  allowMayAccess = false restores the
+  // paper's hard reject.
   KernelPtr k = buildScatter();
   analysis::KernelModel m = analysis::analyzeKernel(*k);
   const analysis::ArrayModel* out = m.arrayFor(3);

@@ -42,8 +42,6 @@ const analysis::ApplicationModel& irregularModel() {
   return m;
 }
 
-/// Explicit inspector flag everywhere: check.sh legitimately runs this
-/// binary with POLYPART_INSPECTOR_EXECUTOR=1 exported.
 RuntimeConfig irregularConfig(int gpus, bool inspector) {
   RuntimeConfig cfg;
   cfg.numGpus = gpus;

@@ -111,7 +111,8 @@ TEST(PipelineFuzz, InterleavedStreamsMatchSerialExecution) {
   // Random interleaved launch streams: each stream runs one generated
   // kernel on buffers no other stream touches; a randomized round-robin
   // interleaves their launches on one shared runtime across cache settings
-  // and transfer scheduling.  Every stream's gathered output must be
+  // and transfer scheduling, with dataflow planning and the enumerator tier
+  // drawn from the seed.  Every stream's gathered output must be
   // bit-identical to single-device interpretation of its own stream.
   const int iters = fuzz::caseCount(6);
   for (int iter = 0; iter < iters; ++iter) {
@@ -157,6 +158,11 @@ TEST(PipelineFuzz, InterleavedStreamsMatchSerialExecution) {
     }
     for (std::size_t i = order.size(); i > 1; --i)
       std::swap(order[i - 1], order[rng.next() % i]);
+    // Dataflow planning and the enumerator tier are drawn per case too.
+    const bool planning = rng.next() % 2 != 0;
+    const codegen::EnumTier tier = rng.next() % 2 != 0
+                                       ? codegen::EnumTier::Specialized
+                                       : codegen::EnumTier::Interpret;
 
     // Ground truth per stream: its launches on one device, uninterleaved.
     for (KernelStream& s : streams) {
@@ -171,12 +177,16 @@ TEST(PipelineFuzz, InterleavedStreamsMatchSerialExecution) {
 
     auto run = [&](bool cache, bool xferSched) {
       SCOPED_TRACE("cache " + std::to_string(cache) + " xferSched " +
-                   std::to_string(xferSched));
+                   std::to_string(xferSched) + " planning " +
+                   std::to_string(planning) + " tier " +
+                   codegen::enumTierName(tier));
       RuntimeConfig rc;
       rc.numGpus = 3;
       rc.mode = sim::ExecutionMode::Functional;
       rc.enableEnumerationCache = cache;
       rc.transferScheduling = xferSched;
+      rc.dataflowPlanning = planning;
+      rc.enumeratorTier = tier;
       Runtime rt(rc, model, mod);
       for (KernelStream& s : streams) {
         s.bufs.clear();

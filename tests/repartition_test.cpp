@@ -103,7 +103,7 @@ RuntimeConfig baseConfig(int gpus) {
 
 TEST(Repartition, DisabledByDefaultThrows) {
   RuntimeConfig rc = baseConfig(2);
-  rc.allowRepartitioning = false;  // explicit: the env knob may force it on
+  rc.allowRepartitioning = false;
   ir::Module mod = buildWorkload();
   Runtime rt(rc, analysis::analyzeModule(mod), mod);
   EXPECT_THROW(rt.repartition("scale", Partitioning{{2, 1}}), Error);

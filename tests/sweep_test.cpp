@@ -1,6 +1,7 @@
 // Parameterized end-to-end sweeps (TEST_P): for every (benchmark, GPU count)
 // combination, partitioned multi-GPU execution must be bit-identical to the
-// CPU reference, and the runtime statistics must be internally consistent.
+// CPU reference in paper mode and with every launch-path extension on, and
+// the runtime statistics must be internally consistent.
 
 #include <gtest/gtest.h>
 
@@ -27,10 +28,19 @@ const analysis::ApplicationModel& sharedModel() {
   return m;
 }
 
-std::unique_ptr<Runtime> makeRuntime(int gpus) {
+/// `extensions` turns on every launch-path extension at once: the
+/// specialized enumerator tier, cross-launch dataflow planning, shared-copy
+/// tracking and transfer scheduling.
+std::unique_ptr<Runtime> makeRuntime(int gpus, bool extensions = false) {
   RuntimeConfig cfg;
   cfg.numGpus = gpus;
   cfg.mode = sim::ExecutionMode::Functional;
+  if (extensions) {
+    cfg.enumeratorTier = codegen::EnumTier::Specialized;
+    cfg.dataflowPlanning = true;
+    cfg.trackSharedCopies = true;
+    cfg.transferScheduling = true;
+  }
   return std::make_unique<Runtime>(cfg, sharedModel(), sharedModule());
 }
 
@@ -47,70 +57,80 @@ class EndToEndSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(EndToEndSweep, MatchesCpuReferenceBitForBit) {
   const SweepParam p = GetParam();
-  auto rt = makeRuntime(p.gpus);
-  Rng rng(static_cast<unsigned>(1000 + p.gpus));
+  // Paper mode, then every extension on: both must land the CPU
+  // reference bit for bit.
+  for (bool extensions : {false, true}) {
+    SCOPED_TRACE(extensions ? "all extensions" : "paper mode");
+    auto rt = makeRuntime(p.gpus, extensions);
+    Rng rng(static_cast<unsigned>(1000 + p.gpus));
 
-  switch (p.bench) {
-    case apps::Benchmark::Hotspot: {
-      const i64 n = 48;
-      const int iters = 5;
-      std::vector<double> init(static_cast<std::size_t>(n * n));
-      std::vector<double> power(static_cast<std::size_t>(n * n));
-      for (auto& v : init) v = rng.uniform() * 50;
-      for (auto& v : power) v = rng.uniform();
-      std::vector<double> expect = init, scratch(init.size());
-      for (int it = 0; it < iters; ++it) {
-        apps::refHotspotStep(n, 0.175, 0.05, expect, power, scratch);
-        std::swap(expect, scratch);
+    switch (p.bench) {
+      case apps::Benchmark::Hotspot: {
+        const i64 n = 48;
+        const int iters = 5;
+        std::vector<double> init(static_cast<std::size_t>(n * n));
+        std::vector<double> power(static_cast<std::size_t>(n * n));
+        for (auto& v : init) v = rng.uniform() * 50;
+        for (auto& v : power) v = rng.uniform();
+        std::vector<double> expect = init, scratch(init.size());
+        for (int it = 0; it < iters; ++it) {
+          apps::refHotspotStep(n, 0.175, 0.05, expect, power, scratch);
+          std::swap(expect, scratch);
+        }
+        std::vector<double> got = init;
+        apps::runHotspot(*rt, n, iters, got.data(), power.data());
+        ASSERT_EQ(got, expect);
+        break;
       }
-      std::vector<double> got = init;
-      apps::runHotspot(*rt, n, iters, got.data(), power.data());
-      ASSERT_EQ(got, expect);
-      break;
-    }
-    case apps::Benchmark::NBody: {
-      const i64 n = 48;
-      const int iters = 3;
-      std::vector<double> px(n), py(n), pz(n), vx(n), vy(n), vz(n), mass(n);
-      for (auto* v : {&px, &py, &pz, &vx, &vy, &vz})
-        for (auto& x : *v) x = rng.uniform() - 0.5;
-      for (auto& m : mass) m = 0.2 + rng.uniform();
-      std::vector<double> rpx = px, rpy = py, rpz = pz, rvx = vx, rvy = vy, rvz = vz;
-      std::vector<double> ax(static_cast<std::size_t>(n)), ay(ax), az(ax);
-      for (int it = 0; it < iters; ++it) {
-        apps::refNBodyForces(n, rpx, rpy, rpz, mass, ax, ay, az);
-        apps::refNBodyUpdate(n, 0.01, rpx, rpy, rpz, rvx, rvy, rvz, ax, ay, az);
+      case apps::Benchmark::NBody: {
+        const i64 n = 48;
+        const int iters = 3;
+        std::vector<double> px(n), py(n), pz(n), vx(n), vy(n), vz(n), mass(n);
+        for (auto* v : {&px, &py, &pz, &vx, &vy, &vz})
+          for (auto& x : *v) x = rng.uniform() - 0.5;
+        for (auto& m : mass) m = 0.2 + rng.uniform();
+        std::vector<double> rpx = px, rpy = py, rpz = pz, rvx = vx, rvy = vy, rvz = vz;
+        std::vector<double> ax(static_cast<std::size_t>(n)), ay(ax), az(ax);
+        for (int it = 0; it < iters; ++it) {
+          apps::refNBodyForces(n, rpx, rpy, rpz, mass, ax, ay, az);
+          apps::refNBodyUpdate(n, 0.01, rpx, rpy, rpz, rvx, rvy, rvz, ax, ay, az);
+        }
+        apps::NBodyState st{px.data(), py.data(), pz.data(),
+                            vx.data(), vy.data(), vz.data(), mass.data()};
+        apps::runNBody(*rt, n, iters, st);
+        ASSERT_EQ(px, rpx);
+        ASSERT_EQ(py, rpy);
+        ASSERT_EQ(vz, rvz);
+        break;
       }
-      apps::NBodyState st{px.data(), py.data(), pz.data(),
-                          vx.data(), vy.data(), vz.data(), mass.data()};
-      apps::runNBody(*rt, n, iters, st);
-      ASSERT_EQ(px, rpx);
-      ASSERT_EQ(py, rpy);
-      ASSERT_EQ(vz, rvz);
-      break;
+      case apps::Benchmark::Matmul: {
+        const i64 n = 24;
+        std::vector<double> a(static_cast<std::size_t>(n * n));
+        std::vector<double> b(static_cast<std::size_t>(n * n));
+        for (auto& v : a) v = rng.uniform();
+        for (auto& v : b) v = rng.uniform();
+        std::vector<double> expect(static_cast<std::size_t>(n * n));
+        apps::refMatmul(n, a, b, expect);
+        std::vector<double> got(static_cast<std::size_t>(n * n), -7.0);
+        apps::runMatmul(*rt, n, a.data(), b.data(), got.data());
+        ASSERT_EQ(got, expect);
+        break;
+      }
     }
-    case apps::Benchmark::Matmul: {
-      const i64 n = 24;
-      std::vector<double> a(static_cast<std::size_t>(n * n));
-      std::vector<double> b(static_cast<std::size_t>(n * n));
-      for (auto& v : a) v = rng.uniform();
-      for (auto& v : b) v = rng.uniform();
-      std::vector<double> expect(static_cast<std::size_t>(n * n));
-      apps::refMatmul(n, a, b, expect);
-      std::vector<double> got(static_cast<std::size_t>(n * n), -7.0);
-      apps::runMatmul(*rt, n, a.data(), b.data(), got.data());
-      ASSERT_EQ(got, expect);
-      break;
-    }
-  }
 
-  // Statistics sanity: launches happened; resolution ran; simulated time is
-  // positive and finite.
-  EXPECT_GT(rt->stats().launches, 0);
-  EXPECT_GT(rt->stats().rangesResolved, 0);
-  EXPECT_GT(rt->elapsedSeconds(), 0.0);
-  if (p.gpus == 1) {
-    EXPECT_EQ(rt->stats().peerCopies, 0);
+    // Statistics sanity: launches happened; resolution ran; simulated time is
+    // positive and finite.
+    EXPECT_GT(rt->stats().launches, 0);
+    EXPECT_GT(rt->stats().rangesResolved, 0);
+    EXPECT_GT(rt->elapsedSeconds(), 0.0);
+    if (p.gpus == 1) {
+      EXPECT_EQ(rt->stats().peerCopies, 0);
+    }
+    // Hotspot and N-Body relaunch a fixed kernel cycle, so the planner
+    // compiles it; matmul is a single launch.
+    if (extensions && p.bench != apps::Benchmark::Matmul) {
+      EXPECT_GT(rt->stats().planActivations, 0);
+    }
   }
 }
 
@@ -189,14 +209,10 @@ TEST(EnumeratorTierSweep, ByteIdenticalAcrossTierCache) {
     RuntimeStats refStats;
     std::vector<double> ref = run(codegen::EnumTier::Interpret, cache, &refStats);
     ASSERT_EQ(ref, expect) << "interpreter tier diverges from reference";
-    for (codegen::EnumTier tier :
-         {codegen::EnumTier::Bytecode, codegen::EnumTier::Specialized}) {
-      RuntimeStats s;
-      std::vector<double> got = run(tier, cache, &s);
-      EXPECT_EQ(got, ref) << "tier " << codegen::enumTierName(tier) << " diverges";
-      EXPECT_EQ(s, refStats) << "tier " << codegen::enumTierName(tier)
-                             << " perturbs runtime statistics";
-    }
+    RuntimeStats s;
+    std::vector<double> got = run(codegen::EnumTier::Specialized, cache, &s);
+    EXPECT_EQ(got, ref) << "specialized tier diverges";
+    EXPECT_EQ(s, refStats) << "specialized tier perturbs runtime statistics";
   }
 }
 
@@ -269,16 +285,13 @@ TEST(DataflowPlanningSweep, ByteIdenticalAcrossPlanningTierCache) {
         EXPECT_EQ(refStats.planActivations, 0);
         EXPECT_EQ(refStats.plannedLaunches, 0);
       }
-      for (codegen::EnumTier tier :
-           {codegen::EnumTier::Bytecode, codegen::EnumTier::Specialized}) {
-        SCOPED_TRACE("planning=" + std::to_string(planning) + " tier=" +
-                     codegen::enumTierName(tier) + " cache=" +
-                     std::to_string(cache));
-        RuntimeStats s;
-        std::vector<double> got = run(planning, tier, cache, &s);
-        EXPECT_EQ(got, ref);
-        EXPECT_EQ(s, refStats);
-      }
+      SCOPED_TRACE("planning=" + std::to_string(planning) +
+                   " tier=specialized cache=" + std::to_string(cache));
+      RuntimeStats s;
+      std::vector<double> got =
+          run(planning, codegen::EnumTier::Specialized, cache, &s);
+      EXPECT_EQ(got, ref);
+      EXPECT_EQ(s, refStats);
     }
   }
 }

@@ -40,11 +40,13 @@ struct TracedRun {
 
 /// Runs a small functional Hotspot workload (several launches, real peer
 /// transfers) with the given tracer.
-TracedRun runHotspot(Tracer* tracer, int gpus = 4, i64 n = 48, int iters = 3) {
+TracedRun runHotspot(Tracer* tracer, int gpus = 4, i64 n = 48, int iters = 3,
+                     bool planning = false) {
   rt::RuntimeConfig cfg;
   cfg.numGpus = gpus;
   cfg.mode = sim::ExecutionMode::Functional;
   cfg.tracer = tracer;
+  cfg.dataflowPlanning = planning;
   static ir::Module mod = apps::buildBenchmarkModule();
   static analysis::ApplicationModel model = analysis::analyzeModule(mod);
   rt::Runtime rt(cfg, model, mod);
@@ -284,16 +286,21 @@ TEST(Trace, EveryLaunchSamplesTheCountersItMoved) {
 }
 
 // The tracing-off smoke test (see also scripts/check.sh): attaching a tracer
-// must not perturb results, modeled timing, or any counter.
+// must not perturb results, modeled timing, or any counter, on the reactive
+// path and on planned launches alike.
 TEST(TraceSmoke, TracingOffAndOnProduceIdenticalStats) {
-  TracedRun off = runHotspot(nullptr);
-  Tracer tracer;
-  TracedRun on = runHotspot(&tracer);
+  for (bool planning : {false, true}) {
+    SCOPED_TRACE(planning ? "planning" : "reactive");
+    TracedRun off = runHotspot(nullptr, 4, 48, 4, planning);
+    Tracer tracer;
+    TracedRun on = runHotspot(&tracer, 4, 48, 4, planning);
 
-  EXPECT_EQ(on.temp, off.temp);
-  EXPECT_EQ(on.elapsed, off.elapsed);
-  EXPECT_EQ(on.machine, off.machine);
-  EXPECT_EQ(on.stats, off.stats);
+    EXPECT_EQ(on.temp, off.temp);
+    EXPECT_EQ(on.elapsed, off.elapsed);
+    EXPECT_EQ(on.machine, off.machine);
+    EXPECT_EQ(on.stats, off.stats);
+    EXPECT_EQ(on.stats.planActivations > 0, planning);
+  }
 }
 
 TEST(Trace, LaunchIdsAreMonotoneAcrossRuntimes) {

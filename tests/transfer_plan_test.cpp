@@ -300,26 +300,31 @@ TEST(TransferPlanEquivalence, SchedulingNeverChangesWhereBytesLand) {
   ir::Module mod = buildWorkload();
   analysis::ApplicationModel model = analysis::analyzeModule(mod);
 
-  using Key = std::tuple<bool, bool, bool>;  // sched, cache, shared
+  // planning, sched, cache, shared
+  using Key = std::tuple<bool, bool, bool, bool>;
   std::map<Key, Snapshot> snaps;
-  for (bool sched : {false, true})
-    for (bool cache : {true, false})
-      for (bool shared : {false, true}) {
-        RuntimeConfig rc;
-        rc.numGpus = 4;
-        rc.machine = sim::MachineSpec::k80Node(4);
-        rc.transferScheduling = sched;
-        rc.enableEnumerationCache = cache;
-        rc.trackSharedCopies = shared;
-        snaps.emplace(Key{sched, cache, shared}, runWorkload(rc, model, mod));
-      }
+  for (bool planning : {false, true})
+    for (bool sched : {false, true})
+      for (bool cache : {true, false})
+        for (bool shared : {false, true}) {
+          RuntimeConfig rc;
+          rc.numGpus = 4;
+          rc.machine = sim::MachineSpec::k80Node(4);
+          rc.dataflowPlanning = planning;
+          rc.transferScheduling = sched;
+          rc.enableEnumerationCache = cache;
+          rc.trackSharedCopies = shared;
+          snaps.emplace(Key{planning, sched, cache, shared},
+                        runWorkload(rc, model, mod));
+        }
 
   for (const auto& [key, snap] : snaps) {
-    const auto& [sched, cache, shared] = key;
-    SCOPED_TRACE("sched=" + std::to_string(sched) + " cache=" +
-                 std::to_string(cache) + " shared=" + std::to_string(shared));
+    const auto& [planning, sched, cache, shared] = key;
+    SCOPED_TRACE("planning=" + std::to_string(planning) + " sched=" +
+                 std::to_string(sched) + " cache=" + std::to_string(cache) +
+                 " shared=" + std::to_string(shared));
     // Reference: paper behaviour with the same shared-copy setting.
-    const Snapshot& ref = snaps.at(Key{false, true, shared});
+    const Snapshot& ref = snaps.at(Key{false, false, true, shared});
     EXPECT_EQ(snap.stencilOut, ref.stencilOut);
     EXPECT_EQ(snap.aliasOut, ref.aliasOut);
     EXPECT_EQ(snap.bcastOut, ref.bcastOut);
@@ -337,7 +342,10 @@ TEST(TransferPlanEquivalence, SchedulingNeverChangesWhereBytesLand) {
 
   // The broadcast workload gives the scheduler actual one-to-many reads:
   // with sharer bookkeeping available, scheduling must chain some of them.
-  EXPECT_GT(snaps.at(Key{true, true, true}).rstats.broadcastChains, 0);
+  EXPECT_GT(snaps.at(Key{false, true, true, true}).rstats.broadcastChains, 0);
+  // The launch cycle repeats, so every planning run compiles it.
+  for (const auto& [key, snap] : snaps)
+    EXPECT_EQ(snap.rstats.planActivations > 0, std::get<0>(key));
 }
 
 TEST(TransferPlanEquivalence, MergingDedupsOverlappingReads) {

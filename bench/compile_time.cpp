@@ -5,7 +5,7 @@
 // A second table times the enumerator execution tiers (DESIGN.md "Execution
 // tiers"): per-enumeration cost of the interpreter and of the specializing
 // VM's folded programs on the resolution miss path, plus the one-time
-// constant-folding cost a key pays on its second sight.
+// constant-folding cost a specialized-program cache miss pays.
 
 #include <chrono>
 
@@ -94,14 +94,12 @@ double timeTier(std::vector<polypart::codegen::Enumerator>& es,
   using polypart::i64;
   for (auto& e : es) e.tier = tier;
   i64 sink = 0;
-  // Warm-up passes: fault pages, and for the specialized tier fold and
-  // cache every (partition, launch) program (a key folds on its second
-  // sight) so the timed loop measures the per-enumeration miss path, not the
-  // one-time fold.
-  for (int sight = 0; sight < 2; ++sight)
-    for (const auto& part : parts)
-      for (const auto& e : es)
-        e.enumerate(part, cfg, scalars, [&](i64 b, i64 en) { sink += en - b; });
+  // Warm-up pass: faults pages, and for the specialized tier folds and
+  // caches every (partition, launch) program so the timed loop measures the
+  // per-enumeration miss path, not the one-time fold.
+  for (const auto& part : parts)
+    for (const auto& e : es)
+      e.enumerate(part, cfg, scalars, [&](i64 b, i64 en) { sink += en - b; });
   auto t0 = chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r)
     for (const auto& part : parts)
@@ -147,14 +145,12 @@ void printTierTable() {
     double ts = timeTier(es, codegen::EnumTier::Specialized, parts, c.cfg,
                          c.scalars, reps);
     // One-time fold cost: specialize every enumerator's program for one
-    // fresh parameter vector (distinct scalars defeat the program cache; the
-    // untimed first sight only records the key).
-    std::vector<i64> sc = c.scalars;
-    sc[0] += 1;  // unseen key
-    for (const auto& e : es) e.enumerate(parts[0], c.cfg, sc, [](i64, i64) {});
+    // fresh parameter vector (distinct scalars defeat the program cache).
     auto f0 = chrono::steady_clock::now();
     int folds = 0;
     for (const auto& e : es) {
+      std::vector<i64> sc = c.scalars;
+      sc[0] += 1;  // unseen key
       e.enumerate(parts[0], c.cfg, sc, [](i64, i64) {});
       ++folds;
     }
@@ -172,10 +168,10 @@ void printTierTable() {
     row["foldOnceSeconds"] = fold;
   }
   std::printf("\nInterpret is the paper-mode default; specialized compiles each\n"
-              "enumerator once per kernel, runs that program on a key's first\n"
-              "sight and folds the partition 6-tuple + launch config into it\n"
-              "on the second (cached under the enumeration key, so repeated\n"
-              "launch shapes pay the fold once).\n");
+              "enumerator once per kernel and folds the partition 6-tuple +\n"
+              "launch config into the program on first sight (cached under\n"
+              "the enumeration key, so repeated launch shapes pay the fold\n"
+              "once).\n");
 }
 
 }  // namespace

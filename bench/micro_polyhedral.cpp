@@ -102,9 +102,9 @@ BENCHMARK(BM_EnumeratorEvaluation)->Arg(1)->Arg(0)->ArgName("coalesce");
 // Execution-tier comparison on the enumeration miss path (DESIGN.md
 // "Execution tiers"): one kernel's full enumerator set (coalesce on) under
 // the interpreter and the specializing VM.  The specialized program is
-// folded outside the timed region (a key folds on its second sight) —
-// exactly the runtime's situation when a launch configuration repeats but
-// its plan missed (or was evicted from) the enumeration cache.  Two regimes:
+// folded once outside the timed region — exactly the runtime's situation
+// when a launch configuration repeats but its plan missed (or was evicted
+// from) the enumeration cache.  Two regimes:
 // matmul's enumerations are bound by guard/bound evaluation, where
 // specialization pays off the most; hotspot's are dominated by the
 // per-row range emission of its stencil write, which every tier walks
@@ -131,8 +131,7 @@ void BM_EnumeratorTier(benchmark::State& state) {
   for (codegen::Enumerator& e : local) {
     e.tier = tier;
     if (tier == codegen::EnumTier::Specialized)
-      for (int sight = 0; sight < 2; ++sight)  // fold into the program cache
-        e.enumerate(part, cfg, scalars, [](i64, i64) {});
+      e.enumerate(part, cfg, scalars, [](i64, i64) {});  // warm the program cache
   }
   for (auto _ : state) {
     i64 total = 0;
@@ -150,10 +149,9 @@ BENCHMARK(BM_EnumeratorTier)
     ->Args({1, static_cast<int>(codegen::EnumTier::Specialized)})
     ->ArgNames({"kernel(0=hotspot,1=matmul)", "tier(0=interpret,1=specialized)"});
 
-// Cost of a fresh key on the specializing tier: its first enumeration runs
-// the plain program, its second constant-folds the program against the
-// parameter vector and runs the folded one.  Each iteration enumerates one
-// fresh key twice, so it times one plain run plus one fold.
+// First-call cost of the specializing tier: constant-folding the compiled
+// program against one parameter vector (the price a cache miss in the
+// specialized-program cache pays before the cheap evaluations begin).
 void BM_SpecializeProgram(benchmark::State& state) {
   static analysis::KernelModel model = analysis::analyzeKernel(*apps::buildHotspot());
   static std::vector<codegen::Enumerator> es = codegen::buildEnumerators(model);
@@ -162,8 +160,8 @@ void BM_SpecializeProgram(benchmark::State& state) {
   std::vector<codegen::Enumerator> local = es;
   for (codegen::Enumerator& e : local) e.tier = codegen::EnumTier::Specialized;
   // A fresh partition tuple per iteration defeats the FIFO-bounded program
-  // cache (64 entries, 512 distinct keys here), so nearly every key is seen
-  // fresh: one plain run, then one fold.
+  // cache (64 entries, 512 distinct keys here), so nearly every enumerate()
+  // call runs the fold-and-insert miss path.
   i64 row = 0;
   for (auto _ : state) {
     codegen::PartitionTuple part = codegen::PartitionTuple::fromBlocks(
@@ -171,9 +169,8 @@ void BM_SpecializeProgram(benchmark::State& state) {
         cfg.block);
     ++row;
     i64 total = 0;
-    for (int sight = 0; sight < 2; ++sight)
-      for (const codegen::Enumerator& e : local)
-        e.enumerate(part, cfg, scalars, [&](i64 b, i64 en) { total += en - b; });
+    for (const codegen::Enumerator& e : local)
+      e.enumerate(part, cfg, scalars, [&](i64 b, i64 en) { total += en - b; });
     benchmark::DoNotOptimize(total);
   }
 }

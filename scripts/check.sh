@@ -34,12 +34,12 @@ run() {
 for stage in "${stages[@]}"; do
   case "$stage" in
     tier1)
-      # Only support/env.* and the POLYPART_TRACE hook read the environment;
-      # a config default that does would change every process silently.
+      # Only the POLYPART_TRACE hook reads the environment; a config default
+      # that does would change every process silently.
       env_hits=$(grep -rnE 'getenv|env::' src |
-        grep -vE '^src/support/(env\.(h|cpp)|trace\.cpp):' || true)
+        grep -vE '^src/support/trace\.cpp:' || true)
       if [ -n "$env_hits" ]; then
-        echo "environment read outside support/env and support/trace.cpp:"
+        echo "environment read outside support/trace.cpp:"
         echo "$env_hits"
         exit 1
       fi

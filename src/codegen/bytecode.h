@@ -14,14 +14,13 @@
 // remaining code is a handful of instructions over loop variables.
 //
 // Semantics are bit-for-bit those of AstExpr::eval: operands are evaluated
-// in the same order with the same checked 64-bit arithmetic, so the plain
-// program, the folded program and the interpreter throw the same
-// OverflowError at the same operation or produce identical values
-// (tests/enumerator_fuzz_test.cpp is the differential oracle).
-// Specialization folds with *non-throwing* overflow probes and keeps any
-// instruction whose folding would overflow, because the interpreter
-// evaluates bounds lazily — an expression it never reaches must not throw
-// during specialization either.
+// in the same order with the same checked 64-bit arithmetic, so the folded
+// program and the interpreter throw the same OverflowError at the same
+// operation or produce identical values (tests/enumerator_fuzz_test.cpp is
+// the differential oracle).  Specialization folds with *non-throwing*
+// overflow probes and keeps any instruction whose folding would overflow,
+// because the interpreter evaluates bounds lazily — an expression it never
+// reaches must not throw during specialization either.
 
 #include <cstdint>
 #include <span>
@@ -36,9 +35,8 @@ namespace polypart::codegen {
 /// error behaviour; `Interpret` is the paper-mode default.
 enum class EnumTier {
   Interpret,    ///< walk the pset::AstExpr trees (paper mode)
-  Specialized,  ///< flat register bytecode, compiled once per enumerator;
-                ///< constant-folded per parameter vector from its second
-                ///< sight on, cached
+  Specialized,  ///< flat register bytecode, compiled once per enumerator,
+                ///< constant-folded per parameter vector and cached
 };
 
 const char* enumTierName(EnumTier t);

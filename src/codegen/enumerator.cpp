@@ -188,9 +188,7 @@ struct SpecKeyEq {
 
 /// Specialized-tier program cache: folded programs keyed exactly like the
 /// runtime's enumeration cache (the parameter vector *is* the key words in
-/// ABI order), FIFO-bounded, shared across Enumerator copies.  A key seen
-/// once maps to null: folding costs more than one plain run, so only a key
-/// that repeats is folded.
+/// ABI order), FIFO-bounded, shared across Enumerator copies.
 struct Enumerator::SpecCache {
   static constexpr std::size_t kMaxPrograms = 64;
   std::mutex mu;
@@ -293,31 +291,25 @@ std::shared_ptr<const bc::Program> Enumerator::specializedFor(
     // built or copied on the fast path.
     std::lock_guard<std::mutex> lock(cache.mu);
     auto it = cache.map.find(params);
-    if (it == cache.map.end()) {
-      // First sight: remember the key, run the plain program.
-      EnumerationKey key;
-      key.words.assign(params.begin(), params.end());
-      PP_ASSERT_MSG(key == EnumerationKey::of(partition, cfg, scalars),
-                    "buildParams diverged from the enumeration-key ABI");
-      it = cache.map.try_emplace(std::move(key), nullptr).first;
-      cache.order.push_back(it->first);
-      while (cache.order.size() > SpecCache::kMaxPrograms) {
-        cache.map.erase(cache.order.front());
-        cache.order.pop_front();
-      }
-      return nullptr;
-    }
-    if (it->second) return it->second;
+    if (it != cache.map.end()) return it->second;
   }
-  // Second sight: fold outside the lock.  The fold is pure: if another
-  // caller stored a program for this key in the meantime, keeping it is
-  // equivalent; if the key was evicted, the folded program is still valid.
+  // Fold outside the lock.  The fold is pure: if this key was inserted in
+  // the meantime, keeping the existing program is equivalent.
   auto fresh =
       std::make_shared<const bc::Program>(bc::specialize(*program_, params));
+  EnumerationKey key;
+  key.words.assign(params.begin(), params.end());
+  PP_ASSERT_MSG(key == EnumerationKey::of(partition, cfg, scalars),
+                "buildParams diverged from the enumeration-key ABI");
   std::lock_guard<std::mutex> lock(cache.mu);
-  auto it = cache.map.find(params);
-  if (it == cache.map.end()) return fresh;
-  if (!it->second) it->second = std::move(fresh);
+  auto [it, inserted] = cache.map.try_emplace(std::move(key), std::move(fresh));
+  if (inserted) {
+    cache.order.push_back(it->first);
+    while (cache.order.size() > SpecCache::kMaxPrograms) {
+      cache.map.erase(cache.order.front());
+      cache.order.pop_front();
+    }
+  }
   return it->second;
 }
 
@@ -368,9 +360,9 @@ struct AstEval {
   }
 };
 
-/// Evaluator policy for the bytecode VM, running the plain or the folded
-/// program (the folded one's loop-dependence metadata is copied from the
-/// plain code, so coalescing decisions are tier-invariant).
+/// Evaluator policy for the bytecode VM, running the folded program (its
+/// loop-dependence metadata is copied from the unspecialized code, so
+/// coalescing decisions are tier-invariant).
 struct VmEval {
   const bc::Program& prog;
   std::span<const bc::CompiledNest* const> nests;
@@ -582,7 +574,7 @@ void Enumerator::enumerate(const PartitionTuple& partition,
   } else {
     std::shared_ptr<const bc::Program> specialized =
         specializedFor(partition, cfg, scalars, pspan);
-    const bc::Program* prog = specialized ? specialized.get() : program_.get();
+    const bc::Program* prog = specialized.get();
     // Register scratch lives on the stack for every program this system
     // compiles (file size = deepest single expression); the heap fallback
     // keeps pathological expressions correct.

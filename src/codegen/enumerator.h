@@ -134,9 +134,9 @@ class Enumerator {
   bool coalesce = true;
   /// Execution tier (see codegen/bytecode.h).  Both tiers emit byte-identical
   /// ranges and work accounting; `Interpret` walks the AST (paper mode),
-  /// `Specialized` runs the program compiled at construction on the first
-  /// sight of a parameter vector, and from the second sight on a program
-  /// constant-folded for it, cached under its EnumerationKey.
+  /// `Specialized` constant-folds the bytecode compiled at construction for
+  /// each parameter vector on first sight and caches the folded program
+  /// under its EnumerationKey.
   EnumTier tier = EnumTier::Interpret;
 
   /// Enumerates the element ranges accessed by `partition`.  Ranges are
@@ -172,10 +172,8 @@ class Enumerator {
   ParamVec buildParams(const PartitionTuple& partition,
                        const ir::LaunchConfig& cfg,
                        std::span<const i64> scalars) const;
-  /// Specialized-tier cache lookup: on the first sight of `params` records
-  /// the key and returns null (the caller runs program_); on the second
-  /// folds, caches and returns the folded program; afterwards returns it.
-  /// The cache is FIFO-bounded.
+  /// Specialized-tier cache lookup: returns the program folded for `params`,
+  /// specializing and inserting (FIFO-bounded) on a miss.
   std::shared_ptr<const bc::Program> specializedFor(
       const PartitionTuple& partition, const ir::LaunchConfig& cfg,
       std::span<const i64> scalars, std::span<const i64> params) const;
@@ -201,8 +199,7 @@ class Enumerator {
   /// program is immutable).
   std::shared_ptr<const bc::Program> program_;
   /// Specialized-tier program cache (keyed by EnumerationKey, FIFO-bounded,
-  /// mutex-guarded); shared across copies like the program.  A key seen once
-  /// maps to null.
+  /// mutex-guarded); shared across copies like the program.
   struct SpecCache;
   std::shared_ptr<SpecCache> specCache_;
 };

@@ -112,11 +112,11 @@ struct RuntimeConfig {
   /// Enumerator full-row coalescing (ablation knob).
   bool coalesceEnumerators = true;
   /// Enumerator execution tier (see DESIGN.md "Execution tiers"):
-  /// `Interpret` walks the scan-nest ASTs (paper mode), `Specialized` runs
-  /// the register bytecode compiled once per kernel and, from the second
-  /// sight of a (launch config, scalars, partition 6-tuple) vector on,
-  /// a program constant-folded for it.  Both tiers produce byte-identical
-  /// results, stats, and modeled timing.
+  /// `Interpret` walks the scan-nest ASTs (paper mode), `Specialized`
+  /// constant-folds the register bytecode compiled once per kernel for each
+  /// (launch config, scalars, partition 6-tuple) vector on first sight and
+  /// caches the folded program under the same key as the enumeration cache.
+  /// Both tiers produce byte-identical results, stats, and modeled timing.
   codegen::EnumTier enumeratorTier = codegen::EnumTier::Interpret;
   /// Shared-copy tracking: remember which devices already hold a valid
   /// replica of a segment and skip their re-synchronization.  Extends the

@@ -178,9 +178,9 @@ TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
 /// Differential oracle over the execution tiers: for every random kernel
 /// and partition box, the specializing VM must materialize byte-identical
 /// ranges (same order, same endpoints) and identical work accounting to the
-/// interpreter, with coalescing on and off.  Every key is enumerated twice
-/// on fresh enumerators, so both the plain program (first sight) and the
-/// folded program (second sight) are checked.
+/// interpreter, with coalescing on and off.  The specialized tier runs
+/// twice per key so both the fold-and-insert miss path and the
+/// cached-program hit path are exercised.
 TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
   const int kernels = fuzz::caseCount(60);
   for (int kcase = 0; kcase < kernels; ++kcase) {
@@ -199,6 +199,7 @@ TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
     }
     const analysis::KernelModel* km = model.find(g.kernel->name());
     ASSERT_NE(km, nullptr);
+    std::vector<Enumerator> enumerators = buildEnumerators(*km);
 
     const i64 n = g.is2d ? 17 : 200;
     ir::LaunchConfig cfg =
@@ -206,7 +207,6 @@ TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
                : ir::LaunchConfig{{(n + 63) / 64, 1, 1}, {64, 1, 1}};
     const std::vector<i64> scalars = {n};
 
-    std::vector<ir::GridPartition> partitions;
     for (int pcase = 0; pcase < 4; ++pcase) {
       ir::GridPartition gp;
       gp.lo = {0, 0, 0};
@@ -219,33 +219,31 @@ TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
         *lows[axis] = rng.range(0, extents[axis] - 1);
         *highs[axis] = rng.range(*lows[axis] + 1, extents[axis]);
       }
-      partitions.push_back(gp);
-    }
+      SCOPED_TRACE("partition [" + std::to_string(gp.lo.x) + "," +
+                   std::to_string(gp.hi.x) + ")x[" + std::to_string(gp.lo.y) +
+                   "," + std::to_string(gp.hi.y) + ")");
 
-    // The folded-program cache is keyed by the parameter vector only, so
-    // each coalescing setting gets its own enumerators to see every key
-    // fresh.
-    for (bool coalesce : {true, false}) {
-      std::vector<Enumerator> enumerators = buildEnumerators(*km);
-      for (const ir::GridPartition& gp : partitions) {
-        SCOPED_TRACE("partition [" + std::to_string(gp.lo.x) + "," +
-                     std::to_string(gp.hi.x) + ")x[" +
-                     std::to_string(gp.lo.y) + "," + std::to_string(gp.hi.y) +
-                     ") coalesce=" + std::to_string(coalesce));
-        PartitionTuple tuple = PartitionTuple::fromBlocks(gp, cfg.block);
-        for (Enumerator& e : enumerators) {
-          SCOPED_TRACE(e.name());
+      PartitionTuple tuple = PartitionTuple::fromBlocks(gp, cfg.block);
+      for (Enumerator& e : enumerators) {
+        SCOPED_TRACE(e.name());
+        for (bool coalesce : {true, false}) {
           e.coalesce = coalesce;
           e.tier = EnumTier::Interpret;
           MaterializedRanges ref = e.materialize(tuple, cfg, scalars);
           e.tier = EnumTier::Specialized;
-          for (const char* sight : {"plain", "folded"}) {
-            MaterializedRanges spec = e.materialize(tuple, cfg, scalars);
-            EXPECT_EQ(ref.ranges, spec.ranges)
-                << sight << " program diverges from the interpreter\n"
-                << g.kernel->str();
-            EXPECT_EQ(ref.info, spec.info) << sight << " work accounting";
-          }
+          MaterializedRanges spec = e.materialize(tuple, cfg, scalars);
+          MaterializedRanges specHit = e.materialize(tuple, cfg, scalars);
+          e.tier = EnumTier::Interpret;
+          e.coalesce = true;
+
+          EXPECT_EQ(ref.ranges, spec.ranges)
+              << "specialized program diverges (coalesce=" << coalesce
+              << ")\n"
+              << g.kernel->str();
+          EXPECT_EQ(ref.info, spec.info) << "specialized work accounting";
+          EXPECT_EQ(spec.ranges, specHit.ranges)
+              << "cached specialized program diverges from its first run";
+          EXPECT_EQ(spec.info, specHit.info);
           if (::testing::Test::HasFailure()) return;
         }
       }

@@ -1,5 +1,5 @@
-// Environment-variable parsing tests (support/env.h and the POLYPART_*
-// harness settings built on it).  The contract under test: a malformed value
+// Environment-variable parsing tests (the fuzz harness's strict parsers in
+// tests/fuzz_util.h, and the POLYPART_TRACE hook in support/trace.cpp).  The contract under test: a malformed value
 // fails fast with a diagnostic naming the variable — it never silently falls
 // back to a default the user did not ask for.
 
@@ -11,7 +11,6 @@
 #include <string>
 
 #include "fuzz_util.h"
-#include "support/env.h"
 #include "support/error.h"
 #include "support/trace.h"
 
@@ -53,27 +52,27 @@ std::string message(const std::function<void()>& fn) {
 
 TEST(EnvKnobs, ValueTreatsEmptyAsUnset) {
   EnvVar v("POLYPART_TEST_KNOB", nullptr);
-  EXPECT_FALSE(env::value("POLYPART_TEST_KNOB").has_value());
+  EXPECT_FALSE(fuzz::envValue("POLYPART_TEST_KNOB").has_value());
   ::setenv("POLYPART_TEST_KNOB", "", 1);
-  EXPECT_FALSE(env::value("POLYPART_TEST_KNOB").has_value());
+  EXPECT_FALSE(fuzz::envValue("POLYPART_TEST_KNOB").has_value());
   ::setenv("POLYPART_TEST_KNOB", "x", 1);
-  EXPECT_EQ(env::value("POLYPART_TEST_KNOB"), "x");
+  EXPECT_EQ(fuzz::envValue("POLYPART_TEST_KNOB"), "x");
 }
 
 TEST(EnvKnobs, U64ParsesDecimalAndHexAndRejectsGarbage) {
   EnvVar v("POLYPART_TEST_KNOB", nullptr);
-  EXPECT_FALSE(env::u64Value("POLYPART_TEST_KNOB").has_value());
+  EXPECT_FALSE(fuzz::envU64("POLYPART_TEST_KNOB").has_value());
   ::setenv("POLYPART_TEST_KNOB", "42", 1);
-  EXPECT_EQ(env::u64Value("POLYPART_TEST_KNOB"), u64{42});
+  EXPECT_EQ(fuzz::envU64("POLYPART_TEST_KNOB"), u64{42});
   ::setenv("POLYPART_TEST_KNOB", "0x2a", 1);
-  EXPECT_EQ(env::u64Value("POLYPART_TEST_KNOB"), u64{42});
+  EXPECT_EQ(fuzz::envU64("POLYPART_TEST_KNOB"), u64{42});
   ::setenv("POLYPART_TEST_KNOB", "18446744073709551615", 1);
-  EXPECT_EQ(env::u64Value("POLYPART_TEST_KNOB"), ~u64{0});
+  EXPECT_EQ(fuzz::envU64("POLYPART_TEST_KNOB"), ~u64{0});
   for (const char* bad :
        {"pony", "12abc", "-3", "99999999999999999999999", "4.2"}) {
     ::setenv("POLYPART_TEST_KNOB", bad, 1);
     std::string msg =
-        message([] { (void)env::u64Value("POLYPART_TEST_KNOB"); });
+        message([] { (void)fuzz::envU64("POLYPART_TEST_KNOB"); });
     EXPECT_NE(msg.find("POLYPART_TEST_KNOB"), std::string::npos)
         << bad << ": " << msg;
   }

@@ -11,25 +11,59 @@
 // When POLYPART_FUZZ_SEED is set, each suite runs exactly one case with that
 // seed (replay mode) instead of its full sweep.
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <string>
 
-#include "support/env.h"
+#include "support/error.h"
 #include "support/rng.h"
 
 namespace polypart::fuzz {
 
-/// True when POLYPART_FUZZ_SEED pins a single case for replay (empty string
-/// counts as unset, matching every other POLYPART_* knob).
-inline bool seedPinned() {
-  return env::value("POLYPART_FUZZ_SEED").has_value();
+/// The raw value of environment variable `name`, or nullopt when it is
+/// unset or empty.  An empty string is treated as unset: `env
+/// POLYPART_X= cmd` is how shells clear a variable without unexporting it.
+inline std::optional<std::string> envValue(const char* name) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || raw[0] == '\0') return std::nullopt;
+  return std::string(raw);
 }
 
+/// Parses environment variable `name` as an unsigned 64-bit integer (base
+/// auto-detected: 0x..., 0..., decimal).  Unset/empty => nullopt.  Anything
+/// unparseable — trailing garbage, a leading minus, out-of-range — throws
+/// Error naming the variable instead of silently falling back to a default.
+inline std::optional<std::uint64_t> envU64(const char* name) {
+  std::optional<std::string> v = envValue(name);
+  if (!v) return std::nullopt;
+  const std::string& s = *v;
+  // strtoull silently wraps negative inputs; reject them up front.
+  std::size_t first = s.find_first_not_of(" \t");
+  if (first != std::string::npos && s[first] == '-') {
+    throw Error("invalid " + std::string(name) + " value '" + s +
+                "' (expected an unsigned integer)");
+  }
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long parsed = std::strtoull(s.c_str(), &end, 0);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
+    throw Error("invalid " + std::string(name) + " value '" + s +
+                "' (expected an unsigned integer, e.g. 42 or 0x2a)");
+  }
+  return static_cast<std::uint64_t>(parsed);
+}
+
+/// True when POLYPART_FUZZ_SEED pins a single case for replay (empty string
+/// counts as unset).
+inline bool seedPinned() { return envValue("POLYPART_FUZZ_SEED").has_value(); }
+
 /// The base seed: POLYPART_FUZZ_SEED when set, else the suite's default.
-/// A malformed value throws (support/env.h) instead of silently running the
-/// full sweep the caller thought they had pinned to one case.
+/// A malformed value throws (envU64) instead of silently running the full
+/// sweep the caller thought they had pinned to one case.
 inline std::uint64_t baseSeed(std::uint64_t fallback) {
-  return env::u64Value("POLYPART_FUZZ_SEED").value_or(fallback);
+  return envU64("POLYPART_FUZZ_SEED").value_or(fallback);
 }
 
 /// Derives the seed of case `index` from the base seed (one SplitMix64

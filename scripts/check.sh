@@ -14,10 +14,10 @@
 #
 # Each configuration uses its own build tree (build/, build-asan/,
 # .bench_build/; all gitignored).  Temporary files (the tier1 trace, the
-# figures output directory) go under $TMPDIR, else /tmp.  Nothing in src/ starts a thread, so there
-# is no ThreadSanitizer configuration.  Every ctest call passes
-# --no-tests=error, so a stage whose test selection matches nothing fails
-# instead of passing vacuously.
+# figures output directory) go under $TMPDIR, else /tmp.  Nothing in src/
+# starts a thread, so there is no ThreadSanitizer configuration.  Every
+# ctest call passes --no-tests=error, so a stage whose test selection
+# matches nothing fails instead of passing vacuously.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -3,9 +3,9 @@
 // 1.9x - 2.2x for the tested applications."
 //
 // A second table times the enumerator execution tiers (DESIGN.md "Execution
-// tiers"): per-enumeration cost of the interpreter and of the specializing
-// VM's folded programs on the resolution miss path, plus the one-time
-// constant-folding cost a specialized-program cache miss pays.
+// tiers"): per-enumeration cost of the interpreter and of the walk over the
+// folded scan nests on the resolution miss path, plus the one-time
+// constant-folding cost a miss in the Specialized tier's cache pays.
 
 #include <chrono>
 
@@ -84,7 +84,7 @@ struct TierCase {
 };
 
 /// Seconds per full partition sweep (all enumerators x 8 row-slice
-/// partitions) on the given tier, specialized-program cache pre-warmed.
+/// partitions) on the given tier, the Specialized tier's cache pre-warmed.
 double timeTier(std::vector<polypart::codegen::Enumerator>& es,
                 polypart::codegen::EnumTier tier,
                 const std::vector<polypart::codegen::PartitionTuple>& parts,
@@ -167,11 +167,10 @@ void printTierTable() {
     row["speedup"] = ti / ts;
     row["foldOnceSeconds"] = fold;
   }
-  std::printf("\nInterpret is the paper-mode default; specialized compiles each\n"
-              "enumerator once per kernel and folds the partition 6-tuple +\n"
-              "launch config into the program on first sight (cached under\n"
-              "the enumeration key, so repeated launch shapes pay the fold\n"
-              "once).\n");
+  std::printf("\nInterpret is the paper-mode default; specialized folds the\n"
+              "partition 6-tuple + launch config into each enumerator's scan\n"
+              "nests on first sight (cached under the enumeration key, so\n"
+              "repeated launch shapes pay the fold once).\n");
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ BENCHMARK(BM_EnumeratorEvaluation)->Arg(1)->Arg(0)->ArgName("coalesce");
 
 // Execution-tier comparison on the enumeration miss path (DESIGN.md
 // "Execution tiers"): one kernel's full enumerator set (coalesce on) under
-// the interpreter and the specializing VM.  The specialized program is
+// the interpreter and the walk over the folded nests.  The nests are
 // folded once outside the timed region — exactly the runtime's situation
 // when a launch configuration repeats but its plan missed (or was evicted
 // from) the enumeration cache.  Two regimes:
@@ -131,7 +131,7 @@ void BM_EnumeratorTier(benchmark::State& state) {
   for (codegen::Enumerator& e : local) {
     e.tier = tier;
     if (tier == codegen::EnumTier::Specialized)
-      e.enumerate(part, cfg, scalars, [](i64, i64) {});  // warm the program cache
+      e.enumerate(part, cfg, scalars, [](i64, i64) {});  // warm the fold cache
   }
   for (auto _ : state) {
     i64 total = 0;
@@ -149,9 +149,9 @@ BENCHMARK(BM_EnumeratorTier)
     ->Args({1, static_cast<int>(codegen::EnumTier::Specialized)})
     ->ArgNames({"kernel(0=hotspot,1=matmul)", "tier(0=interpret,1=specialized)"});
 
-// First-call cost of the specializing tier: constant-folding the compiled
-// program against one parameter vector (the price a cache miss in the
-// specialized-program cache pays before the cheap evaluations begin).
+// First-call cost of the specializing tier: constant-folding the scan-nest
+// ASTs against one parameter vector (AstExpr::specialize; the price a miss
+// in the Specialized tier's cache pays before the cheap evaluations begin).
 void BM_SpecializeProgram(benchmark::State& state) {
   static analysis::KernelModel model = analysis::analyzeKernel(*apps::buildHotspot());
   static std::vector<codegen::Enumerator> es = codegen::buildEnumerators(model);

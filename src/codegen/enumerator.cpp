@@ -42,16 +42,40 @@ PartitionTuple PartitionTuple::fromBlocks(const ir::GridPartition& p,
   return t;
 }
 
+const char* enumTierName(EnumTier t) {
+  switch (t) {
+    case EnumTier::Interpret: return "interpret";
+    case EnumTier::Specialized: return "specialized";
+  }
+  PP_ASSERT(false);
+  return "";
+}
+
+namespace {
+
+/// Appends the Section 6.2 parameter ABI words — launch configuration,
+/// scalars, partition lower then upper bounds — to `out`.  The one encoder
+/// of that order: EnumerationKey::of() and Enumerator::buildParams() both
+/// call it, so the parameter vector *is* the key words.
+template <typename Words>
+void appendAbiWords(const PartitionTuple& partition, const ir::LaunchConfig& cfg,
+                    std::span<const i64> scalars, Words& out) {
+  for (i64 v : {cfg.block.x, cfg.block.y, cfg.block.z,
+                cfg.grid.x, cfg.grid.y, cfg.grid.z})
+    out.push_back(v);
+  for (i64 v : scalars) out.push_back(v);
+  for (i64 v : partition.lo) out.push_back(v);
+  for (i64 v : partition.hi) out.push_back(v);
+}
+
+}  // namespace
+
 EnumerationKey EnumerationKey::of(const PartitionTuple& partition,
                                   const ir::LaunchConfig& cfg,
                                   std::span<const i64> scalars) {
   EnumerationKey k;
   k.words.reserve(18 + scalars.size());
-  k.words.insert(k.words.end(), {cfg.block.x, cfg.block.y, cfg.block.z,
-                                 cfg.grid.x, cfg.grid.y, cfg.grid.z});
-  k.words.insert(k.words.end(), scalars.begin(), scalars.end());
-  k.words.insert(k.words.end(), partition.lo.begin(), partition.lo.end());
-  k.words.insert(k.words.end(), partition.hi.begin(), partition.hi.end());
+  appendAbiWords(partition, cfg, scalars, k.words);
   return k;
 }
 
@@ -170,7 +194,7 @@ std::vector<std::string> partitionParamNames() {
   return names;
 }
 
-/// Transparent key equality for the specialized-program cache: a stored
+/// Transparent key equality for the Specialized tier's cache: a stored
 /// EnumerationKey and a raw parameter span compare word-for-word (the
 /// parameter vector is the key words in ABI order).
 struct SpecKeyEq {
@@ -186,13 +210,15 @@ struct SpecKeyEq {
 
 }  // namespace
 
-/// Specialized-tier program cache: folded programs keyed exactly like the
-/// runtime's enumeration cache (the parameter vector *is* the key words in
-/// ABI order), FIFO-bounded, shared across Enumerator copies.
+/// Specialized-tier cache: nests_ (then convex_, when proven) folded per
+/// parameter vector, keyed exactly like the runtime's enumeration cache (the
+/// parameter vector *is* the key words in ABI order), FIFO-bounded, shared
+/// across Enumerator copies.
 struct Enumerator::SpecCache {
-  static constexpr std::size_t kMaxPrograms = 64;
+  static constexpr std::size_t kMaxEntries = 64;
   std::mutex mu;
-  std::unordered_map<EnumerationKey, std::shared_ptr<const bc::Program>,
+  std::unordered_map<EnumerationKey,
+                     std::shared_ptr<const std::vector<ScanNest>>,
                      EnumerationKeyHash, SpecKeyEq>
       map;
   std::deque<EnumerationKey> order;
@@ -271,19 +297,13 @@ Enumerator::Enumerator(const KernelModel& model, const ArrayModel& array,
   if (isWrite_ && nests_.size() > 1)
     convex_ = convexUnionNest(scanSpace, scanSets);
 
-  // Compile the bytecode once per enumerator; copies share the program
-  // and the specialized-program cache (both are reached through shared_ptr
-  // and the cache is internally synchronized).  The convex nest, when
-  // proven, is the program's last nest.
-  std::vector<ScanNest> compiled = nests_;
-  if (convex_) compiled.push_back(*convex_);
-  program_ = std::make_shared<const bc::Program>(bc::compile(compiled));
+  // Copies share the Specialized tier's cache (reached through shared_ptr,
+  // internally synchronized).
   specCache_ = std::make_shared<SpecCache>();
 }
 
-std::shared_ptr<const bc::Program> Enumerator::specializedFor(
-    const PartitionTuple& partition, const ir::LaunchConfig& cfg,
-    std::span<const i64> scalars, std::span<const i64> params) const {
+std::shared_ptr<const std::vector<ScanNest>> Enumerator::specializedFor(
+    std::span<const i64> params) const {
   SpecCache& cache = *specCache_;
   {
     // Heterogeneous probe: `params` already holds the key words in ABI
@@ -294,18 +314,28 @@ std::shared_ptr<const bc::Program> Enumerator::specializedFor(
     if (it != cache.map.end()) return it->second;
   }
   // Fold outside the lock.  The fold is pure: if this key was inserted in
-  // the meantime, keeping the existing program is equivalent.
-  auto fresh =
-      std::make_shared<const bc::Program>(bc::specialize(*program_, params));
+  // the meantime, keeping the existing nests is equivalent.
+  auto fold = [&](const ScanNest& nest) {
+    ScanNest out;
+    out.guards.reserve(nest.guards.size());
+    for (const AstExpr& g : nest.guards) out.guards.push_back(g.specialize(params));
+    out.levels.reserve(nest.levels.size());
+    for (const pset::ScanLevel& l : nest.levels)
+      out.levels.push_back({l.lower.specialize(params), l.upper.specialize(params)});
+    return out;
+  };
+  std::vector<ScanNest> folded;
+  folded.reserve(nests_.size() + (convex_ ? 1 : 0));
+  for (const ScanNest& nest : nests_) folded.push_back(fold(nest));
+  if (convex_) folded.push_back(fold(*convex_));
+  auto fresh = std::make_shared<const std::vector<ScanNest>>(std::move(folded));
   EnumerationKey key;
   key.words.assign(params.begin(), params.end());
-  PP_ASSERT_MSG(key == EnumerationKey::of(partition, cfg, scalars),
-                "buildParams diverged from the enumeration-key ABI");
   std::lock_guard<std::mutex> lock(cache.mu);
   auto [it, inserted] = cache.map.try_emplace(std::move(key), std::move(fresh));
   if (inserted) {
     cache.order.push_back(it->first);
-    while (cache.order.size() > SpecCache::kMaxPrograms) {
+    while (cache.order.size() > SpecCache::kMaxEntries) {
       cache.map.erase(cache.order.front());
       cache.order.pop_front();
     }
@@ -319,12 +349,7 @@ Enumerator::ParamVec Enumerator::buildParams(const PartitionTuple& partition,
   PP_ASSERT_MSG(6 + scalars.size() == numModelParams_,
                 "scalar argument count does not match the model");
   ParamVec params;
-  for (i64 v : {cfg.block.x, cfg.block.y, cfg.block.z,
-                cfg.grid.x, cfg.grid.y, cfg.grid.z})
-    params.push_back(v);
-  for (i64 v : scalars) params.push_back(v);
-  for (i64 v : partition.lo) params.push_back(v);
-  for (i64 v : partition.hi) params.push_back(v);
+  appendAbiWords(partition, cfg, scalars, params);
   return params;
 }
 
@@ -337,8 +362,8 @@ struct FlatRange {
   auto operator<=>(const FlatRange&) const = default;
 };
 
-/// Evaluator policy for the interpreter tier: bounds come from the
-/// pset::AstExpr trees (paper mode).
+/// Bound evaluator over the live nests: the scan nests as built
+/// (`Interpret`) or folded for this parameter vector (`Specialized`).
 struct AstEval {
   std::span<const ScanNest* const> nests;
   std::span<const i64> params;
@@ -360,44 +385,18 @@ struct AstEval {
   }
 };
 
-/// Evaluator policy for the bytecode VM, running the folded program (its
-/// loop-dependence metadata is copied from the unspecialized code, so
-/// coalescing decisions are tier-invariant).
-struct VmEval {
-  const bc::Program& prog;
-  std::span<const bc::CompiledNest* const> nests;
-  std::span<const i64> params;
-  i64* regs;
-
-  std::size_t numLevels() const { return nests[0]->levels.size(); }
-  std::size_t numNests() const { return nests.size(); }
-  i64 lower(std::size_t n, std::size_t level, std::span<const i64> coords) const {
-    return prog.eval(nests[n]->levels[level].lower, params, coords, regs);
-  }
-  i64 upper(std::size_t n, std::size_t level, std::span<const i64> coords) const {
-    return prog.eval(nests[n]->levels[level].upper, params, coords, regs);
-  }
-  bool boundsIndependent(std::size_t level, std::size_t ofLevel) const {
-    for (const bc::CompiledNest* n : nests)
-      if (!n->levels[level].lower.independentOfLoopsFrom(ofLevel) ||
-          !n->levels[level].upper.independentOfLoopsFrom(ofLevel))
-        return false;
-    return true;
-  }
-};
-
 /// Emits the flattened ranges of one nest — or, with several nests, of
 /// their rectangular hull (per-level min of lowers / max of uppers, a sound
-/// cover of the union used for read maps only).  Templated over the bound
-/// evaluator so every tier shares one control flow (identical coalescing
-/// decisions, identical emission order, identical work accounting) and over
-/// the emit callback so the per-row collector call inlines instead of going
+/// cover of the union used for read maps only).  Both tiers share this one
+/// control flow; folding keeps every loop variable, so coalescing decisions,
+/// emission order and work accounting are identical.  Templated over the
+/// emit callback so the per-row collector call inlines instead of going
 /// through std::function.  In count-only mode the walk takes the same
 /// decisions and accumulates the same logicalRows but emits nothing, so
 /// full-row and uniform-tail levels cost O(1) instead of O(rows).
-template <typename Eval, typename EmitFn>
+template <typename EmitFn>
 struct EmitCtx {
-  const Eval& ev;
+  const AstEval& ev;
   std::span<const i64> strides;  // per level; strides[last] == 1
   std::span<const i64> dims;     // extent per level; <= 0 when unknown
   bool coalesce;
@@ -523,9 +522,10 @@ void Enumerator::enumerate(const PartitionTuple& partition,
   i64 logicalRows = 0;
   support::SmallVec<std::size_t, 8> runEnds;  // ranges.size() after each nest
 
-  // Walks one evaluator's nest(s); a count-only walk collects no ranges.
-  auto walk = [&](const auto& ev, bool countOnly) {
-    EmitCtx<std::decay_t<decltype(ev)>, decltype(collect)> ctx{
+  // Walks the given nest(s); a count-only walk collects no ranges.
+  auto walk = [&](std::span<const ScanNest* const> ns, bool countOnly) {
+    AstEval ev{ns, pspan};
+    EmitCtx<decltype(collect)> ctx{
         ev, {strides.data(), strides.size()}, {dims.data(), dims.size()},
         coalesce, countOnly, collect, {}, 0};
     ctx.run(0, 0);
@@ -534,73 +534,43 @@ void Enumerator::enumerate(const PartitionTuple& partition,
     return ctx.logicalRows;
   };
 
-  // One dispatch for every tier.  `live` holds the disjunct nests whose
-  // guards hold; `convexLive` is the proven convex nest when coalescing uses
-  // it and its guards hold.  Reads with several live disjuncts go through
-  // their rectangular hull.  A proven write counts each live disjunct's rows
-  // without emitting (EnumInfo::logicalRows keeps the paper's per-disjunct
-  // count) and emits through the convex nest: it holds exactly the union's
-  // elements, so the merge below yields the same maximal runs.
-  const bool viaConvex = coalesce && convex_.has_value();
-  auto walkLive = [&](const auto& live, auto convexLive, auto makeEval) {
-    using Nest = std::decay_t<decltype(live[0])>;
-    if (coalesce && hullable_ && live.size() > 1) {
-      logicalRows +=
-          walk(makeEval(std::span<const Nest>(live.data(), live.size())), false);
-      return;
-    }
-    for (const Nest& nest : live)
-      logicalRows += walk(makeEval(std::span<const Nest>(&nest, 1)), viaConvex);
-    if (convexLive) walk(makeEval(std::span<const Nest>(&convexLive, 1)), false);
-  };
+  // The tiers differ only in which nests they walk: as built, or folded for
+  // this parameter vector (the folded copy holds nests_, then convex_).
+  std::shared_ptr<const std::vector<ScanNest>> folded;
+  std::span<const ScanNest> disjuncts = nests_;
+  const ScanNest* convex = convex_ ? &*convex_ : nullptr;
+  if (tier == EnumTier::Specialized) {
+    folded = specializedFor(pspan);
+    disjuncts = std::span<const ScanNest>(folded->data(), nests_.size());
+    convex = convex_ ? &folded->back() : nullptr;
+  }
 
-  if (tier == EnumTier::Interpret) {
-    // Guards short-circuit in order; later guards of a dead nest are never
-    // evaluated (the tiers preserve this, including its lazy overflow
-    // behaviour).
-    auto guardsHold = [&](const ScanNest& nest) {
-      for (const AstExpr& g : nest.guards)
-        if (g.eval(pspan, {}) < 0) return false;
-      return true;
-    };
-    support::SmallVec<const ScanNest*, 8> live;
-    for (const ScanNest& nest : nests_)
-      if (guardsHold(nest)) live.push_back(&nest);
-    const ScanNest* convexLive =
-        viaConvex && guardsHold(*convex_) ? &*convex_ : nullptr;
-    walkLive(live, convexLive, [&](std::span<const ScanNest* const> ns) {
-      return AstEval{ns, pspan};
-    });
+  // `live` holds the disjunct nests whose guards hold; `convexLive` is the
+  // proven convex nest when coalescing uses it and its guards hold.  Guards
+  // short-circuit in order; later guards of a dead nest are never evaluated
+  // (folding preserves this, including its lazy overflow behaviour).
+  auto guardsHold = [&](const ScanNest& nest) {
+    for (const AstExpr& g : nest.guards)
+      if (g.eval(pspan, {}) < 0) return false;
+    return true;
+  };
+  support::SmallVec<const ScanNest*, 8> live;
+  for (const ScanNest& nest : disjuncts)
+    if (guardsHold(nest)) live.push_back(&nest);
+  const bool viaConvex = coalesce && convex != nullptr;
+  const ScanNest* convexLive = viaConvex && guardsHold(*convex) ? convex : nullptr;
+
+  // Reads with several live disjuncts go through their rectangular hull.  A
+  // proven write counts each live disjunct's rows without emitting
+  // (EnumInfo::logicalRows keeps the paper's per-disjunct count) and emits
+  // through the convex nest: it holds exactly the union's elements, so the
+  // merge below yields the same maximal runs.
+  if (coalesce && hullable_ && live.size() > 1) {
+    logicalRows += walk({live.data(), live.size()}, false);
   } else {
-    std::shared_ptr<const bc::Program> specialized =
-        specializedFor(partition, cfg, scalars, pspan);
-    const bc::Program* prog = specialized.get();
-    // Register scratch lives on the stack for every program this system
-    // compiles (file size = deepest single expression); the heap fallback
-    // keeps pathological expressions correct.
-    constexpr std::size_t kInlineRegs = 64;
-    i64 regsInline[kInlineRegs];
-    std::vector<i64> regsHeap;
-    i64* regs = regsInline;
-    if (prog->numRegs > kInlineRegs) {
-      regsHeap.resize(prog->numRegs);
-      regs = regsHeap.data();
-    }
-    auto guardsHold = [&](const bc::CompiledNest& nest) {
-      for (const bc::CompiledExpr& g : nest.guards)
-        if (prog->eval(g, pspan, {}, regs) < 0) return false;
-      return true;
-    };
-    support::SmallVec<const bc::CompiledNest*, 8> live;
-    for (std::size_t i = 0; i < nests_.size(); ++i)
-      if (guardsHold(prog->nests[i])) live.push_back(&prog->nests[i]);
-    const bc::CompiledNest* convexLive =
-        viaConvex && guardsHold(prog->nests.back()) ? &prog->nests.back()
-                                                    : nullptr;
-    walkLive(live, convexLive,
-             [&](std::span<const bc::CompiledNest* const> ns) {
-               return VmEval{*prog, ns, pspan, regs};
-             });
+    for (const ScanNest* const& nest : live)
+      logicalRows += walk({&nest, 1}, viaConvex);
+    if (convexLive) walk({&convexLive, 1}, false);
   }
 
   // Establish sorted order.  Every nest walks its loops in increasing order,

@@ -10,7 +10,9 @@
 //
 // The paper lowers the isl AST to LLVM IR functions; here the same AST
 // (pset::ScanNest) is executed by a small evaluator, and emitC() renders the
-// function a native backend would compile.
+// function a native backend would compile.  The `Specialized` tier (see
+// EnumTier) closes most of that gap without a JIT: it partially evaluates the
+// scan nests against each parameter vector once and walks the folded trees.
 //
 // Parameter ABI (Section 6.2: "arrays of 64-bit integers"):
 //   partition: 12 values — lower bounds of the six map inputs
@@ -43,13 +45,23 @@
 #include <vector>
 
 #include "analysis/model.h"
-#include "codegen/bytecode.h"
 #include "ir/interp.h"
 #include "ir/transform.h"
 #include "pset/ast.h"
 #include "support/small_vec.h"
 
 namespace polypart::codegen {
+
+/// Which engine enumerate()/materialize() walk (DESIGN.md "Execution
+/// tiers").  Both tiers are byte-identical in emitted ranges, work
+/// accounting and error behaviour; `Interpret` is the paper-mode default.
+enum class EnumTier {
+  Interpret,    ///< walk the scan-nest ASTs as built (paper mode)
+  Specialized,  ///< walk the ASTs folded once per parameter vector
+                ///< (AstExpr::specialize) and cached
+};
+
+const char* enumTierName(EnumTier t);
 
 /// The 6-dimensional partition box of Section 6: per map input dimension a
 /// half-open [lo, hi) interval, inputs ordered (box, boy, boz, bx, by, bz).
@@ -83,7 +95,7 @@ struct EnumerationKey {
 
 /// FNV-1a over the key words (launch shapes per application are few; this
 /// only needs to separate them cheaply).  Transparent: a raw word span in
-/// the same ABI order hashes identically, so the specialized-program cache
+/// the same ABI order hashes identically, so the Specialized tier's cache
 /// can probe with the enumerator's already-built parameter vector instead of
 /// materializing a key per lookup.
 struct EnumerationKeyHash {
@@ -132,11 +144,10 @@ class Enumerator {
   bool exact() const { return exact_; }
   /// Full-row coalescing switch (on by default; ablation knob).
   bool coalesce = true;
-  /// Execution tier (see codegen/bytecode.h).  Both tiers emit byte-identical
-  /// ranges and work accounting; `Interpret` walks the AST (paper mode),
-  /// `Specialized` constant-folds the bytecode compiled at construction for
-  /// each parameter vector on first sight and caches the folded program
-  /// under its EnumerationKey.
+  /// Execution tier (see EnumTier).  Both tiers emit byte-identical ranges
+  /// and work accounting; `Interpret` walks the scan nests (paper mode),
+  /// `Specialized` folds them against each parameter vector on first sight
+  /// and caches the folded nests under its EnumerationKey.
   EnumTier tier = EnumTier::Interpret;
 
   /// Enumerates the element ranges accessed by `partition`.  Ranges are
@@ -145,10 +156,10 @@ class Enumerator {
   /// duplicates, Section 6.1).
   ///
   /// enumerate()/materialize() read only the enumerator's
-  /// compile-time state (nests, compiled program, shape rows, `coalesce`,
-  /// `tier`) and keep all evaluation scratch on the stack; the only mutable
-  /// state they touch is the Specialized tier's program cache, which is
-  /// shared across copies of the enumerator.
+  /// compile-time state (nests, shape rows, `coalesce`, `tier`) and keep all
+  /// evaluation scratch on the stack; the only mutable state they touch is
+  /// the Specialized tier's cache of folded nests, which is shared across
+  /// copies of the enumerator.
   void enumerate(const PartitionTuple& partition, const ir::LaunchConfig& cfg,
                  std::span<const i64> scalars, const RangeFn& emit,
                  EnumInfo* info = nullptr) const;
@@ -172,11 +183,11 @@ class Enumerator {
   ParamVec buildParams(const PartitionTuple& partition,
                        const ir::LaunchConfig& cfg,
                        std::span<const i64> scalars) const;
-  /// Specialized-tier cache lookup: returns the program folded for `params`,
-  /// specializing and inserting (FIFO-bounded) on a miss.
-  std::shared_ptr<const bc::Program> specializedFor(
-      const PartitionTuple& partition, const ir::LaunchConfig& cfg,
-      std::span<const i64> scalars, std::span<const i64> params) const;
+  /// Specialized-tier cache lookup: returns nests_ (then convex_, when
+  /// proven) folded for `params`, folding and inserting (FIFO-bounded) on a
+  /// miss.
+  std::shared_ptr<const std::vector<pset::ScanNest>> specializedFor(
+      std::span<const i64> params) const;
 
   std::string name_;
   std::size_t argIndex_ = 0;
@@ -186,20 +197,17 @@ class Enumerator {
   std::size_t numModelParams_ = 0;           // 6 + #scalars
   std::vector<pset::ScanNest> nests_;        // one per disjunct
   /// Scan nest of the union of a multi-disjunct write map, present only when
-  /// the union is proven to be one convex set; compiled into program_ after
-  /// nests_.  Used with `coalesce` on (see enumerate()).
+  /// the union is proven to be one convex set.  Used with `coalesce` on (see
+  /// enumerate()).
   std::optional<pset::ScanNest> convex_;
   /// Whether a runtime rectangular hull over the disjuncts may be used
   /// (read maps with uniform rank); see enumerate().
   bool hullable_ = false;
   std::vector<pset::LinExpr> shapeRows_;     // over the model param space
   std::vector<std::string> paramNames_;      // extended space, for emitC
-  /// Bytecode program for nests_ (then convex_, when proven), compiled once
-  /// at construction and shared by copies (Enumerator is copyable; the
-  /// program is immutable).
-  std::shared_ptr<const bc::Program> program_;
-  /// Specialized-tier program cache (keyed by EnumerationKey, FIFO-bounded,
-  /// mutex-guarded); shared across copies like the program.
+  /// Specialized-tier cache of folded nests (keyed by EnumerationKey,
+  /// FIFO-bounded, mutex-guarded); shared across copies of the enumerator
+  /// (Enumerator is copyable; the folded nests are immutable).
   struct SpecCache;
   std::shared_ptr<SpecCache> specCache_;
 };

@@ -156,6 +156,72 @@ bool AstExpr::independentOfLoopsFrom(std::size_t minLevel) const {
   return 0;
 }
 
+namespace {
+
+/// eval() of a loop-free tree without throwing and without allocating:
+/// false when the tree reads a loop variable or one of its operations
+/// overflows.  Divisors are positive constants by construction (floorDiv()
+/// and ceilDiv() assert it), so division needs no probe.
+bool tryEval(const AstExpr& e, std::span<const i64> params, i64* out) {
+  using Kind = AstExpr::Kind;
+  const std::vector<AstExpr>& k = e.kids();
+  i64 a = 0, b = 0;
+  switch (e.kind()) {
+    case Kind::Const: *out = e.value(); return true;
+    case Kind::Param:
+      PP_ASSERT(e.index() < params.size());
+      *out = params[e.index()];
+      return true;
+    case Kind::LoopVar: return false;
+    case Kind::Neg:
+      return tryEval(k[0], params, &a) && !__builtin_sub_overflow(i64{0}, a, out);
+    case Kind::Min:
+    case Kind::Max:
+      if (!tryEval(k[0], params, &a)) return false;
+      for (std::size_t i = 1; i < k.size(); ++i) {
+        if (!tryEval(k[i], params, &b)) return false;
+        a = e.kind() == Kind::Min ? std::min(a, b) : std::max(a, b);
+      }
+      *out = a;
+      return true;
+    default: break;  // binary
+  }
+  if (!tryEval(k[0], params, &a) || !tryEval(k[1], params, &b)) return false;
+  switch (e.kind()) {
+    case Kind::Add: return !__builtin_add_overflow(a, b, out);
+    case Kind::Sub: return !__builtin_sub_overflow(a, b, out);
+    case Kind::Mul: return !__builtin_mul_overflow(a, b, out);
+    case Kind::FloorDiv: *out = polypart::floorDiv(a, b); return true;
+    case Kind::CeilDiv: *out = polypart::ceilDiv(a, b); return true;
+    default: break;
+  }
+  PP_ASSERT(false);
+  return false;
+}
+
+}  // namespace
+
+AstExpr AstExpr::specialize(std::span<const i64> params) const {
+  i64 v = 0;
+  if (tryEval(*this, params, &v)) return constant(v);
+  if (kind_ == Kind::LoopVar) return *this;
+  // A loop variable or an overflow below: keep this node, fold its kids.
+  const bool minMax = kind_ == Kind::Min || kind_ == Kind::Max;
+  AstExpr e;
+  e.kind_ = kind_;
+  e.kids_.reserve(kids_.size());
+  for (const AstExpr& k : kids_) {
+    AstExpr s = k.specialize(params);
+    if (minMax && e.kids_.size() == 1 && e.kids_[0].isConst() && s.isConst()) {
+      i64& acc = e.kids_[0].value_;
+      acc = kind_ == Kind::Min ? std::min(acc, s.value_) : std::max(acc, s.value_);
+      continue;
+    }
+    e.kids_.push_back(std::move(s));
+  }
+  return e;
+}
+
 std::string AstExpr::str(const std::vector<std::string>& paramNames) const {
   auto nary = [&](const char* fn) {
     std::vector<std::string> parts;

@@ -68,6 +68,18 @@ class AstExpr {
 
   i64 eval(std::span<const i64> params, std::span<const i64> loopVars) const;
 
+  /// Partial evaluation for one parameter vector: `Param` nodes become
+  /// constants and every operation whose operands are all constant folds.
+  /// Folding uses non-throwing overflow probes and keeps an operation that
+  /// would overflow, so eval() of the result throws where and when eval() of
+  /// this tree would (bounds are evaluated lazily: a bound never reached
+  /// must not throw here either).  Min/Max fold their constant prefix, left
+  /// to right.  LoopVar nodes are never removed, so independentOfLoopsFrom()
+  /// of the result equals that of this tree at every level.  Folded nodes
+  /// are built directly, not through the simplifying factories (mul() turns
+  /// `x * 0` into 0, which would drop a loop variable).
+  AstExpr specialize(std::span<const i64> params) const;
+
   /// C-like rendering, e.g. "max(0, p3 - 1)"; loop vars print as d0, d1, ...
   std::string str(const std::vector<std::string>& paramNames = {}) const;
 

@@ -113,9 +113,9 @@ struct RuntimeConfig {
   bool coalesceEnumerators = true;
   /// Enumerator execution tier (see DESIGN.md "Execution tiers"):
   /// `Interpret` walks the scan-nest ASTs (paper mode), `Specialized`
-  /// constant-folds the register bytecode compiled once per kernel for each
-  /// (launch config, scalars, partition 6-tuple) vector on first sight and
-  /// caches the folded program under the same key as the enumeration cache.
+  /// constant-folds those ASTs for each (launch config, scalars, partition
+  /// 6-tuple) vector on first sight and caches the folded nests under the
+  /// same key as the enumeration cache.
   /// Both tiers produce byte-identical results, stats, and modeled timing.
   codegen::EnumTier enumeratorTier = codegen::EnumTier::Interpret;
   /// Shared-copy tracking: remember which devices already hold a valid

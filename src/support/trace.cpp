@@ -228,7 +228,6 @@ std::string formatPhaseBreakdown(const std::vector<LaunchBreakdown>& breakdown,
 }
 
 EnvTraceSession::EnvTraceSession() {
-  if constexpr (!kTracingCompiledIn) return;
   const char* path = std::getenv("POLYPART_TRACE");
   if (path == nullptr || path[0] == '\0') return;
   // Probe writability up front: an unwritable path would otherwise be

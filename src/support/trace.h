@@ -22,8 +22,7 @@
 //
 // A tracer is single-threaded: the runtime records from the thread that
 // calls it, and every wall-domain event lands on one host track.  Every hook
-// is a free function taking `Tracer*`: with a null tracer it is a branch, and
-// with POLYPART_TRACE_DISABLED defined the hooks compile to nothing.
+// is a free function taking `Tracer*`: with a null tracer it is a branch.
 
 #include <array>
 #include <chrono>
@@ -187,33 +186,24 @@ class Tracer {
 
 // -- hooks (the only API instrumentation sites use) ---------------------------
 
-#ifdef POLYPART_TRACE_DISABLED
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
-
 inline void instant(Tracer* t, const char* category, std::string_view name,
                     std::initializer_list<Arg> args = {}) {
-  if constexpr (kTracingCompiledIn)
-    if (t) t->instantImpl(category, std::string(name), args);
+  if (t) t->instantImpl(category, std::string(name), args);
 }
 
 /// One sample of the counter track `name` (Chrome "ph":"C"); counters of
 /// either stats table are emitted through counters::Table::traceChanges.
 inline void counter(Tracer* t, const char* category, std::string_view name,
                     double value) {
-  if constexpr (kTracingCompiledIn)
-    if (t) t->counterImpl(category, std::string(name), value);
+  if (t) t->counterImpl(category, std::string(name), value);
 }
 
 inline void simSpan(Tracer* t, const char* category, std::string_view name,
                     int simTid, double startSeconds, double durationSeconds,
                     std::initializer_list<Arg> args = {}) {
-  if constexpr (kTracingCompiledIn)
-    if (t)
-      t->simSpanImpl(category, std::string(name), simTid, startSeconds,
-                     durationSeconds, args);
+  if (t)
+    t->simSpanImpl(category, std::string(name), simTid, startSeconds,
+                   durationSeconds, args);
 }
 
 /// Scoped wall-domain span.  Records its start timestamp and launch context
@@ -224,26 +214,22 @@ class Span {
  public:
   Span(Tracer* t, const char* category, std::string_view name,
        std::string_view nameSuffix = {}, std::initializer_list<Arg> args = {}) {
-    if constexpr (kTracingCompiledIn) {
-      if (!t) return;
-      tracer_ = t;
-      category_ = category;
-      name_.reserve(name.size() + nameSuffix.size());
-      name_.append(name);
-      name_.append(nameSuffix);
-      for (const Arg& a : args)
-        if (numArgs_ < kMaxArgs) args_[static_cast<std::size_t>(numArgs_++)] = a;
-      launch_ = t->currentLaunch();
-      ts_ = t->beginTimestamp();
-    }
+    if (!t) return;
+    tracer_ = t;
+    category_ = category;
+    name_.reserve(name.size() + nameSuffix.size());
+    name_.append(name);
+    name_.append(nameSuffix);
+    for (const Arg& a : args)
+      if (numArgs_ < kMaxArgs) args_[static_cast<std::size_t>(numArgs_++)] = a;
+    launch_ = t->currentLaunch();
+    ts_ = t->beginTimestamp();
   }
 
   ~Span() {
-    if constexpr (kTracingCompiledIn) {
-      if (tracer_)
-        tracer_->completeSpanImpl(category_, std::move(name_), ts_, launch_,
-                                  args_, numArgs_);
-    }
+    if (tracer_)
+      tracer_->completeSpanImpl(category_, std::move(name_), ts_, launch_,
+                                args_, numArgs_);
   }
 
   Span(const Span&) = delete;
@@ -264,19 +250,15 @@ class Span {
 class LaunchScope {
  public:
   LaunchScope(Tracer* t, const std::string& kernelName) : tracer_(nullptr) {
-    if constexpr (kTracingCompiledIn) {
-      if (!t) return;
-      tracer_ = t;
-      t->beginLaunch(kernelName);
-      span_.emplace(t, "runtime", "launch:", kernelName);
-    }
+    if (!t) return;
+    tracer_ = t;
+    t->beginLaunch(kernelName);
+    span_.emplace(t, "runtime", "launch:", kernelName);
   }
   ~LaunchScope() {
-    if constexpr (kTracingCompiledIn) {
-      if (tracer_) {
-        span_.reset();  // the span still carries the launch id (captured at start)
-        tracer_->endLaunch();
-      }
+    if (tracer_) {
+      span_.reset();  // the span still carries the launch id (captured at start)
+      tracer_->endLaunch();
     }
   }
 

@@ -393,7 +393,7 @@ TEST(Codegen, MaterializeReplayMatchesLiveEnumerate) {
 
 /// The specialized tier must emit byte-identical ranges and accounting to
 /// the interpreter, including on repeated calls that hit the per-enumerator
-/// program cache.
+/// cache of folded nests.
 TEST(Codegen, ExecutionTiersAreByteIdentical) {
   for (const ir::KernelPtr& k :
        {apps::buildSaxpy(), apps::buildHotspot(), apps::buildMatmul(),

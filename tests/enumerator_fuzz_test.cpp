@@ -176,11 +176,11 @@ TEST(EnumeratorFuzz, RangesMatchObservedFootprint) {
 }
 
 /// Differential oracle over the execution tiers: for every random kernel
-/// and partition box, the specializing VM must materialize byte-identical
-/// ranges (same order, same endpoints) and identical work accounting to the
-/// interpreter, with coalescing on and off.  The specialized tier runs
-/// twice per key so both the fold-and-insert miss path and the
-/// cached-program hit path are exercised.
+/// and partition box, the walk over the folded scan nests must materialize
+/// byte-identical ranges (same order, same endpoints) and identical work
+/// accounting to the interpreter, with coalescing on and off.  The
+/// specialized tier runs twice per key so both the fold-and-insert miss
+/// path and the cached hit path are exercised.
 TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
   const int kernels = fuzz::caseCount(60);
   for (int kcase = 0; kcase < kernels; ++kcase) {
@@ -237,12 +237,12 @@ TEST(EnumeratorFuzz, TiersMaterializeIdenticalRanges) {
           e.coalesce = true;
 
           EXPECT_EQ(ref.ranges, spec.ranges)
-              << "specialized program diverges (coalesce=" << coalesce
+              << "folded nests diverge (coalesce=" << coalesce
               << ")\n"
               << g.kernel->str();
           EXPECT_EQ(ref.info, spec.info) << "specialized work accounting";
           EXPECT_EQ(spec.ranges, specHit.ranges)
-              << "cached specialized program diverges from its first run";
+              << "cached folded nests diverge from their first run";
           EXPECT_EQ(spec.info, specHit.info);
           if (::testing::Test::HasFailure()) return;
         }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "pset/ast.h"
@@ -211,6 +212,61 @@ TEST(AstMore, ConstantFoldingInFactories) {
   AstExpr x = AstExpr::loopVar(0);
   EXPECT_EQ(AstExpr::mul(x, AstExpr::constant(1)).kind(), AstExpr::Kind::LoopVar);
   EXPECT_EQ(AstExpr::add(AstExpr::constant(0), x).kind(), AstExpr::Kind::LoopVar);
+}
+
+TEST(AstMore, SpecializeFoldsParamsAndKeepsLoopsAndOverflows) {
+  // A param-only tree folds to one constant.
+  i64 params[] = {10, 4};
+  AstExpr paramOnly = AstExpr::maxOf(
+      {AstExpr::add(AstExpr::param(0), AstExpr::constant(3)),
+       AstExpr::ceilDiv(AstExpr::mul(AstExpr::param(1), AstExpr::param(0)), 3)});
+  AstExpr folded = paramOnly.specialize(params);
+  ASSERT_TRUE(folded.isConst());
+  EXPECT_EQ(folded.value(), 14);
+
+  // Loop dependence of a folded scan nest matches the unfolded one at every
+  // level, and so do the values: 0 <= i < n, i <= j < n, j - i <= k <= j + m.
+  Space s = Space::set({"n", "m"}, {"i", "j", "k"});
+  BasicSet bs(s);
+  LinExpr n = LinExpr::dim(s, DimId::param(0)), m = LinExpr::dim(s, DimId::param(1));
+  LinExpr i = LinExpr::dim(s, DimId::in(0)), j = LinExpr::dim(s, DimId::in(1)),
+          k = LinExpr::dim(s, DimId::in(2));
+  bs.addGe(i);
+  bs.addGe(n - i + LinExpr::constant(s, -1));
+  bs.addGe(j - i);
+  bs.addGe(n - j + LinExpr::constant(s, -1));
+  bs.addGe(k - j + i);
+  bs.addGe(j + m - k);
+  ScanNest nest = buildScan(bs);
+  const i64 loops[] = {2, 5};
+  for (const ScanLevel& l : nest.levels)
+    for (const AstExpr* e : {&l.lower, &l.upper}) {
+      AstExpr f = e->specialize(params);
+      for (std::size_t lvl = 0; lvl <= nest.levels.size(); ++lvl)
+        EXPECT_EQ(f.independentOfLoopsFrom(lvl), e->independentOfLoopsFrom(lvl))
+            << e->str() << " level " << lvl;
+      EXPECT_EQ(f.eval(params, loops), e->eval(params, loops)) << e->str();
+    }
+
+  // An Add whose fold would overflow is kept: folding does not throw, and
+  // evaluating the folded tree throws like the unfolded one.
+  i64 huge[] = {std::numeric_limits<i64>::max(), 0};
+  AstExpr overflow = AstExpr::maxOf(
+      {AstExpr::loopVar(0), AstExpr::add(AstExpr::param(0), AstExpr::constant(1))});
+  AstExpr keptAdd = overflow.specialize(huge);
+  ASSERT_EQ(keptAdd.kind(), AstExpr::Kind::Max);
+  EXPECT_EQ(keptAdd.kids()[1].kind(), AstExpr::Kind::Add);
+  EXPECT_THROW(overflow.eval(huge, loops), OverflowError);
+  EXPECT_THROW(keptAdd.eval(huge, loops), OverflowError);
+
+  // x * 0 with x a loop variable keeps its LoopVar (the mul() factory would
+  // fold it to 0).
+  AstExpr timesZero = AstExpr::mul(AstExpr::loopVar(0), AstExpr::param(1));
+  AstExpr keptLoop = timesZero.specialize(huge);
+  ASSERT_EQ(keptLoop.kind(), AstExpr::Kind::Mul);
+  EXPECT_EQ(keptLoop.kids()[0].kind(), AstExpr::Kind::LoopVar);
+  EXPECT_FALSE(keptLoop.independentOfLoopsFrom(0));
+  EXPECT_EQ(keptLoop.eval(huge, loops), 0);
 }
 
 /// Randomized property: projection is a sound over-approximation, and exact

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <vector>
 
 #include "support/arith.h"
@@ -111,10 +112,11 @@ TEST(Str, FormatAndJoin) {
 }
 
 TEST(Str, FileRoundTrip) {
-  std::string path = "/tmp/polypart_str_test.txt";
+  std::string path = ::testing::TempDir() + "polypart_str_test.txt";
   writeFile(path, "contents\nline2");
   EXPECT_EQ(readFile(path), "contents\nline2");
   EXPECT_THROW(readFile("/nonexistent/dir/file"), Error);
+  std::remove(path.c_str());
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
